@@ -7,6 +7,7 @@ scans, subtorus downgrades, and certified Diophantine approximation.
 
 from importlib import resources
 
+from ._exact import smith_normal_form
 from .approx import ConeApprox, Enclosure, SignedApprox, cone_rational_approx, dirichlet_signed, verify_cone, verify_signed
 from .cxonevol import CellComplex, PolyhedralDivisor, build_cells, deg_D, minimize_c1, nvol_c1, vol_xi_c1
 from .downgrade import (
@@ -46,10 +47,8 @@ from .polyhedral import (
     SimplicialPiece,
     VCone,
     dual_cone,
-    fm_eliminate,
     hrep_of,
     polyhedron_min,
-    smith_decompose,
     triangulate_cone,
     vertex_enumeration,
 )

@@ -15,10 +15,10 @@ from math import gcd
 import numpy as np
 
 from . import _exact as ex
-from . import _simplex as lp
 from .errors import (
     EmptyFiber,
     Inconsistent,
+    InfeasibleSystem,
     NonInvariant,
     RankDeficient,
     TorsionCokernel,
@@ -105,17 +105,20 @@ def downgrade_sigma(d: DowngradeData):
 def downgrade_coefficient(d: DowngradeData, p) -> Polyhedron:
     """Coefficient polyhedron s({y >= 0 : P y = p}) with tail cone sigma.
 
-    Solved by one particular rational solution y0 of P y = p followed by the
-    vertex enumeration of {xi : F xi + y0 >= 0}, translated by s(y0).
+    Any rational solution y0 of P y = p will do: ker P = im F over Q, so the
+    fiber is {y0 + F xi : F xi + y0 >= 0} and its image under s is the vertex
+    enumeration of {xi : F xi + y0 >= 0} translated by s(y0).  An empty
+    fiber is an infeasible system.
     """
     p = [ex.frac(x) for x in p]
     if len(p) != d.F.N - d.F.r:
         raise ValueError("fiber point has the wrong dimension")
-    y0 = lp.nonneg_solution(d.P, p)
-    if y0 is None:
-        raise EmptyFiber(f"no y >= 0 with P y = {p}")
+    y0 = ex.solve(d.P, p)
     h = HRep([(row, y0[i]) for i, row in enumerate(d.F.rows)], d.F.r)
-    poly = vertex_enumeration(h)
+    try:
+        poly = vertex_enumeration(h)
+    except InfeasibleSystem:
+        raise EmptyFiber(f"no y >= 0 with P y = {p}") from None
     sy0 = ex.mat_vec(d.s, y0)
     return poly.translate(sy0)
 

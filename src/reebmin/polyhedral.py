@@ -2,16 +2,19 @@
 
 Cones are generated by primitive integer rays (`VCone`), inequality systems
 are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
-list plus a tail cone (`Polyhedron`).  Everything here is exact: no floating
-point enters this module.
+list plus a tail cone (`Polyhedron`).  One double-description pass,
+`_rays_from_inequalities`, turns inequalities into generators; duality,
+containment, extreme rays, pointedness, vertex enumeration (by
+homogenization) and triangulation are all read off its output.  Everything
+here is exact: no floating point enters this module.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 
 from . import _exact as ex
-from . import _simplex as lp
 from .errors import InfeasibleSystem, NotFullDimensional, NotPointed
 
 
@@ -53,8 +56,14 @@ class VCone:
         object.__setattr__(self, "rays", tuple(prim))
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
+    @cached_property
+    def _dual(self):
+        """The dual cone, computed once per cone."""
+        return dual_cone(self)
+
     def contains(self, v):
-        return lp.in_cone(self.rays, v)
+        """Whether v pairs nonnegatively with every generator of the dual."""
+        return all(ex.dot(y, v) >= 0 for y in self._dual.rays)
 
     def is_equivalent(self, other):
         """Set equality of the generated cones (mutual ray containment)."""
@@ -71,22 +80,21 @@ class VCone:
         return self.span_rank() == self.ambient_dim
 
     def is_pointed(self):
-        if not self.rays:
-            return True
-        pointed, lin = _rays_from_inequalities(self.rays, self.ambient_dim)
-        del pointed
-        return not lin
+        """Whether the cone contains no line, i.e. its dual is full dimensional."""
+        return self._dual.is_full_dimensional()
 
     def extreme_rays(self):
-        """Irredundant generating subset, preserving stored order."""
-        out = []
-        for i, r in enumerate(self.rays):
-            others = [s for j, s in enumerate(self.rays) if j != i]
-            if not lp.in_cone(others, r):
-                out.append(r)
-        if not out and self.rays:
-            out.append(self.rays[0])
-        return tuple(out)
+        """Irredundant generating subset, preserving stored order.
+
+        A stored ray is extreme when the dual generators vanishing on it have
+        rank ambient_dim - 1.  A cone that contains a line has no extreme rays.
+        """
+        if not self.is_pointed():
+            raise NotPointed("cone contains a line; it has no extreme rays")
+        dual = self._dual.rays
+        return tuple(
+            r for r in self.rays if ex.rank([y for y in dual if ex.dot(y, r) == 0]) == self.ambient_dim - 1
+        )
 
     def interior_point(self):
         if not self.rays:
@@ -169,36 +177,53 @@ def _rays_from_inequalities(normals, n):
     """Extreme rays and lineality basis of { y : <a, y> >= 0 for a in normals }.
 
     Returns (pointed_rays, lineality_basis); the cone equals
-    cone(pointed_rays) + span(lineality_basis).
+    cone(pointed_rays) + span(lineality_basis).  The pointed rays lie in the
+    row space of the normals and come out primitive and sorted.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
+    from the simplicial cone that t independent normals cut out of the row
+    space, t the rank, and add the other normals one at a time in integer
+    arithmetic.  Each ray carries the normals it is tight on as a bitmask.  A
+    ray on the positive side of the new normal and one on the negative side
+    span a 2-face, and are combined, exactly when they share at least t - 2
+    tight normals and no third ray is tight on all of them.
     """
-    normals = [ex.fracvec(a) for a in normals if not ex.is_zero_vec(a)]
-    if not normals:
-        basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-        return (), tuple(ex.primitive(b) for b in basis)
-    lin = ex.nullspace(normals)
-    t = n - len(lin)  # rank of the constraint matrix
-    eq_rows = list(lin)  # pointed part lives in the row space: lin . y = 0
-    candidates = []
-    seen = set()
-    for subset in itertools.combinations(range(len(normals)), t - 1):
-        m = eq_rows + [normals[i] for i in subset]
-        if m:
-            null = ex.nullspace(m)
-        else:  # n == 1 with a rank-1 system: the whole line is the candidate space
-            null = (tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-            null = tuple(null)
-        if len(null) != 1:
+    rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
+    if not rows:
+        return (), tuple(ex.primitive(b) for b in ex.identity(n))
+    lin = ex.nullspace(rows)
+    start = ex.rref(ex.transpose(rows))[1]  # indices of t independent normals
+    t = len(start)
+    # start ray k pairs positively with normal start[k] and to 0 with the
+    # other start normals: column k of B^T (B B^T)^-1 (a symmetric inverse)
+    basis_t = ex.transpose([rows[i] for i in start])
+    g_inv = ex.inverse(ex.mat_mul(ex.transpose(basis_t), basis_t))
+    rays = []
+    for k in range(t):
+        r = ex.primitive(ex.mat_vec(basis_t, g_inv[k]))
+        rays.append((r, sum(1 << i for j, i in enumerate(start) if j != k)))
+    for i, a in enumerate(rows):
+        if i in start:
             continue
-        v = ex.primitive(null[0])
-        for w in (v, tuple(-x for x in v)):
-            if w in seen:
+        bit = 1 << i
+        vals = [ex.dot(a, r) for r, _ in rays]
+        new = [(r, mask | bit if v == 0 else mask) for (r, mask), v in zip(rays, vals) if v >= 0]
+        for p, (rp, mp) in enumerate(rays):
+            if vals[p] <= 0:
                 continue
-            if all(ex.dot(a, w) >= 0 for a in normals):
-                seen.add(w)
-                candidates.append(w)
-    if t == 0:
-        candidates = []
-    return tuple(sorted(candidates)), tuple(ex.primitive(b) for b in lin)
+            for q, (rq, mq) in enumerate(rays):
+                if vals[q] >= 0:
+                    continue
+                shared = mp & mq
+                if shared.bit_count() < t - 2:
+                    continue
+                if any(mask & shared == shared for k, (_, mask) in enumerate(rays) if k != p and k != q):
+                    continue
+                w = [vals[p] * y - vals[q] * x for x, y in zip(rp, rq)]
+                g = gcd(*w)
+                new.append((tuple(c // g for c in w), shared | bit))
+        rays = new
+    return tuple(sorted(r for r, _ in rays)), tuple(ex.primitive(b) for b in lin)
 
 
 def dual_cone(c: VCone) -> VCone:
@@ -215,83 +240,21 @@ def dual_cone(c: VCone) -> VCone:
     return VCone(rays, c.ambient_dim)
 
 
-def _remove_redundant(rows, n):
-    """Drop inequalities implied by the rest (exact LP per row)."""
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if not others:
-            break
-        a, c = kept[i]
-        status, value = lp.ineq_min(a, others, n)
-        if status == lp.OPTIMAL and value + c >= 0:
-            kept.pop(i)
-        elif status == lp.INFEASIBLE:
-            break  # empty set: everything is vacuously implied; keep as-is
-        else:
-            i += 1
-    return kept
-
-
-def fm_eliminate(h: HRep, coordinate_index: int) -> HRep:
-    """Fourier-Motzkin projection forgetting one coordinate."""
-    k = coordinate_index
-    if not 0 <= k < h.ambient_dim:
-        raise ValueError("coordinate index out of range")
-
-    def drop(vec):
-        return vec[:k] + vec[k + 1 :]
-
-    zero, pos, neg = [], [], []
-    for a, c in h.inequalities:
-        if a[k] == 0:
-            zero.append((drop(a), c))
-        elif a[k] > 0:
-            pos.append((a, c))
-        else:
-            neg.append((a, c))
-    combined = list(zero)
-    for (ap, cp), (an, cn) in itertools.product(pos, neg):
-        # ap[k] * (an row) - an[k] * (ap row): positive combination, kills x_k
-        a = tuple(ap[k] * x - an[k] * y for x, y in zip(an, ap))
-        c = ap[k] * cn - an[k] * cp
-        if ex.is_zero_vec(a):
-            if c >= 0:
-                continue
-            combined.append((drop(a), c))
-        else:
-            combined.append((drop(a), c))
-    out = HRep(combined, h.ambient_dim - 1)
-    kept = _remove_redundant(list(out.inequalities), out.ambient_dim)
-    return HRep(kept, out.ambient_dim)
-
-
 def vertex_enumeration(h: HRep) -> Polyhedron:
-    """Irredundant vertices plus tail cone of a pointed inequality system."""
+    """Irredundant vertices plus tail cone of a pointed inequality system.
+
+    One kernel call on the homogenization {<a, x> + c s >= 0, s >= 0}: its
+    rays with s > 0 are the vertices x / s, those with s = 0 span the tail.
+    """
     n = h.ambient_dim
-    rows = list(h.inequalities)
-    if not lp.ineq_feasible(rows, n):
+    hats = [a + (c,) for a, c in h.inequalities] + [(0,) * n + (1,)]
+    rays, lin = _rays_from_inequalities(hats, n + 1)
+    vertices = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0]
+    if not vertices:
         raise InfeasibleSystem("inequality system has no solution")
-    normals = [a for a, _ in rows]
-    pointed, lin = _rays_from_inequalities(normals, n)
     if lin:
         raise NotPointed("solution set contains a line; no vertex description")
-    tail = VCone(pointed, n) if pointed else VCone([], n)
-    vertices = set()
-    for subset in itertools.combinations(range(len(rows)), n):
-        m = [rows[i][0] for i in subset]
-        b = [-rows[i][1] for i in subset]
-        if ex.rank(m) != n:
-            continue
-        x = ex.solve(m, b)
-        if x is None:
-            continue
-        if all(ex.dot(a, x) + c >= 0 for a, c in rows):
-            vertices.add(x)
-    if not vertices:
-        raise InfeasibleSystem("feasible system produced no basic solution")
-    return Polyhedron(sorted(vertices), tail)
+    return Polyhedron(vertices, VCone([r[:n] for r in rays if r[n] == 0], n))
 
 
 def hrep_of(p: Polyhedron) -> HRep:
@@ -328,9 +291,9 @@ def triangulate_cone(c: VCone):
     stored ray order.
     """
     n = c.ambient_dim
-    ext = c.extreme_rays()
-    if ex.rank(ext) != n:
+    if not c.is_full_dimensional():
         raise NotFullDimensional("cone rays span a proper subspace")
+    ext = c.extreme_rays()
     order = {r: i for i, r in enumerate(c.rays)}
     idx = sorted(range(len(ext)), key=lambda i: order[ext[i]])
 
@@ -351,11 +314,6 @@ def triangulate_cone(c: VCone):
         d = abs(ex.int_det(rays))
         pieces.append(SimplicialPiece(rays=rays, det_abs=d))
     return pieces
-
-
-def smith_decompose(m):
-    """Smith normal form with unimodular transforms: U m V = D."""
-    return ex.smith_normal_form(m)
 
 
 def polyhedron_min(p: Polyhedron, u):

@@ -5,6 +5,7 @@ import pytest
 
 from reebmin import (
     NotInReebCone,
+    NotStrictlyConvex,
     PolyhedralDivisor,
     UnboundedCoefficient,
     VCone,
@@ -23,6 +24,12 @@ ALPHA = (-3 + math.sqrt(33)) / 4  # third coordinate of the known minimizer dire
 def orthant_divisor(r, vertex):
     rays = [tuple(int(i == j) for j in range(r)) for i in range(r)]
     return PolyhedralDivisor.from_vertex_lists(rays, [("0", [vertex])])
+
+
+class TestPolyhedralDivisor:
+    def test_half_plane_tail_not_strictly_convex(self):
+        with pytest.raises(NotStrictlyConvex):
+            PolyhedralDivisor.from_vertex_lists([(1, 0), (-1, 0), (0, 1)], [("0", [(0, 0)])])
 
 
 class TestDegD:

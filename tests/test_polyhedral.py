@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,19 +11,19 @@ from reebmin import (
     HRep,
     InfeasibleSystem,
     NotFullDimensional,
-    Polyhedron,
+    NotPointed,
     VCone,
     dual_cone,
-    fm_eliminate,
     hrep_of,
     polyhedron_min,
-    smith_decompose,
+    smith_normal_form,
     triangulate_cone,
     vertex_enumeration,
 )
 from reebmin import _exact as ex
+from reebmin.polyhedral import _rays_from_inequalities
 
-from conftest import DK_F, DK_P, DK_SIGMA_RAYS, SPP_DUAL_RAYS, random_interior_rational
+from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, random_interior_rational
 
 
 class TestDualCone:
@@ -52,41 +54,77 @@ class TestDualCone:
             assert dual_cone(dual_cone(c)).is_equivalent(c)
 
 
-class TestFmEliminate:
-    def test_triangle_projection(self):
-        h = HRep([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2)
-        out = fm_eliminate(h, 1)
-        assert set(out.inequalities) == {((1,), Fraction(0)), ((-1,), Fraction(1))}
+class TestConeQueries:
+    HALF_PLANE = [(1, 0), (-1, 0), (0, 1)]
 
-    def test_equality_collapse(self):
-        h = HRep([((0, 1), 0), ((0, -1), 0), ((1, -1), 0)], 2)
-        out = fm_eliminate(h, 1)
-        assert set(out.inequalities) == {((1,), Fraction(0))}
+    def test_half_plane_not_pointed(self):
+        assert not VCone(self.HALF_PLANE).is_pointed()
 
-    def test_fiber_elimination_reproduces_coefficient(self, dk_divisor):
-        # y >= 0 plus P y = (1, 0), in coordinates (y1, y3, y4, y2, y5);
-        # eliminating the two trailing coordinates leaves the coefficient
-        # polyhedron at the first marked point in xi = (y1, y3, y4) space.
-        perm = (0, 2, 3, 1, 4)  # y1 y3 y4 y2 y5
+    def test_single_ray_pointed(self):
+        assert VCone([(1, 0)], 2).is_pointed()
 
-        def reorder(row):
-            return tuple(row[i] for i in perm)
+    def test_contains_with_line(self):
+        c = VCone(self.HALF_PLANE)
+        assert c.contains((-5, 2)) and c.contains((3, 0))
+        assert not c.contains((0, -1))
 
+    def test_extreme_rays_drop_redundant_generator(self):
+        # not full dimensional: the dual carries a lineality line
+        assert VCone([(1, 0, 0), (1, 1, 0), (0, 1, 0)]).extreme_rays() == ((1, 0, 0), (0, 1, 0))
+
+    def test_extreme_rays_of_cone_with_line(self):
+        with pytest.raises(NotPointed):
+            VCone([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]).extreme_rays()
+
+
+def brute_force_rays(rows, n):
+    """Independent oracle: every extreme ray spans the kernel of the lineality
+    basis plus t - 1 of the rows (t their rank) and satisfies every row."""
+    lin = list(ex.nullspace(rows + [(0,) * n]))
+    found = set()
+    for subset in itertools.combinations(rows, max(n - len(lin) - 1, 0)):
+        null = ex.nullspace(lin + list(subset) + [(0,) * n])
+        if len(null) == 1:
+            for w in (null[0], ex.vec_scale(-1, null[0])):
+                if all(ex.dot(a, w) >= 0 for a in rows):
+                    found.add(ex.primitive(w))
+    return sorted(found)
+
+
+class TestKernelProperties:
+    def random_rows(self, rng, n):
         rows = []
-        for i in range(5):
-            e = [0] * 5
-            e[i] = 1
-            rows.append((reorder(tuple(e)), 0))
-        p_target = (1, 0)
-        for j, prow in enumerate(DK_P):
-            rows.append((reorder(prow), -p_target[j]))
-            rows.append((reorder(tuple(-x for x in prow)), p_target[j]))
-        h = HRep(rows, 5)
-        h = fm_eliminate(h, 4)  # y5
-        h = fm_eliminate(h, 3)  # y2
-        got = vertex_enumeration(h)
-        expected = dk_divisor.points[0][1]
-        assert got.is_equivalent(expected)
+        for _ in range(rng.randint(0, 9)):
+            kind = rng.random()
+            if rows and kind < 0.1:
+                rows.append(rng.choice(rows))  # repeated normal
+            elif rows and kind < 0.2:
+                rows.append(tuple(-x for x in rng.choice(rows)))  # opposite normal
+            elif kind < 0.25:
+                rows.append((0,) * n)
+            elif kind < 0.35:
+                rows.append(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)))
+            else:
+                bound = rng.choice((3, 10**4))
+                rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
+        return rows
+
+    def test_rays_feasible_primitive_extreme_sorted_and_complete(self):
+        rng = random.Random(2017)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = self.random_rows(rng, n)
+            rays, lin = _rays_from_inequalities(rows, n)
+            normals = [r for r in rows if not ex.is_zero_vec(r)]
+            assert all(ex.dot(a, b) == 0 for a in normals for b in lin)
+            assert len(lin) == n - (ex.rank(normals) if normals else 0)
+            for r in rays:
+                assert all(isinstance(x, int) for x in r) and ex.primitive(r) == r
+                assert all(ex.dot(a, r) >= 0 for a in normals)
+                tight = [a for a in normals if ex.dot(a, r) == 0]
+                assert ex.rank(list(lin) + tight) == n - 1
+            assert list(rays) == sorted(rays)
+            assert list(rays) == brute_force_rays(normals, n), rows
 
 
 class TestVertexEnumeration:
@@ -117,6 +155,14 @@ class TestVertexEnumeration:
         with pytest.raises(InfeasibleSystem):
             vertex_enumeration(HRep([((1,), 0), ((-1,), -1)], 1))
 
+    def test_infeasible_checked_before_line(self):
+        with pytest.raises(InfeasibleSystem):
+            vertex_enumeration(HRep([((1, 0), 0), ((-1, 0), -1)], 2))
+
+    def test_line_not_pointed(self):
+        with pytest.raises(NotPointed):
+            vertex_enumeration(HRep([((1, 0), 0)], 2))
+
     def test_roundtrip_hrep(self):
         h = HRep([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2)
         p = vertex_enumeration(h)
@@ -144,6 +190,10 @@ class TestTriangulate:
         with pytest.raises(NotFullDimensional):
             triangulate_cone(VCone([(1, 0, 0), (0, 1, 0)]))
 
+    def test_not_full_dimensional_with_line(self):
+        with pytest.raises(NotFullDimensional):
+            triangulate_cone(VCone([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]))
+
     def _truncated_volume(self, pieces, xi):
         total = Fraction(0)
         for piece in pieces:
@@ -167,15 +217,15 @@ class TestTriangulate:
 
 class TestSmith:
     def test_identity(self):
-        u, d, v = smith_decompose(((1, 0), (0, 1)))
+        u, d, v = smith_normal_form(((1, 0), (0, 1)))
         assert d == ((1, 0), (0, 1))
 
     def test_spp_binomial_column(self):
-        u, d, v = smith_decompose(((1,), (1,), (-2,), (-1,)))
+        u, d, v = smith_normal_form(((1,), (1,), (-2,), (-1,)))
         assert d[0][0] == 1
 
     def test_one_by_one(self):
-        u, d, v = smith_decompose(((2,),))
+        u, d, v = smith_normal_form(((2,),))
         assert d == ((2,),)
 
     @settings(max_examples=120, deadline=None)
@@ -188,7 +238,7 @@ class TestSmith:
     )
     def test_decomposition_properties(self, rows):
         m = tuple(tuple(r) for r in rows)
-        u, d, v = smith_decompose(m)
+        u, d, v = smith_normal_form(m)
         assert ex.mat_mul(ex.mat_mul(u, m), v) == d
         assert abs(ex.int_det(u)) == 1
         assert abs(ex.int_det(v)) == 1
@@ -219,43 +269,6 @@ class TestPolyhedronMin:
         assert polyhedron_min(d0, (0, -1, 0)) is MINUS_INFINITY
 
 
-class TestProjectionConsistency:
-    def project_polyhedron(self, p, k):
-        verts = [v[:k] + v[k + 1 :] for v in p.compact_vertices]
-        rays = [r[:k] + r[k + 1 :] for r in p.tail.rays]
-        rays = [r for r in rays if any(x != 0 for x in r)]
-        tail = VCone(rays, p.ambient_dim - 1) if rays else VCone([], p.ambient_dim - 1)
-        return vertex_enumeration(hrep_of(Polyhedron(verts, tail)))
-
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_fm_matches_vertex_projection(self, k):
-        rows = [
-            ((1, 0, 0), 0),
-            ((0, 1, 0), 0),
-            ((0, 0, 1), 0),
-            ((-1, -1, -2), 3),
-            ((1, 1, 1), 1),
-        ]
-        h = HRep(rows, 3)
-        via_fm = vertex_enumeration(fm_eliminate(h, k))
-        via_vertices = self.project_polyhedron(vertex_enumeration(h), k)
-        assert via_fm.is_equivalent(via_vertices)
-
-    @pytest.mark.parametrize("k", [0, 3])
-    def test_fm_matches_vertex_projection_dim4(self, k):
-        rows = [
-            ((1, 0, 0, 0), 0),
-            ((0, 1, 0, 0), 0),
-            ((0, 0, 1, 0), 0),
-            ((0, 0, 0, 1), 0),
-            ((-1, -2, -1, -1), 4),
-        ]
-        h = HRep(rows, 4)
-        via_fm = vertex_enumeration(fm_eliminate(h, k))
-        via_vertices = self.project_polyhedron(vertex_enumeration(h), k)
-        assert via_fm.is_equivalent(via_vertices)
-
-
 class TestSmithAgainstSympy:
     def test_diagonal_matches_sympy(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -267,7 +280,7 @@ class TestSmithAgainstSympy:
                 [rng.randint(-9, 9) for _ in range(ncols)]
                 for _ in range(rng.randint(1, 4))
             ]
-            _, d, _ = smith_decompose(rows)
+            _, d, _ = smith_normal_form(rows)
             mine = [d[i][i] for i in range(min(len(d), ncols))]
             theirs = [abs(int(x)) for x in sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()]
             theirs += [0] * (len(mine) - len(theirs))
