@@ -1,10 +1,32 @@
-"""Damped projected Newton on the affine slice {<u0, xi> = 1}."""
+"""The one minimizer: damped projected Newton on the slice {<u0, xi> = 1}.
 
+Toric and complexity-one data both minimize a `CellSum` volume, which is
+strictly convex on the slice; only their normalized volumes differ.  The
+certificates are re-evaluated from the kernel at twice the working precision.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import mpmath
 import numpy as np
+
+from ._cellsum import ReebVector, sine
+from .errors import NotInReebCone
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 60
 ILL_CONDITIONED = 1e12
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    xi_star: ReebVector
+    nvol_star: float
+    grad_norm: float
+    barycenter_residual: float
+    iterations: int
+    converged: bool
 
 
 def slice_basis(u0):
@@ -14,22 +36,55 @@ def slice_basis(u0):
     return vh[1:].T  # rows 2..n of V^T span the orthogonal complement
 
 
-def minimize_on_slice(value, grad, hess, u0, x0, tol, max_iter, feasible):
-    """Minimize a strictly convex function over the slice, staying feasible.
+def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> MinimizeResult:
+    """Global minimizer of nvol over the Reeb cone, rescaled so that <u0, xi> = n.
 
-    value/grad/hess take a float vector; feasible(xi) guards the open cone.
-    Returns (xi, projected_grad_norm, iterations, converged).
+    Starts at the sum of the Reeb cone's rays on the slice.  It is converged
+    when Newton stopped on the gradient test and, at twice the precision,
+    both the projected gradient norm and the sine between -grad vol and u0
+    are at most the tolerance (the sine is NaN, so never, when grad vol = 0).
+    """
+    total = [sum(Fraction(c) for c in col) for col in zip(*sigma_rays)]
+    a0 = sum(a * b for a, b in zip(u0, total))
+    x0 = np.asarray([float(x / a0) for x in total])
+    u0f = np.asarray([float(x) for x in u0])
+    xi_hat, iters, newton_ok = _newton(cs, u0f, x0, tolerance, max_iter)
+
+    with mpmath.workprec(2 * precision):
+        _, g = cs.evaluate(tuple(mpmath.mpf(float(x)) for x in xi_hat), 1)
+        u0m = tuple(mpmath.mpf(x.numerator) / x.denominator for x in u0)
+        uu = sum(x * x for x in u0m)
+        gu = sum(a * b for a, b in zip(g, u0m))
+        proj = [gi - gu / uu * ui for gi, ui in zip(g, u0m)]
+        grad_norm = float(mpmath.sqrt(sum(x * x for x in proj)))
+        residual = float(sine(g, u0m))
+
+    a = float(sum(x * y for x, y in zip(u0, xi_hat)))
+    xi_star = ReebVector.real(np.asarray(xi_hat) * (n / a))
+    return MinimizeResult(
+        xi_star=xi_star,
+        nvol_star=float(nvol(xi_star)),
+        grad_norm=grad_norm,
+        barycenter_residual=residual,
+        iterations=iters,
+        converged=bool(newton_ok and grad_norm <= tolerance and residual <= tolerance),
+    )
+
+
+def _newton(cs, u0, x0, tol, max_iter):
+    """Damped Newton in an orthonormal basis of the slice, staying in the open cone.
+
+    Each iteration makes one order-2 kernel call, plus one volume call per
+    line-search step.  Returns (xi, iterations, stopped_on_gradient).
     """
     v = slice_basis(u0)
     xi = np.asarray(x0, dtype=float)
-    gn = float("inf")
     for it in range(1, max_iter + 1):
-        g = np.asarray(grad(xi), dtype=float)
-        gp = v.T @ g
-        gn = float(np.linalg.norm(gp))
-        if gn <= tol:
-            return xi, gn, it - 1, True
-        hp = v.T @ np.asarray(hess(xi), dtype=float) @ v
+        f0, g, h = cs.evaluate(tuple(float(x) for x in xi), 2)
+        gp = v.T @ np.asarray(g, dtype=float)
+        if float(np.linalg.norm(gp)) <= tol:
+            return xi, it - 1, True
+        hp = v.T @ np.asarray(h, dtype=float) @ v
         step = None
         try:
             if np.linalg.cond(hp) <= ILL_CONDITIONED:
@@ -39,14 +94,18 @@ def minimize_on_slice(value, grad, hess, u0, x0, tol, max_iter, feasible):
         if step is None or gp @ step >= 0:
             step = -gp
         slope = float(gp @ step)
-        f0 = value(xi)
+        f0 = float(f0)
         alpha = 1.0
         for _ in range(MAX_BACKTRACK):
             cand = xi + alpha * (v @ step)
-            if feasible(cand) and value(cand) <= f0 + ARMIJO * alpha * slope:
+            try:
+                fc = float(cs.evaluate(tuple(float(x) for x in cand))[0])
+            except NotInReebCone:
+                fc = None
+            if fc is not None and fc <= f0 + ARMIJO * alpha * slope:
                 break
             alpha *= 0.5
         else:
-            return xi, gn, it, False
+            return xi, it, False
         xi = cand
-    return xi, gn, max_iter, False
+    return xi, max_iter, False

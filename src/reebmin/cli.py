@@ -153,7 +153,7 @@ def run(command, doc, options):
             "barycenter_residual": fmt(res.barycenter_residual),
             "iterations": res.iterations,
             "converged": res.converged,
-            "provenance": "closed_form_newton" if kind == "toric" else "finite_difference_newton",
+            "provenance": "closed_form_newton",
         }
         if kind == "complexity_one" and "F" in doc:
             F = WeightMatrix(doc["F"])
@@ -197,7 +197,7 @@ def run(command, doc, options):
             "all_nonnegative": report.all_nonnegative,
             "tolerance": fmt(report.tolerance),
             "note": report.note,
-            "provenance": "closed_form" if kind == "toric" else "finite_difference",
+            "provenance": "closed_form",
         }
     if command == "downgrade":
         if doc["kind"] != "downgrade":

@@ -12,32 +12,33 @@ the truncation {<u, xi> <= 1} in closed form,
     vol(xi) = sum_cells |det(u_1..u_r)| / prod_j <u_j, xi>
                       * sum_i <ell, u_i> / <u_i, xi>,
 
-which matches the n!-normalized Hilbert asymptotics with n = r + 1.
-Minimization uses finite-difference Newton on the slice {<u0, xi> = 1}.
+which matches the n!-normalized Hilbert asymptotics with n = r + 1.  The
+sum, its gradient and its Hessian come in closed form from the cell-sum
+kernel shared with toric data (`_cellsum`), exact when xi is rational, and
+minimization runs the shared damped Newton method (`_newton`) on the
+slice {<u0, xi> = 1}.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-import numpy as np
+from functools import cached_property
 
 from . import _exact as ex
-from ._newton import minimize_on_slice
-from .errors import NotInReebCone, NotStrictlyConvex, UnboundedCoefficient
+from . import _newton
+from ._cellsum import CellSum, check_length
+from ._newton import MinimizeResult
+from .errors import NotStrictlyConvex, UnboundedCoefficient
 from .polyhedral import (
     MINUS_INFINITY,
     Polyhedron,
     VCone,
     _rays_from_inequalities,
-    dual_cone,
     hrep_of,
     polyhedron_min,
     triangulate_cone,
     vertex_enumeration,
 )
-from .toricvol import MinimizeResult, ReebVector, _values
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class PolyhedralDivisor:
             canon_poly = vertex_enumeration(hrep_of(Polyhedron(poly.compact_vertices, sigma)))
             canon.append((str(label), Polyhedron(canon_poly.compact_vertices, sigma)))
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "sigma_dual", dual_cone(sigma))
+        object.__setattr__(self, "sigma_dual", sigma._dual)
         object.__setattr__(self, "points", tuple(canon))
         object.__setattr__(self, "r", sigma.ambient_dim)
         object.__setattr__(self, "n", sigma.ambient_dim + 1)
@@ -78,21 +79,15 @@ class PolyhedralDivisor:
         return cls(sigma, pts)
 
     def cells(self):
-        cached = getattr(self, "_cells", None)
-        if cached is None:
-            cached = build_cells(self)
-            object.__setattr__(self, "_cells", cached)
-        return cached
+        return self._cell_complex
 
-    def reeb_pairings(self, xi):
-        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in _values(xi))
-        pairs = {}
-        for u in self.sigma_dual.rays:
-            p = sum(a * b for a, b in zip(u, vals))
-            if p <= 0:
-                raise NotInReebCone(f"<{u}, xi> = {p} <= 0")
-            pairs[u] = p
-        return pairs
+    @cached_property
+    def _cell_complex(self):
+        return build_cells(self)
+
+    @cached_property
+    def _cellsum(self):
+        return CellSum(self.sigma_dual.rays, self.cells().cells, self.r)
 
 
 @dataclass(frozen=True)
@@ -147,147 +142,31 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
 
 def vol_xi_c1(d: PolyhedralDivisor, xi):
     """Closed-form truncated integral of max(deg, 0), n!-normalized."""
-    pairs = d.reeb_pairings(xi)
-    complex_ = d.cells()
-    total = 0
-    for piece, ell in complex_.cells:
-        prod = 1
-        lin = 0
-        for u in piece.rays:
-            pu = pairs.get(u)
-            if pu is None:
-                vals = tuple(Fraction(v) if isinstance(v, int) else v for v in _values(xi))
-                pu = sum(a * b for a, b in zip(u, vals))
-                if pu <= 0:
-                    raise NotInReebCone(f"<{u}, xi> = {pu} <= 0")
-                pairs[u] = pu
-            prod = prod * pu
-            lin = lin + ex.dot(ell, u) * (1 / pu)
-        total = total + piece.det_abs * lin * (1 / prod)
-    return total
+    return d._cellsum.evaluate(xi)[0]
 
 
 def nvol_c1(d: PolyhedralDivisor, u0, xi):
     """Normalized volume <u0, xi>^n vol(xi); rescaling invariant."""
     u0 = ex.fracvec(u0)
-    vals = _values(xi)
-    a = sum(x * y for x, y in zip(u0, vals))
+    a = sum(x * y for x, y in zip(u0, xi))
     return a**d.n * vol_xi_c1(d, xi)
-
-
-def _fd_gradient(f, x, h):
-    """Central differences with one Richardson step: error O(h^4)."""
-    g = np.zeros(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = h[i]
-        d1 = (f(x + e) - f(x - e)) / (2 * h[i])
-        d2 = (f(x + e / 2) - f(x - e / 2)) / h[i]
-        g[i] = (4 * d2 - d1) / 3
-    return g
-
-
-def _fd_hessian(f, x, h):
-    n = len(x)
-    hess = np.zeros((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            val = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (
-                4 * h[i] * h[j]
-            )
-            hess[i, j] = hess[j, i] = val
-    return hess
 
 
 def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200, precision=53) -> MinimizeResult:
     """Minimize the normalized volume over the Reeb cone of the tail.
 
-    Newton on the slice {<u0, xi> = 1} with central finite differences;
-    strict convexity makes the converged point global.  Certificates are
-    re-evaluated at twice the working precision; the sine-angle between
-    -grad vol and u0 plays the role of the barycenter residual.
+    Newton on the slice {<u0, xi> = 1} with closed-form derivatives; strict
+    convexity makes the converged point global.  Certificates are
+    re-evaluated at twice the working precision; the sine of the angle
+    between -grad vol and u0 plays the role of the barycenter residual.  A
+    divisor with no cells has vol = 0 and grad vol = 0, so its residual is
+    NaN and it never counts as converged.
     """
     u0 = ex.fracvec(u0)
+    check_length("u0", u0, d.r)
     for ray in d.sigma.rays:
         if ex.dot(u0, ray) <= 0:
             raise ValueError("u0 must pair positively with the tail cone")
-    n = d.n
-    u0f = np.asarray([float(x) for x in u0])
-    ray_norms = [(u, sum(abs(c) for c in u)) for u in d.sigma_dual.rays]
-
-    def feasible(v):
-        try:
-            d.reeb_pairings(tuple(v))
-            return True
-        except NotInReebCone:
-            return False
-
-    def value(v):
-        return float(vol_xi_c1(d, tuple(v)))
-
-    def boundary_slack(v):
-        """Largest sup-norm step guaranteed to stay inside the open cone."""
-        slack = min(
-            sum(c * x for c, x in zip(u, v)) / norm for u, norm in ray_norms
-        )
-        return max(float(slack), 0.0)
-
-    def fd_steps(v, base):
-        cap = 0.25 * boundary_slack(v)
-        return np.minimum(base * (1.0 + np.abs(v)), max(cap, 1e-300))
-
-    def grad(v):
-        v = np.asarray(v, dtype=float)
-        return _fd_gradient(value, v, fd_steps(v, 1e-4))
-
-    def hess(v):
-        v = np.asarray(v, dtype=float)
-        return _fd_hessian(value, v, fd_steps(v, 1e-4))
-
-    total = [Fraction(0)] * d.r
-    for ray in d.sigma.rays:
-        total = [a + b for a, b in zip(total, ray)]
-    a0 = ex.dot(u0, total)
-    x0 = np.asarray([float(x / a0) for x in total])
-
-    xi_hat, grad_norm, iters, converged = minimize_on_slice(
-        value, grad, hess, u0f, x0, tolerance, max_iter, feasible
-    )
-
-    with mpmath.workprec(2 * precision):
-        step = min(mpmath.mpf(10) ** -12, mpmath.mpf(0.25 * boundary_slack(xi_hat)))
-        xm = [mpmath.mpf(float(x)) for x in xi_hat]
-        g = []
-        for i in range(d.r):
-            xp = list(xm)
-            xn = list(xm)
-            xp[i] += step
-            xn[i] -= step
-            g.append((vol_xi_c1(d, tuple(xp)) - vol_xi_c1(d, tuple(xn))) / (2 * step))
-        u0m = [mpmath.mpf(x.numerator) / x.denominator for x in u0]
-        uu = sum(x * x for x in u0m)
-        gu = sum(a * b for a, b in zip(g, u0m))
-        proj = [gi - gu / uu * ui for gi, ui in zip(g, u0m)]
-        grad_norm = float(mpmath.sqrt(sum(x * x for x in proj)))
-        gg = sum(x * x for x in g)
-        if gg > 0:
-            bres = float(mpmath.sqrt(max(1 - gu * gu / (gg * uu), mpmath.mpf(0))))
-        else:
-            bres = float("nan")
-
-    a = float(sum(x * y for x, y in zip(u0, xi_hat)))
-    xi_star = ReebVector.real(np.asarray(xi_hat) * (n / a))
-    return MinimizeResult(
-        xi_star=xi_star,
-        nvol_star=float(nvol_c1(d, u0, xi_star)),
-        grad_norm=grad_norm,
-        barycenter_residual=bres,
-        iterations=iters,
-        converged=bool(converged and grad_norm <= tolerance),
+    return _newton.minimize(
+        d._cellsum, u0, d.sigma.rays, d.n, lambda xi: nvol_c1(d, u0, xi), tolerance, max_iter, precision
     )

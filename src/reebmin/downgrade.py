@@ -108,12 +108,13 @@ def downgrade_coefficient(d: DowngradeData, p) -> Polyhedron:
     Any rational solution y0 of P y = p will do: ker P = im F over Q, so the
     fiber is {y0 + F xi : F xi + y0 >= 0} and its image under s is the vertex
     enumeration of {xi : F xi + y0 >= 0} translated by s(y0).  An empty
-    fiber is an infeasible system.
+    fiber is an infeasible system.  When F is square, P has no rows and
+    y0 = 0, so the answer is sigma itself.
     """
     p = [ex.frac(x) for x in p]
     if len(p) != d.F.N - d.F.r:
         raise ValueError("fiber point has the wrong dimension")
-    y0 = ex.solve(d.P, p)
+    y0 = ex.solve(d.P, p) if d.P else (Fraction(0),) * d.F.N
     h = HRep([(row, y0[i]) for i, row in enumerate(d.F.rows)], d.F.r)
     try:
         poly = vertex_enumeration(h)

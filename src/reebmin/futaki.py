@@ -1,21 +1,20 @@
 """Futaki invariants as directional derivatives of the normalized volume.
 
-For toric data the derivative is assembled from the analytic volume gradient,
+For toric and complexity-one data alike the derivative is assembled from the
+closed-form volume and gradient of the cell-sum kernel,
 
     Fut(xi0; eta) = n A(xi0)^(n-1) A(-eta) vol(xi0) + A(xi0)^n <grad vol(xi0), -eta>,
 
-exact when xi0 and eta are rational.  For complexity-one divisors it is a
-Richardson-extrapolated central difference of s -> nvol(xi0 - s eta).  A scan
-over supplied directions reports per-direction signs only: it certifies
-nothing beyond the tested degenerations.
+exact when xi0 and eta are rational.  A scan over supplied directions
+reports per-direction signs only: it certifies nothing beyond the tested
+degenerations.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _exact as ex
-from .cxonevol import PolyhedralDivisor, nvol_c1
-from .toricvol import ToricData, _values, grad_vol, log_discrepancy, vol_xi
+from .cxonevol import PolyhedralDivisor
+from .toricvol import ToricData
 
 SCAN_DISCLAIMER = (
     "nonnegative along all tested directions; no statement about untested degenerations"
@@ -34,36 +33,27 @@ class FutakiReport:
 def futaki_invariant(data, xi0, eta, u0=None):
     """Derivative of the normalized volume at xi0 in direction -eta."""
     if isinstance(data, ToricData):
-        xi = _values(xi0)
-        eta = tuple(eta)
-        a = log_discrepancy(data, xi)
-        a_eta = sum(x * y for x, y in zip(data.u0, eta))
-        vol = vol_xi(data, xi)
-        g = grad_vol(data, xi)
-        n = data.n
-        d_vol = sum(gk * (-ek) for gk, ek in zip(g, eta))
-        return n * a ** (n - 1) * (-a_eta) * vol + a**n * d_vol
-    if isinstance(data, PolyhedralDivisor):
+        u0 = data.u0
+    elif isinstance(data, PolyhedralDivisor):
         if u0 is None:
             raise ValueError("u0 is required for complexity-one data")
-        xi = tuple(float(x) for x in _values(xi0))
-        eta = tuple(float(x) for x in eta)
-
-        def f(s):
-            point = tuple(x - s * e for x, e in zip(xi, eta))
-            return float(nvol_c1(data, u0, point))
-
-        h = 1e-4 * (1.0 + max(abs(x) for x in xi)) / (1.0 + max(abs(e) for e in eta))
-        d1 = (f(h) - f(-h)) / (2 * h)
-        d2 = (f(h / 2) - f(-h / 2)) / h
-        return (4 * d2 - d1) / 3
-    raise TypeError(f"unsupported data object {type(data).__name__}")
+        u0 = ex.fracvec(u0)
+    else:
+        raise TypeError(f"unsupported data object {type(data).__name__}")
+    xi = tuple(xi0)
+    eta = tuple(eta)
+    a = sum(x * y for x, y in zip(u0, xi))
+    a_eta = sum(x * y for x, y in zip(u0, eta))
+    vol, g = data._cellsum.evaluate(xi, 1)
+    n = data.n
+    d_vol = sum(gk * (-ek) for gk, ek in zip(g, eta))
+    return n * a ** (n - 1) * (-a_eta) * vol + a**n * d_vol
 
 
 def normalized_direction(u0, xi0, eta):
     """Projection (A(xi0) eta - A(eta) xi0) / A(xi0)^2 onto the slice {A = 0}."""
     u0 = ex.fracvec(u0)
-    xi = _values(xi0)
+    xi = tuple(xi0)
     eta = tuple(eta)
     a0 = sum(x * y for x, y in zip(u0, xi))
     ae = sum(x * y for x, y in zip(u0, eta))
@@ -75,12 +65,12 @@ def normalized_direction(u0, xi0, eta):
 def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     """Evaluate the Futaki invariant along each direction and report signs.
 
-    The verdict covers only the supplied directions.  Default sign tolerance
-    is 1e-9 for toric data (analytic derivative) and 1e-6 for
-    finite-difference complexity-one data.
+    The verdict covers only the supplied directions.  The default sign
+    tolerance is 1e-9 for both kinds of data, whose invariants are closed
+    forms.
     """
     if tolerance is None:
-        tolerance = 1e-9 if isinstance(data, ToricData) else 1e-6
+        tolerance = 1e-9
     weight = data.u0 if isinstance(data, ToricData) else ex.fracvec(u0)
     entries = []
     for eta in etas:

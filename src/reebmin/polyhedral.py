@@ -230,14 +230,20 @@ def dual_cone(c: VCone) -> VCone:
     """Generators of { y : <y, r> >= 0 for every ray r of c }.
 
     If c is not full dimensional the dual contains the orthogonal complement
-    of span(c); it is returned through +/- basis ray pairs.
+    of span(c); it is returned through +/- basis ray pairs.  The two cones
+    are recorded as each other's `_dual`: the rays of c generate the dual of
+    the result, which is all that `contains`, `is_pointed` and
+    `extreme_rays` read.
     """
     pointed, lin = _rays_from_inequalities(c.rays, c.ambient_dim)
     rays = list(pointed)
     for b in lin:
         rays.append(b)
         rays.append(tuple(-x for x in b))
-    return VCone(rays, c.ambient_dim)
+    dual = VCone(rays, c.ambient_dim)
+    dual.__dict__["_dual"] = c
+    c.__dict__.setdefault("_dual", dual)
+    return dual
 
 
 def vertex_enumeration(h: HRep) -> Polyhedron:

@@ -6,55 +6,23 @@ body {u in sigma_dual : <u, xi> <= 1} is then a closed-form sum over pieces,
     vol(xi) = sum_p |det(u_1..u_n)| / prod_i <u_i, xi>,
 
 with the n! normalization folded in so that vol(C^n, ord_0) = 1 and the
-normalized volume of a smooth point is n^n.  Gradients and Hessians are
-evaluated analytically from the same expression, which stays exact when xi
-is rational.  Minimization runs damped Newton on the slice {A(xi) = 1} and
+normalized volume of a smooth point is n^n.  The sum, its gradient and its
+Hessian come from the cell-sum kernel shared with complexity-one data
+(`_cellsum`), which stays exact when xi is rational.  Minimization runs the
+shared damped Newton method (`_newton`) on the slice {A(xi) = 1} and
 re-evaluates its certificates at twice the working precision.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-import numpy as np
+from functools import cached_property
 
 from . import _exact as ex
-from ._newton import minimize_on_slice
-from .errors import NotInReebCone, NotStrictlyConvex
+from . import _newton
+from ._cellsum import CellSum, ReebVector, check_length, sine  # ReebVector is re-exported
+from ._newton import MinimizeResult
+from .errors import NotStrictlyConvex
 from .polyhedral import VCone, dual_cone, triangulate_cone
-
-
-@dataclass(frozen=True)
-class ReebVector:
-    """A vector in the open Reeb cone, exact-rational or floating point."""
-
-    xi: tuple
-    exact: bool
-
-    @classmethod
-    def rational(cls, values):
-        return cls(ex.fracvec(values), True)
-
-    @classmethod
-    def real(cls, values):
-        return cls(tuple(float(v) for v in values), False)
-
-    def __iter__(self):
-        return iter(self.xi)
-
-    def __len__(self):
-        return len(self.xi)
-
-    def as_float(self):
-        return tuple(float(v) for v in self.xi)
-
-
-def _values(xi):
-    """Accept ReebVector or a plain sequence."""
-    if isinstance(xi, ReebVector):
-        return xi.xi
-    return tuple(xi)
 
 
 @dataclass(frozen=True)
@@ -70,11 +38,12 @@ class ToricData:
     def __init__(self, sigma, sigma_dual, u0):
         n = sigma.ambient_dim
         u0 = ex.fracvec(u0)
+        check_length("u0", u0, n)
         if not sigma_dual.is_full_dimensional():
             raise NotStrictlyConvex("weight cone spans a proper subspace")
         if not sigma.is_full_dimensional():
             raise NotStrictlyConvex("weight cone contains a line")
-        if not dual_cone(sigma).is_equivalent(sigma_dual):
+        if not sigma._dual.is_equivalent(sigma_dual):
             raise ValueError("sigma_dual is not the dual of sigma")
         for r in sigma.rays:
             if ex.dot(u0, r) <= 0:
@@ -101,44 +70,23 @@ class ToricData:
         rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         return cls.from_dual_cone(rays, [1] * n)
 
+    @cached_property
+    def _cellsum(self):
+        return CellSum(self.sigma_dual.rays, [(p, None) for p in self.pieces], self.n)
+
     def reeb_pairings(self, xi):
         """Pairings of xi with the weight-cone rays; raises off the Reeb cone."""
-        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in _values(xi))
-        pairs = {}
-        for u in self.sigma_dual.rays:
-            p = sum(a * b for a, b in zip(u, vals))
-            if p <= 0:
-                raise NotInReebCone(f"<{u}, xi> = {p} <= 0")
-            pairs[u] = p
-        return pairs
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    xi_star: ReebVector
-    nvol_star: float
-    grad_norm: float
-    barycenter_residual: float
-    iterations: int
-    converged: bool
+        return dict(zip(self.sigma_dual.rays, self._cellsum.pairings(xi)))
 
 
 def log_discrepancy(t: ToricData, xi):
     """A(xi) = <u0, xi>; exact when xi is exact."""
-    vals = _values(xi)
-    return sum(a * b for a, b in zip(t.u0, vals))
+    return sum(a * b for a, b in zip(t.u0, xi))
 
 
 def vol_xi(t: ToricData, xi):
     """Volume of the truncated weight cone, n!-normalized."""
-    pairs = t.reeb_pairings(xi)
-    total = 0
-    for piece in t.pieces:
-        prod = 1
-        for u in piece.rays:
-            prod = prod * pairs[u]
-        total = total + piece.det_abs / prod
-    return total
+    return t._cellsum.evaluate(xi)[0]
 
 
 def nvol(t: ToricData, xi):
@@ -148,90 +96,33 @@ def nvol(t: ToricData, xi):
 
 def grad_vol(t: ToricData, xi):
     """Analytic gradient of vol_xi."""
-    pairs = t.reeb_pairings(xi)
-    n = t.n
-    g = [0] * n
-    for piece in t.pieces:
-        prod = 1
-        for u in piece.rays:
-            prod = prod * pairs[u]
-        tp = piece.det_abs / prod
-        for k in range(n):
-            s = sum(u[k] / pairs[u] for u in piece.rays)
-            g[k] = g[k] - tp * s
-    return tuple(g)
+    return t._cellsum.evaluate(xi, 1)[1]
 
 
 def hessian_vol(t: ToricData, xi):
     """Analytic Hessian of vol_xi; symmetric positive definite on the Reeb cone."""
-    pairs = t.reeb_pairings(xi)
-    n = t.n
-    h = [[0] * n for _ in range(n)]
-    for piece in t.pieces:
-        prod = 1
-        for u in piece.rays:
-            prod = prod * pairs[u]
-        tp = piece.det_abs / prod
-        w = [tuple(u[k] / pairs[u] for k in range(n)) for u in piece.rays]
-        s = [sum(wi[k] for wi in w) for k in range(n)]
-        for k in range(n):
-            for l in range(k, n):
-                val = tp * (s[k] * s[l] + sum(wi[k] * wi[l] for wi in w))
-                h[k][l] = h[k][l] + val
-                if l != k:
-                    h[l][k] = h[l][k] + val
-    return tuple(tuple(row) for row in h)
+    return t._cellsum.evaluate(xi, 2)[2]
 
 
 def barycenter(t: ToricData, xi):
     """Measure-weighted barycenter of the cross section {<u, xi> = 1}.
 
-    Each triangulation piece contributes its truncated-simplex volume times
-    the average of its cross-section vertices u_i / <u_i, xi>.
+    Each simplicial piece contributes its volume times the average of its
+    cross-section vertices u_i / <u_i, xi>, which sums to -grad vol / n.
     """
-    pairs = t.reeb_pairings(xi)
-    n = t.n
-    num = [0] * n
-    den = 0
-    for piece in t.pieces:
-        prod = 1
-        for u in piece.rays:
-            prod = prod * pairs[u]
-        volp = piece.det_abs / prod
-        den = den + volp
-        for k in range(n):
-            avg = sum(u[k] / pairs[u] for u in piece.rays) / n
-            num[k] = num[k] + volp * avg
-    return tuple(x / den for x in num)
+    vol, g = t._cellsum.evaluate(xi, 1)
+    den = t.n * vol
+    return tuple(-gk / den for gk in g)
 
 
 def certify_barycenter(t: ToricData, xi):
     """Projective residual between the cross-section barycenter and u0.
 
-    Returns sin of the angle between them: zero exactly at a minimizer on
-    its ray, computed exactly when xi is rational.
+    Returns sin of the angle between them, that is between -grad vol and u0:
+    zero exactly at a minimizer on its ray, computed exactly when xi is
+    rational.
     """
-    bc = barycenter(t, xi)
-    u0 = t.u0
-    bb = sum(x * x for x in bc)
-    uu = sum(x * x for x in u0)
-    bu = sum(x * y for x, y in zip(bc, u0))
-    ratio = 1 - (bu * bu) / (bb * uu)
-    if isinstance(ratio, Fraction):
-        if ratio == 0:
-            return 0.0
-        return math.sqrt(float(ratio))
-    if isinstance(ratio, mpmath.mpf):
-        return mpmath.sqrt(max(ratio, mpmath.mpf(0)))
-    return math.sqrt(max(float(ratio), 0.0))
-
-
-def _initial_point(t: ToricData):
-    total = [Fraction(0)] * t.n
-    for r in t.sigma.rays:
-        total = [a + b for a, b in zip(total, r)]
-    a0 = ex.dot(t.u0, total)
-    return tuple(x / a0 for x in total)
+    return sine(grad_vol(t, xi), t.u0)
 
 
 def minimize(t: ToricData, tolerance=1e-9, max_iter=100, precision=53) -> MinimizeResult:
@@ -242,51 +133,9 @@ def minimize(t: ToricData, tolerance=1e-9, max_iter=100, precision=53) -> Minimi
     global minimizer.  The result is rescaled so that A(xi_star) = n, and
     the reported certificates are re-evaluated at twice the precision.
     """
-    n = t.n
-    u0f = np.asarray([float(x) for x in t.u0])
-
-    def feasible(v):
-        try:
-            t.reeb_pairings(tuple(v))
-            return True
-        except NotInReebCone:
-            return False
-
-    def value(v):
-        return float(vol_xi(t, tuple(v)))
-
-    def grad(v):
-        return [float(x) for x in grad_vol(t, tuple(v))]
-
-    def hess(v):
-        return [[float(x) for x in row] for row in hessian_vol(t, tuple(v))]
-
-    x0 = np.asarray([float(x) for x in _initial_point(t)])
-    xi_hat, grad_norm, iters, converged = minimize_on_slice(
-        value, grad, hess, u0f, x0, tolerance, max_iter, feasible
+    return _newton.minimize(
+        t._cellsum, t.u0, t.sigma.rays, t.n, lambda xi: nvol(t, xi), tolerance, max_iter, precision
     )
-
-    # certificates at double working precision
-    with mpmath.workprec(2 * precision):
-        xm = tuple(mpmath.mpf(float(x)) for x in xi_hat)
-        g = grad_vol(t, xm)
-        u0m = tuple(mpmath.mpf(x.numerator) / x.denominator for x in t.u0)
-        uu = sum(x * x for x in u0m)
-        proj = [gi - sum(a * b for a, b in zip(g, u0m)) / uu * ui for gi, ui in zip(g, u0m)]
-        grad_norm = float(mpmath.sqrt(sum(x * x for x in proj)))
-        bres = float(certify_barycenter(t, xm))
-
-    a = float(log_discrepancy(t, tuple(xi_hat)))
-    xi_star = ReebVector.real(np.asarray(xi_hat) * (n / a))
-    result = MinimizeResult(
-        xi_star=xi_star,
-        nvol_star=float(nvol(t, xi_star)),
-        grad_norm=grad_norm,
-        barycenter_residual=bres,
-        iterations=iters,
-        converged=bool(converged and grad_norm <= tolerance and bres <= tolerance),
-    )
-    return result
 
 
 def is_rational_minimizer(t: ToricData, xi) -> bool:
@@ -295,7 +144,7 @@ def is_rational_minimizer(t: ToricData, xi) -> bool:
     With strict convexity this certifies the global minimizer on its ray;
     xi must be rational.
     """
-    g = grad_vol(t, ex.fracvec(_values(xi)))
+    g = grad_vol(t, ex.fracvec(xi))
     scale = None
     for gk, uk in zip(g, t.u0):
         if uk == 0:

@@ -136,12 +136,12 @@ def test_criterion_3_complexity_one_minimizer():
     direction = tuple(x / res.xi_star.xi[0] for x in res.xi_star.xi)
     expected = (1.0, 1.0, ALPHA)
     err = max(abs(a - b) for a, b in zip(direction, expected))
-    assert err <= 1e-6
+    assert err <= 1e-10
     weights = [sum(a * b for a, b in zip(row, res.xi_star.xi)) for row in DK_F]
     scale = weights[0]
     target = (1.0, 1.0, 1.0, ALPHA, BETA)
     werr = max(abs(w / scale - t) for w, t in zip(weights, target))
-    assert werr <= 1e-6
+    assert werr <= 1e-10
     print(f"\nACCEPTANCE 3 PASS: direction err {err:.2e}, ambient weight err {werr:.2e}")
 
 

@@ -163,6 +163,19 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert "error" in err
 
+    def test_eval_xi_of_wrong_length_exit_1(self, tmp_path):
+        spec = tmp_path / "long_xi.json"
+        spec.write_text(json.dumps({
+            "schema": "reebmin/1", "kind": "toric",
+            "sigma_dual_rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "u0": [1, 1, 1],
+            "xi": ["1", "1", "1", "5"],
+        }))
+        proc = run_cli("eval", str(spec))
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ValueError"
+        assert "4 entries" in err["error"]["message"]
+
     def test_deterministic_output(self):
         a = run_cli("minimize", SPECS["a1.json"], "--json-only")
         b = run_cli("minimize", SPECS["a1.json"], "--json-only")

@@ -10,6 +10,7 @@ from reebmin import (
     UnboundedCoefficient,
     VCone,
     deg_D,
+    futaki_invariant,
     minimize_c1,
     nvol_c1,
     vol_xi_c1,
@@ -121,6 +122,66 @@ class TestVolC1:
         with pytest.raises(NotInReebCone):
             vol_xi_c1(dk_divisor, (Fraction(1), Fraction(0), Fraction(0)))
 
+    @pytest.mark.parametrize("xi", [(1, 1, Fraction(1, 3), 7), (1, 1)])
+    def test_wrong_length_names_both_lengths(self, dk_divisor, xi):
+        # zip used to truncate (1, 1, 1/3, 7) to (1, 1, 1/3) and return 9/2
+        with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
+            vol_xi_c1(dk_divisor, xi)
+        with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
+            futaki_invariant(dk_divisor, xi, (1, 0, 0), u0=DK_U0)
+
+
+class TestExactDerivativesC1:
+    def test_euler_identities_in_fractions(self, dk_divisor, rng):
+        # vol is homogeneous of degree -n: <grad, xi> = -n vol, H xi = -(n+1) grad
+        n = dk_divisor.n
+        for _ in range(25):
+            xi = random_interior_rational(dk_divisor.sigma, rng)
+            vol, grad, hess = dk_divisor._cellsum.evaluate(xi, 2)
+            assert all(isinstance(x, Fraction) for x in (vol,) + grad + sum(hess, ()))
+            assert vol == vol_xi_c1(dk_divisor, xi)
+            assert ex.dot(grad, xi) == -n * vol
+            for row, g in zip(hess, grad):
+                assert ex.dot(row, xi) == -(n + 1) * g
+            assert all(hess[k][l] == hess[l][k] for k in range(3) for l in range(3))
+
+    def test_derivatives_match_exact_difference_quotients(self, dk_divisor, rng):
+        h = Fraction(1, 10**6)
+        for _ in range(5):
+            xi = random_interior_rational(dk_divisor.sigma, rng)
+            _, grad, hess = dk_divisor._cellsum.evaluate(xi, 2)
+            for j in range(3):
+                up = tuple(x + h * (k == j) for k, x in enumerate(xi))
+                down = tuple(x - h * (k == j) for k, x in enumerate(xi))
+                quotient = (vol_xi_c1(dk_divisor, up) - vol_xi_c1(dk_divisor, down)) / (2 * h)
+                assert abs(quotient - grad[j]) <= Fraction(1, 10**8) * (1 + abs(grad[j]))
+                g_up = dk_divisor._cellsum.evaluate(up, 1)[1]
+                g_down = dk_divisor._cellsum.evaluate(down, 1)[1]
+                for k in range(3):
+                    quotient = (g_up[k] - g_down[k]) / (2 * h)
+                    assert abs(quotient - hess[k][j]) <= Fraction(1, 10**8) * (1 + abs(hess[k][j]))
+
+    def test_interval_arithmetic_encloses_exact_values(self, dk_divisor):
+        import mpmath
+
+        xi = (Fraction(1), Fraction(1), Fraction(2, 3))
+        vol, grad, hess = dk_divisor._cellsum.evaluate(xi, 2)
+        box = tuple(mpmath.iv.mpf(x.numerator) / x.denominator for x in xi)
+        ivol, igrad, ihess = dk_divisor._cellsum.evaluate(box, 2)
+        exact = (vol,) + grad + sum(hess, ())
+        enclosed = (ivol,) + igrad + sum(ihess, ())
+        for x, iv in zip(exact, enclosed):
+            assert float(mpmath.mpf(iv.a)) <= x <= float(mpmath.mpf(iv.b))
+
+    def test_futaki_invariant_exact(self, dk_divisor, rng):
+        for _ in range(10):
+            xi = random_interior_rational(dk_divisor.sigma, rng)
+            eta = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(3))
+            fut = futaki_invariant(dk_divisor, xi, eta, u0=DK_U0)
+            assert isinstance(fut, Fraction)
+            assert futaki_invariant(dk_divisor, xi, tuple(3 * e for e in eta), u0=DK_U0) == 3 * fut
+            assert futaki_invariant(dk_divisor, xi, xi, u0=DK_U0) == 0
+
 
 class TestNvolC1:
     def test_rescaling_invariance(self, dk_divisor, rng):
@@ -167,7 +228,7 @@ class TestMinimizeC1:
         assert res.grad_norm <= 1e-7
         direction = tuple(x / res.xi_star.xi[0] for x in res.xi_star.xi)
         expected = (1.0, 1.0, ALPHA)
-        assert max(abs(a - b) for a, b in zip(direction, expected)) < 1e-6
+        assert max(abs(a - b) for a, b in zip(direction, expected)) < 1e-10
         # log discrepancy rescaled to n
         a = sum(u * x for u, x in zip(DK_U0, res.xi_star.xi))
         assert abs(a - dk_divisor.n) < 1e-10
@@ -184,6 +245,19 @@ class TestMinimizeC1:
         res = minimize_c1(d, (1, 1, 1), tolerance=1e-7)
         assert res.converged
         assert abs(res.xi_star.xi[1] - res.xi_star.xi[2]) < 1e-7
+
+    def test_zero_volume_divisor_not_converged(self):
+        # no cells, so vol = 0 and grad vol = 0: the sine residual is NaN
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])
+        assert d.cells().cells == ()
+        res = minimize_c1(d, (1, 1))
+        assert not res.converged
+        assert res.nvol_star == 0
+        assert math.isnan(res.barycenter_residual)
+
+    def test_u0_of_wrong_length(self, dk_divisor):
+        with pytest.raises(ValueError, match="u0 has 2 entries .* dimension 3"):
+            minimize_c1(dk_divisor, (3, -1))
 
 
 class TestRiemannCrossCheck:

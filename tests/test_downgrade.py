@@ -121,6 +121,15 @@ class TestDowngradeCoefficient:
         with pytest.raises(EmptyFiber):
             downgrade_coefficient(d, (-1,))
 
+    def test_square_weight_matrix_gives_sigma(self):
+        # F square: P has no rows, the fiber is the whole orthant
+        d = complete_sequence(WeightMatrix([(1, 0), (0, 1)]))
+        assert d.P == ()
+        sigma, _ = downgrade_sigma(d)
+        poly = downgrade_coefficient(d, ())
+        assert poly.compact_vertices == ((0, 0),)
+        assert poly.tail.is_equivalent(sigma)
+
     def test_s_choice_independent_volume(self, dk_weights, dk_explicit_data):
         # two different valid (P, s) choices give unimodularly matched divisors
         # with identical minimized normalized volume

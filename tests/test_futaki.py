@@ -112,5 +112,6 @@ class TestSemistableScan:
         res = minimize_c1(dk_divisor, DK_U0, tolerance=1e-7)
         etas = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]
         report = semistable_scan(dk_divisor, res.xi_star, etas, u0=DK_U0)
+        assert report.tolerance == 1e-9  # one default for both kinds of data
         assert report.all_nonnegative
         assert max(abs(f) for _, f, _ in report.entries) <= 1e-6

@@ -57,6 +57,18 @@ class TestVolXi:
         with pytest.raises(NotInReebCone):
             vol_xi(a1, (Fraction(0), Fraction(1)))
 
+    @pytest.mark.parametrize("xi", [(1, 1, 1, 5), (1, 1)])
+    def test_wrong_length_names_both_lengths(self, xi):
+        # zip used to truncate (1, 1, 1, 5) to (1, 1, 1) and return 1
+        t = ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 1))
+        for f in (vol_xi, grad_vol, hessian_vol, certify_barycenter):
+            with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
+                f(t, xi)
+
+    def test_u0_of_wrong_length(self):
+        with pytest.raises(ValueError, match="u0 has 2 entries .* dimension 3"):
+            ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1))
+
 
 class TestNvol:
     def test_smooth_surface(self, c2):
