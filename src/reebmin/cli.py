@@ -184,10 +184,7 @@ def run(command, doc, options):
         kind, data, u0 = _data_from_spec(doc)
         xi0 = _xi_from(doc, "xi0")
         etas = [[_real(x) for x in e] for e in doc.get("etas", [])]
-        if kind == "toric":
-            report = semistable_scan(data, xi0, etas, tolerance=options.tol)
-        else:
-            report = semistable_scan(data, xi0, etas, tolerance=options.tol, u0=u0)
+        report = semistable_scan(data, xi0, etas, tolerance=options.tol, u0=u0)
         return {
             "entries": [
                 {"eta": fmt_vec(eta), "fut": fmt(f), "normalized_eta": fmt_vec(nd)}
@@ -235,7 +232,7 @@ def run(command, doc, options):
     if command == "oracle":
         kind, data, u0 = _data_from_spec(doc)
         xi = _xi_from(doc)
-        ms = doc.get("m_list", options.m_list)
+        ms = doc.get("m_list")
         if not ms:
             raise SpecError('oracle needs "m_list"')
         budget = int(doc.get("budget", 10**8))
@@ -311,15 +308,12 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("spec", help="path to a reebmin/1 JSON spec")
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     parser.add_argument("--precision", type=int, default=53, help="working precision bits")
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--json-only", action="store_true", dest="json_only")
     args = parser.parse_args(argv)
-    args.m_list = None
-    if args.tol is None:
-        args.tol = 1e-9
 
     try:
         doc = _load_spec(args.spec)

@@ -148,6 +148,8 @@ def vol_xi_c1(d: PolyhedralDivisor, xi):
 def nvol_c1(d: PolyhedralDivisor, u0, xi):
     """Normalized volume <u0, xi>^n vol(xi); rescaling invariant."""
     u0 = ex.fracvec(u0)
+    check_length("u0", u0, d.r)
+    check_length("Reeb vector", xi, d.r)
     a = sum(x * y for x, y in zip(u0, xi))
     return a**d.n * vol_xi_c1(d, xi)
 

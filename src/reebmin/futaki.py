@@ -13,6 +13,7 @@ degenerations.
 from dataclasses import dataclass
 
 from . import _exact as ex
+from ._cellsum import check_length
 from .cxonevol import PolyhedralDivisor
 from .toricvol import ToricData
 
@@ -42,6 +43,8 @@ def futaki_invariant(data, xi0, eta, u0=None):
         raise TypeError(f"unsupported data object {type(data).__name__}")
     xi = tuple(xi0)
     eta = tuple(eta)
+    for name, v in (("u0", u0), ("Reeb vector", xi), ("eta", eta)):
+        check_length(name, v, data._cellsum.dim)
     a = sum(x * y for x, y in zip(u0, xi))
     a_eta = sum(x * y for x, y in zip(u0, eta))
     vol, g = data._cellsum.evaluate(xi, 1)
@@ -55,6 +58,8 @@ def normalized_direction(u0, xi0, eta):
     u0 = ex.fracvec(u0)
     xi = tuple(xi0)
     eta = tuple(eta)
+    check_length("Reeb vector", xi, len(u0))
+    check_length("eta", eta, len(u0))
     a0 = sum(x * y for x, y in zip(u0, xi))
     ae = sum(x * y for x, y in zip(u0, eta))
     if not a0 > 0:

@@ -6,9 +6,11 @@ to produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 import numpy as np
 
@@ -21,12 +23,8 @@ _REL_MARGIN = 1e-7
 
 def _xi_enclosure(xi):
     """Per-coordinate rational (lo, hi) enclosure plus a float midpoint."""
-    from .toricvol import ReebVector  # local import to avoid a cycle
-
-    if isinstance(xi, ReebVector):
-        xi = xi.xi
     lo, hi, mid = [], [], []
-    for v in xi:
+    for v in getattr(xi, "xi", xi):
         if hasattr(v, "lo") and hasattr(v, "hi"):
             a, b = ex.frac(v.lo), ex.frac(v.hi)
         elif isinstance(v, float):
@@ -39,11 +37,10 @@ def _xi_enclosure(xi):
     return lo, hi, mid
 
 
-def _pair_bounds(u, lo, hi):
-    """Exact interval of <u, xi> given the coordinate enclosure."""
-    low = sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(u))
-    high = sum(c * (hi[i] if c > 0 else lo[i]) for i, c in enumerate(u))
-    return low, high
+def _pair_bound(u, lo, hi):
+    """Exact lower bound of <u, xi> given the coordinate enclosure; with lo and
+    hi swapped, the upper bound."""
+    return sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(u))
 
 
 def _box_from_cone(dual_rays, lo, hi, mid, m):
@@ -52,7 +49,7 @@ def _box_from_cone(dual_rays, lo, hi, mid, m):
     los = [0.0] * d
     his = [0.0] * d
     for u in dual_rays:
-        plo, _ = _pair_bounds(u, lo, hi)
+        plo = _pair_bound(u, lo, hi)
         if plo <= 0:
             raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
         scale = float(m) / float(plo)
@@ -67,39 +64,47 @@ def _box_from_cone(dual_rays, lo, hi, mid, m):
     )
 
 
-def _slab_points(x, sigma_rays, xf, mf, delta, box_lo, box_hi):
-    """Integer points of one x-slab of {sigma pairings >= 0, <u, xi> < m + delta}.
+def _slab_points(head, sigma_rays, xf, mf, delta, box_lo, box_hi):
+    """Integer points of one slab of {sigma pairings >= 0, <u, xi> < m + delta}.
 
-    The integer cone constraints are applied exactly through ceil/floor
-    divisions, so only the float truncation constraint needs the later
-    border recheck.  Returns an (N, 3) int64 array (possibly empty).
+    The first d-2 coordinates are fixed to head, coordinate d-2 (y) runs over
+    its box range and coordinate d-1 (z) gets exact column bounds; a
+    1-dimensional cone is a single column with no y.  The integer cone
+    constraints are applied exactly through ceil/floor divisions, so only the
+    float truncation constraint needs the later border recheck.  Returns an
+    (N, d) int64 array (possibly empty).
     """
-    ylo, yhi = box_lo[1], box_hi[1]
-    for r0, r1, r2 in sigma_rays:
-        if r2 == 0:  # r0 x + r1 y >= 0 bounds y directly
-            if r1 > 0:
-                ylo = max(ylo, -((r0 * x) // r1))
-            elif r1 < 0:
-                yhi = min(yhi, (r0 * x) // (-r1))
-            elif r0 * x < 0:
-                return np.empty((0, 3), dtype=np.int64)
+    d, h = len(box_lo), len(head)
+    flat = d == 1
+    ylo, yhi, yf = (0, 0, 0.0) if flat else (box_lo[h], box_hi[h], xf[h])
+    columns = []
+    for r in sigma_rays:
+        c = sum(map(mul, r, head))
+        ry, rz = (0, r[0]) if flat else r[h:]
+        if rz != 0:
+            columns.append((c, ry, rz))
+        elif ry > 0:  # c + ry y >= 0 bounds y directly
+            ylo = max(ylo, -(c // ry))
+        elif ry < 0:
+            yhi = min(yhi, c // (-ry))
+        elif c < 0:
+            return np.empty((0, d), dtype=np.int64)
     if ylo > yhi:
-        return np.empty((0, 3), dtype=np.int64)
+        return np.empty((0, d), dtype=np.int64)
     y = np.arange(ylo, yhi + 1, dtype=np.int64)
-    zlo = np.full(y.shape, box_lo[2], dtype=np.int64)
-    zhi = np.full(y.shape, box_hi[2], dtype=np.int64)
-    for r0, r1, r2 in sigma_rays:
-        if r2 == 0:
-            continue
-        num = -(r0 * x) - r1 * y  # r2 * z >= num
-        if r2 > 0:
-            np.maximum(zlo, -((-num) // r2), out=zlo)
+    zlo = np.full(y.shape, box_lo[-1], dtype=np.int64)
+    zhi = np.full(y.shape, box_hi[-1], dtype=np.int64)
+    for c, ry, rz in columns:
+        num = -c - ry * y  # rz * z >= num
+        if rz > 0:
+            np.maximum(zlo, -((-num) // rz), out=zlo)
         else:
-            np.minimum(zhi, num // r2, out=zhi)
-    rest = mf + delta - xf[0] * x - xf[1] * y
-    if abs(xf[2]) > 1e-300:
-        bound = rest / xf[2]
-        if xf[2] > 0:
+            np.minimum(zhi, num // rz, out=zhi)
+    rest = mf + delta - sum(map(mul, xf, head)) - yf * y
+    zf = xf[-1]
+    if abs(zf) > 1e-300:
+        bound = rest / zf
+        if zf > 0:
             np.minimum(zhi, np.floor(bound).astype(np.int64), out=zhi)
         else:
             np.maximum(zlo, np.ceil(bound).astype(np.int64), out=zlo)
@@ -109,80 +114,46 @@ def _slab_points(x, sigma_rays, xf, mf, delta, box_lo, box_hi):
     lens = np.maximum(zhi - zlo + 1, 0)
     total = int(lens.sum())
     if total == 0:
-        return np.empty((0, 3), dtype=np.int64)
+        return np.empty((0, d), dtype=np.int64)
     idx = np.repeat(np.arange(len(y)), lens)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(
         np.concatenate(([0], np.cumsum(lens)[:-1])), lens
     )
-    pts = np.empty((total, 3), dtype=np.int64)
-    pts[:, 0] = x
-    pts[:, 1] = y[idx]
-    pts[:, 2] = zlo[idx] + offsets
+    pts = np.empty((total, d), dtype=np.int64)
+    for i, a in enumerate(head):
+        pts[:, i] = a
+    if not flat:
+        pts[:, h] = y[idx]
+    pts[:, -1] = zlo[idx] + offsets
     return pts
 
 
 def _enumerate(sigma_rays, dual_rays, xi, m, weight_fn, budget):
-    """Sum weight_fn over {u in Z^d : sigma pairings >= 0, <u, xi> < m}."""
+    """Sum weight_fn over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, slab by slab.
+
+    The budget counts the candidate points of every slab.
+    """
     lo, hi, mid = _xi_enclosure(xi)
-    d = len(mid)
     box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, mid, m)
-    sig = np.asarray(sigma_rays, dtype=np.int64)
+    rays = [tuple(int(c) for c in r) for r in sigma_rays]
     xf = np.asarray(mid, dtype=float)
     mf = float(m)
     delta = _REL_MARGIN * (1.0 + abs(mf))
-
+    heads = itertools.product(*(range(a, b + 1) for a, b in zip(box_lo[:-2], box_hi[:-2])))
     total = 0
     cells = 0
-
-    def handle(points, cone_checked=False):
-        nonlocal total, cells
+    for head in heads:
+        points = _slab_points(head, rays, xf, mf, delta, box_lo, box_hi)
+        if not len(points):
+            continue
         cells += len(points)
         if cells > budget:
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
-        if len(points) == 0:
-            return
-        if not cone_checked:
-            mask = np.all(points @ sig.T >= 0, axis=1)
-            points = points[mask]
-            if len(points) == 0:
-                return
         tf = points @ xf
-        keep = tf < mf - delta
         for p in points[np.abs(tf - mf) <= delta]:
-            up = sum(int(c) * (hi[i] if c > 0 else lo[i]) for i, c in enumerate(p))
-            if up < m:
+            if _pair_bound(p.tolist(), hi, lo) < m:
                 total += int(weight_fn(p.reshape(1, -1))[0])
-        pts = points[keep]
-        if len(pts):
-            total += int(weight_fn(pts).sum())
-
-    if d == 1:
-        xs = np.arange(box_lo[0], box_hi[0] + 1, dtype=np.int64)
-        handle(xs.reshape(-1, 1))
-    elif d == 2:
-        ys, zs = np.meshgrid(
-            np.arange(box_lo[0], box_hi[0] + 1, dtype=np.int64),
-            np.arange(box_lo[1], box_hi[1] + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        handle(np.column_stack([ys.ravel(), zs.ravel()]))
-    elif d == 3:
-        rays3 = [tuple(int(c) for c in r) for r in sigma_rays]
-        for x in range(box_lo[0], box_hi[0] + 1):
-            pts = _slab_points(x, rays3, xf, mf, delta, box_lo, box_hi)
-            handle(pts, cone_checked=True)
-    else:
-        import itertools
-
-        outer_ranges = [range(box_lo[i], box_hi[i] + 1) for i in range(d - 2)]
-        for outer in itertools.product(*outer_ranges):
-            ys, zs = np.meshgrid(
-                np.arange(box_lo[d - 2], box_hi[d - 2] + 1, dtype=np.int64),
-                np.arange(box_lo[d - 1], box_hi[d - 1] + 1, dtype=np.int64),
-                indexing="ij",
-            )
-            head = np.tile(np.asarray(outer, dtype=np.int64), (ys.size, 1))
-            handle(np.column_stack([head, ys.ravel(), zs.ravel()]))
+        total += int(weight_fn(points[tf < mf - delta]).sum())
     return total
 
 

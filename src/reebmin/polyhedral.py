@@ -96,14 +96,6 @@ class VCone:
             r for r in self.rays if ex.rank([y for y in dual if ex.dot(y, r) == 0]) == self.ambient_dim - 1
         )
 
-    def interior_point(self):
-        if not self.rays:
-            raise ValueError("zero cone has no interior point")
-        total = self.rays[0]
-        for r in self.rays[1:]:
-            total = ex.vec_add(total, r)
-        return total
-
 
 @dataclass(frozen=True)
 class HRep:

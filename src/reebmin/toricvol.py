@@ -74,13 +74,10 @@ class ToricData:
     def _cellsum(self):
         return CellSum(self.sigma_dual.rays, [(p, None) for p in self.pieces], self.n)
 
-    def reeb_pairings(self, xi):
-        """Pairings of xi with the weight-cone rays; raises off the Reeb cone."""
-        return dict(zip(self.sigma_dual.rays, self._cellsum.pairings(xi)))
-
 
 def log_discrepancy(t: ToricData, xi):
     """A(xi) = <u0, xi>; exact when xi is exact."""
+    check_length("Reeb vector", xi, t.n)
     return sum(a * b for a, b in zip(t.u0, xi))
 
 

@@ -129,6 +129,8 @@ class TestVolC1:
             vol_xi_c1(dk_divisor, xi)
         with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
             futaki_invariant(dk_divisor, xi, (1, 0, 0), u0=DK_U0)
+        with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
+            nvol_c1(dk_divisor, DK_U0, xi)
 
 
 class TestExactDerivativesC1:
@@ -256,8 +258,12 @@ class TestMinimizeC1:
         assert math.isnan(res.barycenter_residual)
 
     def test_u0_of_wrong_length(self, dk_divisor):
-        with pytest.raises(ValueError, match="u0 has 2 entries .* dimension 3"):
-            minimize_c1(dk_divisor, (3, -1))
+        # nvol_c1 and futaki_invariant used to pair a short u0 by zip
+        xi = (1, 1, Fraction(1, 3))
+        for f in (lambda u0: minimize_c1(dk_divisor, u0), lambda u0: nvol_c1(dk_divisor, u0, xi),
+                  lambda u0: futaki_invariant(dk_divisor, xi, (1, 0, 0), u0=u0)):
+            with pytest.raises(ValueError, match="u0 has 2 entries .* dimension 3"):
+                f((3, -1))
 
 
 class TestRiemannCrossCheck:

@@ -66,6 +66,30 @@ class TestFutakiInvariant:
             assert abs(slope - analytic) <= 1e-6 * max(1.0, abs(analytic))
 
 
+class TestLengthChecks:
+    # zip used to truncate eta, or pad a short one with zeros: on the smooth
+    # surface at xi = (2, 1) both etas below gave -3/4, the value for (1, 0)
+    @pytest.mark.parametrize("eta", [(1, 0, 9), (1,)])
+    def test_toric_eta_of_wrong_length(self, c2, eta):
+        xi = (Fraction(2), Fraction(1))
+        for f in (lambda: futaki_invariant(c2, xi, eta), lambda: normalized_direction(c2.u0, xi, eta),
+                  lambda: semistable_scan(c2, xi, [eta])):
+            with pytest.raises(ValueError, match=f"eta has {len(eta)} entries .* dimension 2"):
+                f()
+
+    @pytest.mark.parametrize("eta", [(1, 0, 0, 9), (1, 0)])
+    def test_complexity_one_eta_of_wrong_length(self, dk_divisor, eta):
+        xi = (1, 1, Fraction(1, 3))
+        for f in (lambda: futaki_invariant(dk_divisor, xi, eta, u0=DK_U0),
+                  lambda: semistable_scan(dk_divisor, xi, [eta], u0=DK_U0)):
+            with pytest.raises(ValueError, match=f"eta has {len(eta)} entries .* dimension 3"):
+                f()
+
+    def test_normalized_direction_xi_of_wrong_length(self):
+        with pytest.raises(ValueError, match="Reeb vector has 3 entries .* dimension 2"):
+            normalized_direction((1, 1), (1, 1, 5), (1, 0))
+
+
 class TestNormalizedDirection:
     def test_eta_equals_xi(self):
         out = normalized_direction((1, 1), (Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))

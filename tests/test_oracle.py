@@ -1,5 +1,10 @@
+import argparse
+import ast
+import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,9 @@ from reebmin import (
     CountSeries,
     PolyhedralDivisor,
     TooLarge,
+    ToricData,
+    bundled_spec,
+    cli,
     count_cxone,
     count_series_cxone,
     count_series_toric,
@@ -22,17 +30,24 @@ SQRT3 = math.sqrt(3)
 XI0_SPP = ((3 + SQRT3) / 2, (3 + SQRT3) / 2, SQRT3)
 
 
-def brute_count_2d(t, xi, m, box=300):
-    """Reference counter: plain double loop, no vectorization shared."""
+def brute_count(t, xi, m, box=300):
+    """Reference counter: plain loop over the box [-box, box]^d, no vectorization shared."""
     count = 0
-    for u1 in range(-box, box + 1):
-        for u2 in range(-box, box + 1):
-            u = (u1, u2)
-            if any(sum(a * b for a, b in zip(u, r)) < 0 for r in t.sigma.rays):
-                continue
-            if sum(a * b for a, b in zip(u, xi)) < m:
-                count += 1
+    for u in itertools.product(range(-box, box + 1), repeat=len(xi)):
+        if any(sum(a * b for a, b in zip(u, r)) < 0 for r in t.sigma.rays):
+            continue
+        if sum(a * b for a, b in zip(u, xi)) < m:
+            count += 1
     return count
+
+
+# lattice counts of the bundled specs at their own xi, as bench/workloads.py stores them
+PINNED_COUNTS = (
+    ("c_n.json", (50, 100, 200), (1275, 5050, 20100)),
+    ("a1.json", (50, 100, 200), (625, 2500, 10000)),
+    ("spp.json", (50, 100, 200), (8772, 67080, 524828)),
+    ("dk_4dim.json", (50, 100), (1324452, 20257327)),
+)
 
 
 class TestCountToric:
@@ -47,7 +62,31 @@ class TestCountToric:
         for t in (c2, a1):
             for m in (7, 13.5):
                 xi = tuple(float(x) for x in random_interior_reeb(t, rng, max_num=3))
-                assert count_toric(t, xi, m) == brute_count_2d(t, xi, m, box=200)
+                assert count_toric(t, xi, m) == brute_count(t, xi, m, box=200)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_smooth_point_counts_binomial(self, n):
+        # #{u in N^n : u_1 + ... + u_n < m} = C(m + n - 1, n) at integer m
+        t = ToricData.smooth_point(n)
+        for m in (1, 2, 7, 20):
+            assert count_toric(t, (1,) * n, m) == math.comb(m + n - 1, n)
+
+    def test_four_dim_cone_matches_reference_counter(self):
+        # a cone over a lattice pyramid in a skewed basis: no ray is a coordinate
+        # vector, and the integer xi puts many points exactly on <u, xi> = m
+        rays = [(1, 0, -1, 1), (0, 1, 1, 1), (-1, 1, 0, 1), (1, 1, 1, 2), (0, -1, 1, 1)]
+        t = ToricData.from_dual_cone(rays, [sum(c) for c in zip(*rays)])
+        xi = tuple(sum(r[k] for r in t.sigma.rays) for k in range(4))
+        # the truncated cone's vertices m u / <u, xi> lie in [-8, 8]^4 for m <= 24
+        for m in (24, Fraction(47, 2), 21.3):
+            assert count_toric(t, xi, m) == brute_count(t, xi, m, box=8)
+
+    @pytest.mark.parametrize("name, ms, counts", PINNED_COUNTS)
+    def test_bundled_counts_pinned(self, name, ms, counts):
+        doc = json.loads(Path(bundled_spec(name)).read_text())
+        doc["m_list"] = list(ms)
+        out = cli.run("oracle", doc, argparse.Namespace(threads=1))
+        assert tuple(out["counts"]) == counts
 
     def test_monotone_in_m(self, spp):
         counts = [count_toric(spp, XI0_SPP, m) for m in (10, 20, 40, 80)]
@@ -158,3 +197,27 @@ class TestVolEstimate:
         series = count_series_toric(c2, (1.0, 1.0), [10, 20, 40])
         assert len(series.estimates) == 3
         assert series.truncations[0] == (10.0, count_toric(c2, (1.0, 1.0), 10))
+
+
+def test_oracle_imports_only_exact_and_errors():
+    # the oracle is the independent check of the closed forms, so it may share
+    # the exact arithmetic and the error types with them but no other code
+    from reebmin import oracle
+
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "reebmin":
+            rest = node.module.split(".")[1:]
+            imported.update(rest[:1] if rest else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "reebmin":
+                    imported.add(parts[1] if len(parts) > 1 else "reebmin")
+    assert imported <= {"_exact", "errors"}

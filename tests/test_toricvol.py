@@ -61,7 +61,7 @@ class TestVolXi:
     def test_wrong_length_names_both_lengths(self, xi):
         # zip used to truncate (1, 1, 1, 5) to (1, 1, 1) and return 1
         t = ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1, 1))
-        for f in (vol_xi, grad_vol, hessian_vol, certify_barycenter):
+        for f in (vol_xi, grad_vol, hessian_vol, certify_barycenter, log_discrepancy, nvol):
             with pytest.raises(ValueError, match=f"has {len(xi)} entries .* dimension 3"):
                 f(t, xi)
 
