@@ -6,7 +6,6 @@ to produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -43,25 +42,54 @@ def _pair_bound(u, lo, hi):
     return sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(u))
 
 
-def _box_from_cone(dual_rays, lo, hi, mid, m):
-    """Integer bounding box of {u in cone : <u, xi> <= m} from its vertices."""
-    d = len(mid)
-    los = [0.0] * d
-    his = [0.0] * d
+def _box_from_cone(dual_rays, lo, hi, m, pad):
+    """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box.
+
+    The vertices are 0 and m u / <u, xi> for the dual rays u, with the
+    enclosure's lower pairing bound, so their hull holds the truncated cone
+    of every xi in the enclosure.
+    """
+    verts = [[0.0] * len(lo)]
     for u in dual_rays:
         plo = _pair_bound(u, lo, hi)
         if plo <= 0:
             raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
         scale = float(m) / float(plo)
-        for i in range(d):
-            c = u[i] * scale
-            los[i] = min(los[i], c)
-            his[i] = max(his[i], c)
-    pad = 1e-9 * (1.0 + abs(float(m)))
-    return (
-        [int(np.floor(x - pad)) for x in los],
-        [int(np.ceil(x + pad)) for x in his],
-    )
+        verts.append([c * scale for c in u])
+    verts = np.asarray(verts)
+    box_lo = [int(np.floor(x - pad)) for x in verts.min(axis=0)]
+    return verts, box_lo, [int(np.ceil(x + pad)) for x in verts.max(axis=0)]
+
+
+def _shadow_range(verts, j, a, pad):
+    """Range of coordinate j over the truncated cone where coordinate j-1 is a.
+
+    The cone's shadow on the two coordinates is the hull of the projected
+    vertices, so its fiber over a is swept by the vertex pairs that meet the
+    strip |u_{j-1} - a| <= pad; the strip absorbs the rounding of the
+    crossings, however steep a pair is.
+    """
+    x, y = verts[:, j - 1], verts[:, j]
+    p, q = np.nonzero(x[:, None] < x[None, :])
+    meets = (x[p] <= a + pad) & (x[q] >= a - pad)
+    p, q = p[meets], q[meets]
+    t = np.clip((np.array([[a - pad], [a + pad]]) - x[p]) / (x[q] - x[p]), 0.0, 1.0)
+    ys = y[p] + t * (y[q] - y[p])
+    if not ys.size:
+        return range(0)
+    return range(int(np.floor(ys.min() - pad)), int(np.ceil(ys.max() + pad)) + 1)
+
+
+def _heads(verts, box_lo, box_hi, pad, head=()):
+    """Heads of the slabs: u_0 over its box range and each later coordinate over
+    its shadow range above the previous one; one empty head when d <= 2."""
+    j = len(head)
+    if j >= len(box_lo) - 2:
+        yield head
+        return
+    coords = _shadow_range(verts, j, head[-1], pad) if j else range(box_lo[0], box_hi[0] + 1)
+    for c in coords:
+        yield from _heads(verts, box_lo, box_hi, pad, head + (c,))
 
 
 def _slab_points(head, sigma_rays, xf, mf, delta, box_lo, box_hi):
@@ -116,12 +144,9 @@ def _slab_points(head, sigma_rays, xf, mf, delta, box_lo, box_hi):
     if total == 0:
         return np.empty((0, d), dtype=np.int64)
     idx = np.repeat(np.arange(len(y)), lens)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(lens)[:-1])), lens
-    )
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
     pts = np.empty((total, d), dtype=np.int64)
-    for i, a in enumerate(head):
-        pts[:, i] = a
+    pts[:, :h] = head
     if not flat:
         pts[:, h] = y[idx]
     pts[:, -1] = zlo[idx] + offsets
@@ -131,24 +156,26 @@ def _slab_points(head, sigma_rays, xf, mf, delta, box_lo, box_hi):
 def _enumerate(sigma_rays, dual_rays, xi, m, weight_fn, budget):
     """Sum weight_fn over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, slab by slab.
 
-    The budget counts the candidate points of every slab.
+    The budget charges each slab its candidate points, and at least the width
+    of its y range, so slabs without points still count towards it.
     """
     lo, hi, mid = _xi_enclosure(xi)
-    box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, mid, m)
+    mf = float(m)
+    pad = 1e-9 * (1.0 + abs(mf))
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, m, pad)
     rays = [tuple(int(c) for c in r) for r in sigma_rays]
     xf = np.asarray(mid, dtype=float)
-    mf = float(m)
     delta = _REL_MARGIN * (1.0 + abs(mf))
-    heads = itertools.product(*(range(a, b + 1) for a, b in zip(box_lo[:-2], box_hi[:-2])))
+    width = box_hi[-2] - box_lo[-2] + 1 if len(mid) > 1 else 1
     total = 0
     cells = 0
-    for head in heads:
+    for head in _heads(verts, box_lo, box_hi, pad):
         points = _slab_points(head, rays, xf, mf, delta, box_lo, box_hi)
-        if not len(points):
-            continue
-        cells += len(points)
+        cells += max(len(points), width)
         if cells > budget:
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
+        if not len(points):
+            continue
         tf = points @ xf
         for p in points[np.abs(tf - mf) <= delta]:
             if _pair_bound(p.tolist(), hi, lo) < m:
