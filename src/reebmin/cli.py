@@ -8,6 +8,7 @@ deterministically (rationals exact, floats at 12 significant digits).
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -235,6 +236,8 @@ def run(command, doc, options):
         ms = doc.get("m_list")
         if not ms:
             raise SpecError('oracle needs "m_list"')
+        if not all(isinstance(m, (int, float)) and 0 < m < math.inf for m in ms):
+            raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
         budget = int(doc.get("budget", 10**8))
         counter = count_toric if kind == "toric" else count_cxone
         if options.threads > 1:

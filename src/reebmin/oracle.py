@@ -1,15 +1,18 @@
 """Brute-force Hilbert-function counting for volume validation.
 
-These counters enumerate lattice points of truncated weight cones (and, for
-complexity-one divisors, weight them by section counts over the base curve)
-to produce independent volume estimates n! * count / m^n.  They validate the
+These counters sum over the lattice points of truncated weight cones (for
+complexity-one divisors, weighted by section counts over the base curve) to
+produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
+The sum runs column by column: the lattice points with all but the last
+coordinate fixed, summed in closed form, with the few points near the
+truncation rechecked one by one.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from operator import mul
+from itertools import islice
+from math import factorial, lcm
 
 import numpy as np
 
@@ -18,6 +21,8 @@ from .errors import NotInReebCone, TooLarge
 
 DEFAULT_BUDGET = 10**8
 _REL_MARGIN = 1e-7
+_BLOCK = 2**15  # box columns (heads times y width) per block of heads formed in one array pass
+_INT64 = 2**62  # magnitudes below this leave room for one more int64 addition
 
 
 def _xi_enclosure(xi):
@@ -62,7 +67,9 @@ def _box_from_cone(dual_rays, lo, hi, m, pad):
 
 
 def _shadow_range(verts, j, a, pad):
-    """Range of coordinate j over the truncated cone where coordinate j-1 is a.
+    """Integer bounds (lo, hi) of coordinate j over the truncated cone where
+    coordinate j-1 is a, for each entry of the array a; lo > hi where the
+    fiber is empty.
 
     The cone's shadow on the two coordinates is the hull of the projected
     vertices, so its fiber over a is swept by the vertex pairs that meet the
@@ -71,13 +78,14 @@ def _shadow_range(verts, j, a, pad):
     """
     x, y = verts[:, j - 1], verts[:, j]
     p, q = np.nonzero(x[:, None] < x[None, :])
+    a = np.asarray(a, dtype=float)[:, None]
     meets = (x[p] <= a + pad) & (x[q] >= a - pad)
-    p, q = p[meets], q[meets]
-    t = np.clip((np.array([[a - pad], [a + pad]]) - x[p]) / (x[q] - x[p]), 0.0, 1.0)
+    t = np.clip((np.stack([a - pad, a + pad]) - x[p]) / (x[q] - x[p]), 0.0, 1.0)
     ys = y[p] + t * (y[q] - y[p])
-    if not ys.size:
-        return range(0)
-    return range(int(np.floor(ys.min() - pad)), int(np.ceil(ys.max() + pad)) + 1)
+    none = ~meets.any(axis=1)
+    lo = np.where(none, 1.0, np.where(meets, ys, np.inf).min(axis=(0, 2)) - pad)
+    hi = np.where(none, 0.0, np.where(meets, ys, -np.inf).max(axis=(0, 2)) + pad)
+    return np.floor(lo).astype(np.int64), np.ceil(hi).astype(np.int64)
 
 
 def _heads(verts, box_lo, box_hi, pad, head=()):
@@ -87,110 +95,255 @@ def _heads(verts, box_lo, box_hi, pad, head=()):
     if j >= len(box_lo) - 2:
         yield head
         return
-    coords = _shadow_range(verts, j, head[-1], pad) if j else range(box_lo[0], box_hi[0] + 1)
+    if j:
+        lo, hi = _shadow_range(verts, j, [head[-1]], pad)
+        coords = range(int(lo[0]), int(hi[0]) + 1)
+    else:
+        coords = range(box_lo[0], box_hi[0] + 1)
     for c in coords:
         yield from _heads(verts, box_lo, box_hi, pad, head + (c,))
 
 
-def _slab_points(head, sigma_rays, xf, mf, delta, box_lo, box_hi):
-    """Integer points of one slab of {sigma pairings >= 0, <u, xi> < m + delta}.
+def _offsets(lens):
+    """0, 1, ..., len - 1 for each length in turn, as one int64 array."""
+    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
 
-    The first d-2 coordinates are fixed to head, coordinate d-2 (y) runs over
-    its box range and coordinate d-1 (z) gets exact column bounds; a
-    1-dimensional cone is a single column with no y.  The integer cone
-    constraints are applied exactly through ceil/floor divisions, so only the
-    float truncation constraint needs the later border recheck.  Returns an
-    (N, d) int64 array (possibly empty).
+
+def _columns(block, rays, xf, top, box_lo, box_hi, top_verts, pad):
+    """Columns of the slabs of {sigma pairings >= 0, <u, xi> < top} for a block of heads.
+
+    Slab k fixes the first d-2 coordinates to block[k]; its y (coordinate
+    d-2) runs over the box range, cut by the shadow of top_verts' hull (which
+    holds every candidate point) above the last head coordinate and by the
+    rays that do not involve z, and each of its columns gets exact integer z
+    bounds from the cone and the float truncation bound.  Returns the head
+    array and, per column, its slab, y, zlo, zhi (empty when zhi < zlo) and
+    rest = top - <(head, y), xi>.
     """
-    d, h = len(box_lo), len(head)
-    flat = d == 1
-    ylo, yhi, yf = (0, 0, 0.0) if flat else (box_lo[h], box_hi[h], xf[h])
-    columns = []
-    for r in sigma_rays:
-        c = sum(map(mul, r, head))
-        ry, rz = (0, r[0]) if flat else r[h:]
+    h = len(box_lo) - 2
+    heads = np.array(block, dtype=np.int64).reshape(len(block), h)
+    ylo = np.full(len(block), box_lo[h], dtype=np.int64)
+    yhi = np.full(len(block), box_hi[h], dtype=np.int64)
+    if h:
+        shadow_lo, shadow_hi = _shadow_range(top_verts, h, heads[:, -1], pad)
+        np.maximum(ylo, shadow_lo, out=ylo)
+        np.minimum(yhi, shadow_hi, out=yhi)
+    zrays = []
+    for r in rays:
+        c = heads @ np.array(r[:h], dtype=np.int64)
+        ry, rz = r[h:]
         if rz != 0:
-            columns.append((c, ry, rz))
+            zrays.append((c, ry, rz))
         elif ry > 0:  # c + ry y >= 0 bounds y directly
-            ylo = max(ylo, -(c // ry))
+            np.maximum(ylo, -(c // ry), out=ylo)
         elif ry < 0:
-            yhi = min(yhi, c // (-ry))
-        elif c < 0:
-            return np.empty((0, d), dtype=np.int64)
-    if ylo > yhi:
-        return np.empty((0, d), dtype=np.int64)
-    y = np.arange(ylo, yhi + 1, dtype=np.int64)
+            np.minimum(yhi, c // (-ry), out=yhi)
+        else:
+            yhi[c < 0] = box_lo[h] - 1
+    ny = np.maximum(yhi - ylo + 1, 0)
+    slab = np.repeat(np.arange(len(block)), ny)
+    y = ylo[slab] + _offsets(ny)
     zlo = np.full(y.shape, box_lo[-1], dtype=np.int64)
     zhi = np.full(y.shape, box_hi[-1], dtype=np.int64)
-    for c, ry, rz in columns:
-        num = -c - ry * y  # rz * z >= num
+    for c, ry, rz in zrays:
+        num = -c[slab] - ry * y  # rz * z >= num
         if rz > 0:
             np.maximum(zlo, -((-num) // rz), out=zlo)
         else:
             np.minimum(zhi, num // rz, out=zhi)
-    rest = mf + delta - sum(map(mul, xf, head)) - yf * y
+    head_pairing = np.zeros(len(block))
+    for i in range(h):
+        head_pairing += heads[:, i] * xf[i]
+    rest = top - head_pairing[slab] - xf[h] * y
     zf = xf[-1]
     if abs(zf) > 1e-300:
-        bound = rest / zf
+        bound = np.clip(rest / zf, box_lo[-1] - 1, box_hi[-1] + 1)
         if zf > 0:
             np.minimum(zhi, np.floor(bound).astype(np.int64), out=zhi)
         else:
             np.maximum(zlo, np.ceil(bound).astype(np.int64), out=zlo)
     else:
-        keep = rest > 0
-        y, zlo, zhi = y[keep], zlo[keep], zhi[keep]
+        zhi[rest <= 0] = box_lo[-1] - 1
+    return heads, slab, y, zlo, zhi, rest
+
+
+def _split(zlo, zhi, rest, zf, delta, box_lo, box_hi):
+    """Interior run (t < m - delta) and border run of each column, as (ia, ib, ba, bb).
+
+    t = <u, xi> is monotone in z along a column, so the border, the points
+    within delta of m, is a run at one end.
+    """
+    if abs(zf) <= 1e-300:  # t is constant along the column
+        inner = rest > 2 * delta
+        return zlo, np.where(inner, zhi, zlo - 1), zlo, np.where(inner, zlo - 1, zhi)
+    q = np.clip((rest - 2 * delta) / zf, box_lo - 1, box_hi + 1)  # t(q) = m - delta
+    if zf > 0:
+        cut = np.ceil(q).astype(np.int64)
+        return zlo, np.minimum(zhi, cut - 1), np.maximum(zlo, cut), zhi
+    cut = np.floor(q).astype(np.int64)
+    return np.maximum(zlo, cut + 1), zhi, zlo, np.minimum(zhi, cut)
+
+
+def _slab_points(heads, y, zlo, zhi):
+    """Integer points of the columns (head, y, z) with zlo <= z <= zhi, as an (N, d)
+    int64 array; the walk materializes only border runs and fallback columns."""
     lens = np.maximum(zhi - zlo + 1, 0)
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty((0, d), dtype=np.int64)
     idx = np.repeat(np.arange(len(y)), lens)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    pts = np.empty((total, d), dtype=np.int64)
-    pts[:, :h] = head
-    if not flat:
-        pts[:, h] = y[idx]
-    pts[:, -1] = zlo[idx] + offsets
-    return pts
+    return np.column_stack([heads[idx], y[idx], zlo[idx] + _offsets(lens)])
 
 
-def _enumerate(sigma_rays, dual_rays, xi, m, weight_fn, budget):
-    """Sum weight_fn over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, slab by slab.
+def _h0(pts, coeffs):
+    """Section counts max(deg floor(D(u)) + 1, 0), point by point."""
+    deg = np.zeros(len(pts), dtype=np.int64)
+    for nums, den in coeffs:
+        deg = deg + np.min((pts @ nums.T) // den, axis=1)
+    return np.maximum(deg + 1, 0)
 
-    The budget charges each slab its candidate points, and at least the width
-    of its y range, so slabs without points still count towards it.
+
+def _floor_sum(n, den, a, b):
+    """Sum over the entries of sum_{i < n} floor((a i + b) / den), for n >= 0 and den > 0.
+
+    The Euclid-like reduction of floor sums: reduce a and b mod den, then
+    count the lattice points under the line by swapping the roles of den
+    and a.  Entries leave once the line stays below den.
+    """
+    total = 0
+    den = np.full(n.shape, den, dtype=np.int64)
+    a = np.full(n.shape, a, dtype=np.int64)
+    while len(n):
+        qa, a = np.divmod(a, den)
+        qb, b = np.divmod(b, den)
+        total += int((n * (n - 1) // 2 * qa).sum()) + int((n * qb).sum())
+        top = a * n + b
+        go = top >= den
+        top, den, a = top[go], den[go], a[go]
+        n, b, a, den = top // den, top % den, den, a
+    return total
+
+
+def _interior_sums(heads, y, z0, z1, coeffs):
+    """Sum of h0 over the runs z0..z1 of the columns, in closed form where it is sure.
+
+    Along a column each divisor point P contributes floor(min_v L_Pv(z) /
+    den_P), with L_Pv linear in z.  Where the concave lower bound
+    sum_P (min_v L_Pv - den_P + 1) / den_P of deg stays >= -1 at both ends
+    of the run, h0 = deg + 1 on the whole run, and the sum is the run's
+    length plus, for each P and each vertex v, a floor sum over the
+    interval on which v attains the min (ties to the lowest index).
+    Returns the sum and the mask of the columns left to count point by point.
+    """
+    lines = [
+        (heads @ nums[:, :-2].T + np.outer(y, nums[:, -2]), nums[:, -1], den)
+        for nums, den in coeffs
+    ]
+    common = lcm(*(den for _, _, den in lines))
+    sure = np.ones(len(y), dtype=bool)
+    for z in (z0, z1):  # the bound, checked in integers scaled by common
+        bound = np.full(len(y), common, dtype=np.int64)
+        for a, c, den in lines:
+            bound += (np.min(a + np.outer(z, c), axis=1) - den + 1) * (common // den)
+        sure &= bound >= 0
+    z0, z1 = z0[sure], z1[sure]
+    total = int((z1 - z0 + 1).sum())
+    for a, c, den in lines:
+        a = a[sure]
+        for v in range(len(c)):
+            lo, hi = z0, z1
+            for w in range(len(c)):  # L_v(z) < L_w(z) for w < v, <= for w > v
+                if w == v:
+                    continue
+                dc, rhs = c[v] - c[w], a[:, w] - a[:, v] - (w < v)
+                if dc > 0:
+                    hi = np.minimum(hi, rhs // dc)
+                elif dc < 0:
+                    lo = np.maximum(lo, -(rhs // -dc))
+                else:
+                    hi = np.where(rhs >= 0, hi, z0 - 1)
+            n = np.maximum(hi - lo + 1, 0)
+            total += _floor_sum(n, den, c[v], a[:, v] + c[v] * np.where(n > 0, lo, z0))
+    return total, ~sure
+
+
+def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
+    """Sum h0 over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, column by column.
+
+    coeffs holds each divisor point's vertices as integer rows over a common
+    denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
+    count.  The interior run of each column is summed in closed form
+    (`_interior_sums`); its border run is rechecked point by point against
+    the exact enclosure of xi.  The budget charges each slab its candidate
+    points, and at least the width of its y range, so slabs without points
+    still count towards it; it is checked before each block's work.
     """
     lo, hi, mid = _xi_enclosure(xi)
     mf = float(m)
     pad = 1e-9 * (1.0 + abs(mf))
-    verts, box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, m, pad)
-    rays = [tuple(int(c) for c in r) for r in sigma_rays]
-    xf = np.asarray(mid, dtype=float)
     delta = _REL_MARGIN * (1.0 + abs(mf))
-    width = box_hi[-2] - box_lo[-2] + 1 if len(mid) > 1 else 1
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, m, pad)
+    # candidate points have float pairing below m + delta, so true pairing below m + 2 delta
+    top_verts = _box_from_cone(dual_rays, lo, hi, mf + 2 * delta, pad)[0]
+    rays = [tuple(int(c) for c in r) for r in sigma_rays]
+    if len(mid) == 1:  # a 1-dimensional cone is one slab with the single y = 0
+        rays = [(0, *r) for r in rays]
+        lo, hi, mid, box_lo, box_hi = ([0, *v] for v in (lo, hi, mid, box_lo, box_hi))
+        coeffs = [([(0, *v) for v in rows], den) for rows, den in coeffs]
+    reach = [max(-a, b) + 1 for a, b in zip(box_lo, box_hi)]  # |u_i| < reach_i one step past the box
+
+    def pairing_bound(v):
+        return sum(abs(c) * r for c, r in zip(v, reach))
+
+    if max(map(pairing_bound, rays)) >= _INT64:
+        raise TooLarge("cone pairings over the box leave int64")
+    # the column sums add per point at most per_point in magnitude, and a walk
+    # within the budget has at most budget points; past int64, count exactly
+    nz = box_hi[-1] - box_lo[-1] + 2
+    reaches = [(max(map(pairing_bound, rows)), den) for rows, den in coeffs]
+    per_point = 1 + sum(2 * r // den + nz + 4 for r, den in reaches)
+    common = lcm(*(den for _, den in coeffs))
+    wide = (
+        budget * per_point >= _INT64
+        or common * (sum(r // den + 2 for r, den in reaches) + 1) >= _INT64
+        or any(2 * r + 2 >= _INT64 or den * nz >= _INT64 for r, den in reaches)
+    )
+    coeffs = [(np.array(rows, dtype=object if wide else np.int64), den) for rows, den in coeffs]
+    xf = np.asarray(mid, dtype=float)
+    width = box_hi[-2] - box_lo[-2] + 1
+    scale = lcm(*(c.denominator for c in lo + hi))  # the recheck in integers
+    lo_n, hi_n, m_n = [int(c * scale) for c in lo], [int(c * scale) for c in hi], Fraction(m) * scale
     total = 0
     cells = 0
-    for head in _heads(verts, box_lo, box_hi, pad):
-        points = _slab_points(head, rays, xf, mf, delta, box_lo, box_hi)
-        cells += max(len(points), width)
+    walk = _heads(verts, box_lo, box_hi, pad)
+    for block in iter(lambda: list(islice(walk, max(1, _BLOCK // width))), []):
+        if cells + len(block) * width > budget:  # each slab is charged at least width
+            raise TooLarge(f"enumeration exceeded the {budget} cell budget")
+        heads, slab, y, zlo, zhi, rest = _columns(
+            block, rays, xf, mf + delta, box_lo, box_hi, top_verts, pad
+        )
+        lens = np.maximum(zhi - zlo + 1, 0)
+        charge = np.bincount(slab, weights=lens, minlength=len(block)).astype(np.int64)
+        cells += int(np.maximum(charge, width).sum())
         if cells > budget:
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
-        if not len(points):
-            continue
-        tf = points @ xf
-        for p in points[np.abs(tf - mf) <= delta]:
-            if _pair_bound(p.tolist(), hi, lo) < m:
-                total += int(weight_fn(p.reshape(1, -1))[0])
-        total += int(weight_fn(points[tf < mf - delta]).sum())
+        live = lens > 0
+        head, y, zlo, zhi, rest = heads[slab[live]], y[live], zlo[live], zhi[live], rest[live]
+        ia, ib, ba, bb = _split(zlo, zhi, rest, xf[-1], delta, box_lo[-1], box_hi[-1])
+        border = _slab_points(head, y, ba, bb)
+        below = [_pair_bound(p, hi_n, lo_n) < m_n for p in border.tolist()]
+        total += int(_h0(border[np.array(below, dtype=bool)], coeffs).sum())
+        inner = np.flatnonzero(ia <= ib)
+        fallback = inner
+        if not wide:
+            sums, unsure = _interior_sums(head[inner], y[inner], ia[inner], ib[inner], coeffs)
+            total += sums
+            fallback = inner[unsure]
+        points = _slab_points(head[fallback], y[fallback], ia[fallback], ib[fallback])
+        total += int(_h0(points, coeffs).sum())
     return total
 
 
 def count_toric(t, xi, m, budget=DEFAULT_BUDGET):
     """#{u in weight cone lattice : <u, xi> < m} by bounded enumeration."""
-
-    def ones(pts):
-        return np.ones(len(pts), dtype=np.int64)
-
-    return _enumerate(t.sigma.rays, t.sigma_dual.rays, xi, m, ones, budget)
+    return _enumerate(t.sigma.rays, t.sigma_dual.rays, xi, m, (), budget)
 
 
 def count_cxone(d, xi, m, budget=DEFAULT_BUDGET):
@@ -201,23 +354,10 @@ def count_cxone(d, xi, m, budget=DEFAULT_BUDGET):
     """
     coeffs = []
     for _label, poly in d.points:
-        den = 1
-        for v in poly.compact_vertices:
-            for c in v:
-                den = den * c.denominator // np.gcd(den, c.denominator)
-        nums = np.asarray(
-            [[int(c * den) for c in v] for v in poly.compact_vertices], dtype=np.int64
-        )
-        coeffs.append((nums, int(den)))
-
-    def weights(pts):
-        deg = np.zeros(len(pts), dtype=np.int64)
-        for nums, den in coeffs:
-            pairings = pts @ nums.T
-            deg += np.min(pairings // den, axis=1)
-        return np.maximum(deg + 1, 0)
-
-    return _enumerate(d.sigma.rays, d.sigma_dual.rays, xi, m, weights, budget)
+        verts = poly.compact_vertices
+        den = lcm(*(c.denominator for v in verts for c in v))
+        coeffs.append(([[int(c * den) for c in v] for v in verts], den))
+    return _enumerate(d.sigma.rays, d.sigma_dual.rays, xi, m, coeffs, budget)
 
 
 @dataclass(frozen=True)
@@ -231,6 +371,8 @@ class CountSeries:
     @classmethod
     def from_counts(cls, n, pairs):
         pairs = tuple((float(m), int(c)) for m, c in pairs)
+        if not all(m > 0 for m, _ in pairs):
+            raise ValueError(f"truncations must be positive, got {[m for m, _ in pairs]}")
         est = tuple(factorial(n) * c / m**n for m, c in pairs)
         return cls(truncations=pairs, n=n, estimates=est)
 
@@ -251,7 +393,7 @@ def vol_estimate(series: CountSeries):
     """Extrapolated limit of n! count / m^n with a convergence diagnostic.
 
     Fits estimate(m) = c0 + c1/m + c2/m^2 through the largest truncations and
-    reports c0.  Needs at least three truncations.
+    reports c0.  Needs at least three truncations, the largest three distinct.
     """
     if len(series.truncations) < 3:
         raise ValueError("need at least three truncations to extrapolate")
@@ -259,6 +401,8 @@ def vol_estimate(series: CountSeries):
     order = sorted(range(len(ms)), key=lambda i: ms[i])
     ms = [ms[i] for i in order]
     es = [series.estimates[i] for i in order]
+    if len(set(ms[-3:])) < 3:
+        raise ValueError(f"need three distinct truncations to extrapolate, got {ms[-3:]}")
     x = np.asarray([1.0 / m for m in ms[-3:]])
     y = np.asarray(es[-3:])
     v = np.vander(x, 3, increasing=True)  # columns 1, 1/m, 1/m^2

@@ -69,6 +69,18 @@ class TestOracleCommand:
         assert abs(estimates[-1] - 1.0) < 0.05
         assert abs(float(report["results"]["extrapolated"]) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20]])
+    def test_non_positive_truncation_exit_2(self, tmp_path, m_list):
+        doc = json.loads(open(SPECS["c_n.json"]).read())
+        doc["m_list"] = m_list
+        spec = tmp_path / "bad_m.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("oracle", str(spec))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "SpecError"
+        assert "positive" in err["error"]["message"]
+
 
 class TestOtherCommands:
     def test_eval(self):

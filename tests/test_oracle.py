@@ -3,6 +3,7 @@ import ast
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from reebmin import (
     count_series_cxone,
     count_series_toric,
     count_toric,
+    polyhedron_min,
     vol_estimate,
     vol_xi,
     vol_xi_c1,
@@ -41,6 +43,38 @@ def brute_count(t, xi, m, box=300):
             count += 1
     return count
 
+
+def brute_count_cxone(d, xi, m, box):
+    """Reference counter: h0(u) = max(sum_P floor(polyhedron_min(D_P, u)) + 1, 0), summed
+    point by point over the box [-box, box]^d."""
+    total = 0
+    for u in itertools.product(range(-box, box + 1), repeat=len(xi)):
+        if any(sum(a * b for a, b in zip(u, r)) < 0 for r in d.sigma.rays):
+            continue
+        if sum(a * b for a, b in zip(u, xi)) < m:
+            deg = sum(math.floor(polyhedron_min(poly, u)) for _, poly in d.points)
+            total += max(deg + 1, 0)
+    return total
+
+
+def box_of(data, xi, m):
+    """Half-width of a box holding the truncated weight cone: its vertices are
+    0 and m u / <u, xi> for the weight cone's rays u."""
+    scale = max(m / sum(a * b for a, b in zip(u, xi)) for u in data.sigma_dual.rays)
+    return math.ceil(scale * max(abs(c) for u in data.sigma_dual.rays for c in u)) + 1
+
+
+def integer_and_irrational_xi(rays):
+    """The sum of the rays, and a combination of them with irrational weights."""
+    integer = tuple(sum(r[k] for r in rays) for k in range(len(rays[0])))
+    weights = [1 + math.sqrt(2 + i) / 3 for i in range(len(rays))]
+    return integer, tuple(sum(w * r[k] for w, r in zip(weights, rays)) for k in range(len(rays[0])))
+
+
+# integer truncations put whole layers of points on <u, xi> = m at integer xi,
+# which the border recheck drops; m just above an integer keeps those layers
+# inside delta of m, where the recheck must count them
+TRUNCATIONS = (6, Fraction(13, 2), Fraction(6 * 10**9 + 1, 10**9))
 
 # lattice counts of the bundled specs at their own xi, as bench/workloads.py
 # stores them; the larger truncations are pinned in acceptance criterion 6
@@ -107,6 +141,18 @@ class TestCountToric:
         u = ex.mat_mul(lower, upper)  # unimodular
         rays = ex.transpose(u)  # the images U e_j of the orthant's rays
         return rays, tuple(ex.mat_vec(ex.transpose(ex.inverse(u)), [1, 1, 1, 1]))
+
+    @pytest.mark.parametrize("rays", [
+        [(1,)],
+        [(1, 0), (1, 3)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 2)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 3)],
+    ])
+    def test_integer_xi_matches_reference_counter(self, rays):
+        t = ToricData.from_cone(rays, [1] * len(rays[0]))
+        xi = integer_and_irrational_xi(rays)[0]
+        for m in TRUNCATIONS:
+            assert count_toric(t, xi, m) == brute_count(t, xi, m, box=box_of(t, xi, m))
 
     @pytest.mark.parametrize("name, ms, counts", PINNED_COUNTS)
     def test_bundled_counts_pinned(self, name, ms, counts):
@@ -194,6 +240,39 @@ class TestCountCxone:
         assert total == 2  # (0,0,0) and (0,0,1) count; (0,1,-1) floors away
         assert count_cxone(dk_divisor, xi, 0.6) == total
 
+    @pytest.mark.parametrize("tail", [
+        [(1,)],
+        [(1, 0), (1, 3)],
+        [(0, 1, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1)],
+    ])
+    def test_matches_reference_counter(self, tail):
+        # seeded divisors with vertex denominators 2 and 3; the negative shift
+        # makes deg + 1 < 0 on part of the weight cone, so some columns fall
+        # back to point-by-point weights
+        rng = random.Random(len(tail))
+        rank = len(tail[0])
+        for shift in (0, -2):
+            points = [
+                (str(p), [
+                    tuple(Fraction(rng.randint(-2, 2) + shift * (k == 0), rng.choice((2, 3)))
+                          for k in range(rank))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for p in range(rng.randint(2, 3))
+            ]
+            d = PolyhedralDivisor.from_vertex_lists(tail, points)
+            for xi in integer_and_irrational_xi(tail):
+                for m in TRUNCATIONS:
+                    assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+
+    def test_pairings_past_int64_count_exactly(self):
+        # <u, nums> reaches 41 (2^61 - 1) over the box: the integer rows of
+        # the vertex over its denominator 3 (2^61 - 1) leave int64
+        d = PolyhedralDivisor.from_vertex_lists(
+            [(1, 0), (0, 1)], [("p", [(Fraction(1, 2**61 - 1), Fraction(1, 3))])]
+        )
+        assert count_cxone(d, (1.0, 1.0), 40) == 4109 == brute_count_cxone(d, (1, 1), 40, 41)
+
     def test_convergence_dk(self, dk_divisor):
         alpha = (-3 + math.sqrt(33)) / 4
         xi = (1.0, 1.0, alpha)
@@ -219,6 +298,16 @@ class TestVolEstimate:
         series = CountSeries.from_counts(2, [(100, 5151), (200, 20301)])
         with pytest.raises(ValueError):
             vol_estimate(series)
+
+    def test_needs_distinct_truncations(self):
+        series = CountSeries.from_counts(2, [(100, 5151), (100, 5151), (200, 20301)])
+        with pytest.raises(ValueError, match="three distinct truncations"):
+            vol_estimate(series)
+
+    @pytest.mark.parametrize("m", [0, -5])
+    def test_series_rejects_non_positive_truncations(self, m):
+        with pytest.raises(ValueError, match="positive"):
+            CountSeries.from_counts(2, [(m, 0), (10, 66), (20, 231)])
 
     def test_estimates_recorded(self, c2):
         series = count_series_toric(c2, (1.0, 1.0), [10, 20, 40])
