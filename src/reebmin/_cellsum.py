@@ -101,14 +101,17 @@ class CellSum:
         self.dim = dim
 
     def pairings(self, xi):
-        """<u_i, xi> for every ray of the table; raises off the Reeb cone."""
+        """<u_i, xi> for every ray of the table; raises off the Reeb cone.
+
+        The test is `not p > 0`: an mpi that straddles 0 compares as None
+        either way, and such a box is not inside the open cone."""
         vals = tuple(Fraction(v) if isinstance(v, int) else v for v in xi)
         check_length("Reeb vector", vals, self.dim)
         out = []
         for u in self.rays:
             p = sum(a * b for a, b in zip(u, vals))
-            if p <= 0:
-                raise NotInReebCone(f"<{u}, xi> = {p} <= 0")
+            if not p > 0:
+                raise NotInReebCone(f"<{u}, xi> = {p} is not positive")
             out.append(p)
         return out
 

@@ -1,8 +1,13 @@
 """The one minimizer: damped projected Newton on the slice {<u0, xi> = 1}.
 
 Toric and complexity-one data both minimize a `CellSum` volume, which is
-strictly convex on the slice; only their normalized volumes differ.  The
-certificates are re-evaluated from the kernel at twice the working precision.
+strictly convex on the slice; only their normalized volumes differ.  Newton
+stops on the gradient test, or at the rounding floor of f: once the squared
+Newton decrement (twice the predicted decrease) is a few ulps of f, f no
+longer resolves the decrease, so the last Newton step is taken without a
+line search and no further iteration can improve the point.  The
+certificates are re-evaluated from the kernel at twice the working
+precision.
 """
 
 from dataclasses import dataclass
@@ -17,6 +22,8 @@ from .errors import NotInReebCone
 ARMIJO = 1e-4
 MAX_BACKTRACK = 60
 ILL_CONDITIONED = 1e12
+ROUNDING_FLOOR = 4  # ulps of f: a smaller squared Newton decrement does not show in f
+NEWTON_STOPS = ("gradient", "rounding_floor")
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,7 @@ class MinimizeResult:
     barycenter_residual: float
     iterations: int
     converged: bool
+    stop_reason: str  # "gradient", "rounding_floor", "line_search" or "max_iter"
 
 
 def slice_basis(u0):
@@ -40,15 +48,16 @@ def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> Min
     """Global minimizer of nvol over the Reeb cone, rescaled so that <u0, xi> = n.
 
     Starts at the sum of the Reeb cone's rays on the slice.  It is converged
-    when Newton stopped on the gradient test and, at twice the precision,
-    both the projected gradient norm and the sine between -grad vol and u0
-    are at most the tolerance (the sine is NaN, so never, when grad vol = 0).
+    when Newton stopped on the gradient test or at the rounding floor of f
+    and, at twice the precision, both the projected gradient norm and the
+    sine between -grad vol and u0 are at most the tolerance (the sine is NaN,
+    so never, when grad vol = 0).  `stop_reason` says why Newton stopped.
     """
     total = [sum(Fraction(c) for c in col) for col in zip(*sigma_rays)]
     a0 = sum(a * b for a, b in zip(u0, total))
     x0 = np.asarray([float(x / a0) for x in total])
     u0f = np.asarray([float(x) for x in u0])
-    xi_hat, iters, newton_ok = _newton(cs, u0f, x0, tolerance, max_iter)
+    xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
     with mpmath.workprec(2 * precision):
         _, g = cs.evaluate(tuple(mpmath.mpf(float(x)) for x in xi_hat), 1)
@@ -67,7 +76,8 @@ def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> Min
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,
-        converged=bool(newton_ok and grad_norm <= tolerance and residual <= tolerance),
+        converged=bool(stop_reason in NEWTON_STOPS and grad_norm <= tolerance and residual <= tolerance),
+        stop_reason=stop_reason,
     )
 
 
@@ -75,7 +85,11 @@ def _newton(cs, u0, x0, tol, max_iter):
     """Damped Newton in an orthonormal basis of the slice, staying in the open cone.
 
     Each iteration makes one order-2 kernel call, plus one volume call per
-    line-search step.  Returns (xi, iterations, stopped_on_gradient).
+    line-search step.  With the Newton step s, lam2 = -<grad, s> is the
+    squared Newton decrement; when it is at most ROUNDING_FLOOR ulps of f,
+    Armijo cannot judge the step, so it is taken once without a line search,
+    kept only if it stays in the open cone, and Newton stops.  Returns
+    (xi, iterations, stop_reason).
     """
     v = slice_basis(u0)
     xi = np.asarray(x0, dtype=float)
@@ -83,7 +97,7 @@ def _newton(cs, u0, x0, tol, max_iter):
         f0, g, h = cs.evaluate(tuple(float(x) for x in xi), 2)
         gp = v.T @ np.asarray(g, dtype=float)
         if float(np.linalg.norm(gp)) <= tol:
-            return xi, it - 1, True
+            return xi, it - 1, "gradient"
         hp = v.T @ np.asarray(h, dtype=float) @ v
         step = None
         try:
@@ -91,10 +105,19 @@ def _newton(cs, u0, x0, tol, max_iter):
                 step = np.linalg.solve(hp, -gp)
         except np.linalg.LinAlgError:
             step = None
-        if step is None or gp @ step >= 0:
+        newton = step is not None and gp @ step < 0
+        if not newton:
             step = -gp
         slope = float(gp @ step)
         f0 = float(f0)
+        if newton and -slope <= ROUNDING_FLOOR * np.spacing(abs(f0)):
+            cand = xi + v @ step
+            try:
+                cs.pairings(tuple(float(x) for x in cand))
+                xi = cand
+            except NotInReebCone:
+                pass
+            return xi, it, "rounding_floor"
         alpha = 1.0
         for _ in range(MAX_BACKTRACK):
             cand = xi + alpha * (v @ step)
@@ -106,6 +129,6 @@ def _newton(cs, u0, x0, tol, max_iter):
                 break
             alpha *= 0.5
         else:
-            return xi, it, False
+            return xi, it, "line_search"
         xi = cand
-    return xi, max_iter, False
+    return xi, max_iter, "max_iter"

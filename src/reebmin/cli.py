@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import _exact as ex
@@ -240,11 +239,7 @@ def run(command, doc, options):
             raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
         budget = int(doc.get("budget", 10**8))
         counter = count_toric if kind == "toric" else count_cxone
-        if options.threads > 1:
-            with ThreadPoolExecutor(max_workers=options.threads) as pool:
-                counts = list(pool.map(lambda m: counter(data, xi, m, budget), ms))
-        else:
-            counts = [counter(data, xi, m, budget) for m in ms]
+        counts = [counter(data, xi, m, budget) for m in ms]
         series = CountSeries.from_counts(data.n, list(zip(ms, counts)))
         out = {
             "m_list": [fmt(m) for m in ms],
@@ -314,7 +309,7 @@ def main(argv=None):
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     parser.add_argument("--precision", type=int, default=53, help="working precision bits")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; counts run serially")
     parser.add_argument("--json-only", action="store_true", dest="json_only")
     args = parser.parse_args(argv)
 

@@ -157,8 +157,9 @@ def nvol_c1(d: PolyhedralDivisor, u0, xi):
 def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200, precision=53) -> MinimizeResult:
     """Minimize the normalized volume over the Reeb cone of the tail.
 
-    Newton on the slice {<u0, xi> = 1} with closed-form derivatives; strict
-    convexity makes the converged point global.  Certificates are
+    Newton on the slice {<u0, xi> = 1} with closed-form derivatives, stopped
+    by the gradient test or at the rounding floor of f (`stop_reason`);
+    strict convexity makes the converged point global.  Certificates are
     re-evaluated at twice the working precision; the sine of the angle
     between -grad vol and u0 plays the role of the barycenter residual.  A
     divisor with no cells has vol = 0 and grad vol = 0, so its residual is

@@ -125,10 +125,12 @@ def certify_barycenter(t: ToricData, xi):
 def minimize(t: ToricData, tolerance=1e-9, max_iter=100, precision=53) -> MinimizeResult:
     """Global minimizer of the normalized volume over the Reeb cone.
 
-    Newton iteration on the slice {A(xi) = 1} with analytic derivatives;
-    strict convexity and properness make the converged point the unique
-    global minimizer.  The result is rescaled so that A(xi_star) = n, and
-    the reported certificates are re-evaluated at twice the precision.
+    Newton iteration on the slice {A(xi) = 1} with analytic derivatives,
+    stopped by the gradient test or at the rounding floor of f
+    (`stop_reason`); strict convexity and properness make the converged
+    point the unique global minimizer.  The result is rescaled so that
+    A(xi_star) = n, and the reported certificates are re-evaluated at twice
+    the precision.
     """
     return _newton.minimize(
         t._cellsum, t.u0, t.sigma.rays, t.n, lambda xi: nvol(t, xi), tolerance, max_iter, precision

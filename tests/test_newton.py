@@ -1,0 +1,76 @@
+"""Newton's stopping rules: the gradient test, the rounding floor of f, max_iter.
+
+The literals are copies of seeded inputs on which Newton used to spin at the
+rounding floor of f until max_iter.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+
+from reebmin import PolyhedralDivisor, ToricData, minimize, minimize_c1
+
+from conftest import SPP_DUAL_RAYS, SPP_U0
+
+# dual rays of a pentagon cone; Newton reached the floor by iteration 6 and
+# then ran to max_iter with converged=False
+STALL_RAYS = ((17, 0, 1), (6, 10, 1), (-9, 7, 1), (-9, -7, 1), (4, -10, 1))
+STALL_U0 = (0, 0, 1)
+STALL_NVOL = 688.75610875359844404437  # mpmath root of the gradient, 200 bits
+
+# a lattice hexagon with coordinates near 1e4; f ~ 1e-12, so |grad| cannot
+# reach an absolute tolerance, and Newton ran to max_iter
+POLYGON_RAYS = ((-9943, -7083, 1), (-3932, 3013, 1), (-3471, 7804, 1),
+                (-2258, -3526, 1), (559, -4755, 1), (7268, 4145, 1))
+POLYGON_U0 = (-11777, -402, 6)
+
+# a seeded proper divisor over the dk tail; 200 iterations at a predicted
+# decrease of 1.2e-19 against ulp(f) = 9.1e-13
+DIVISOR_TAIL = ((0, 1, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1))
+DIVISOR_U0 = (0, 3, 0)
+DIVISOR_POINTS = [
+    ("0", [(F(1, 12), F(1, 3), F(-1, 3)), (F(5, 12), F(1, 3), F(19, 48))]),
+    ("1", [(F(23, 24), F(4, 3), F(2, 3)), (F(37, 24), F(4, 3), F(13, 48))]),
+    ("2", [(F(5, 24), F(1, 3), F(1, 24)), (F(5, 12), F(1, 3), F(1, 12))]),
+    ("3", [(F(35, 24), F(4, 3), F(5, 12)), (F(3, 2), F(4, 3), F(5, 16))]),
+]
+
+
+@pytest.fixture(scope="module")
+def stall():
+    return ToricData.from_dual_cone(STALL_RAYS, STALL_U0)
+
+
+class TestStopReason:
+    def test_gradient(self):
+        res = minimize(ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0), tolerance=1e-8)
+        assert res.stop_reason == "gradient"
+        assert res.converged
+
+    def test_rounding_floor(self, stall):
+        res = minimize(stall, tolerance=1e-9)
+        assert res.stop_reason == "rounding_floor"
+        assert res.converged
+        assert res.iterations <= 10
+        assert abs(res.nvol_star / STALL_NVOL - 1) <= 1e-12
+
+    def test_max_iter(self, stall):
+        res = minimize(stall, max_iter=1)
+        assert res.stop_reason == "max_iter"
+        assert res.iterations == 1
+        assert not res.converged
+
+
+class TestRoundingFloor:
+    def test_large_polygon_cone(self):
+        t = ToricData.from_dual_cone(POLYGON_RAYS, POLYGON_U0)
+        res = minimize(t, tolerance=1e-9)
+        assert res.stop_reason == "rounding_floor"
+        assert res.iterations <= 15
+        assert res.barycenter_residual <= 1e-12
+
+    def test_seeded_divisor(self):
+        d = PolyhedralDivisor.from_vertex_lists(DIVISOR_TAIL, DIVISOR_POINTS)
+        res = minimize_c1(d, DIVISOR_U0)
+        assert res.converged
+        assert res.stop_reason in ("gradient", "rounding_floor")

@@ -23,13 +23,13 @@ from reebmin import (
 from reebmin import _exact as ex
 
 
-def random_pointed_cone(rng, dim, nrays):
+def random_pointed_cone(rng, dim, nrays, low=-3, high=4):
     """Rays strictly inside an open halfspace generate a pointed cone."""
     while True:
         rays = []
         for _ in range(nrays):
             while True:
-                r = tuple(rng.randint(-3, 4) for _ in range(dim))
+                r = tuple(rng.randint(low, high) for _ in range(dim))
                 if sum(r) > 0 and any(x != 0 for x in r):
                     break
             rays.append(r)
@@ -62,6 +62,23 @@ class TestRandomToricCones:
                 probe[0] *= f1
                 a = sum(float(u) * x for u, x in zip(t.u0, probe))
                 assert nvol(t, tuple(probe)) >= res.nvol_star * (1 - 1e-9)
+            solved += 1
+
+    def test_minimize_on_fuzzed_cones_of_realistic_size(self):
+        # with ray entries up to 20 Newton often reaches the rounding floor
+        # of f before |grad| passes an absolute tolerance; it must stop
+        # there rather than run to max_iter, whatever its converged flag
+        rng = random.Random(2024)
+        solved = 0
+        while solved < 60:
+            sigma_dual = random_pointed_cone(rng, 3, rng.randint(3, 6), -20, 20)
+            sigma = dual_cone(sigma_dual)
+            if not sigma_dual.is_full_dimensional() or not sigma.is_full_dimensional():
+                continue
+            u0 = tuple(sum(col) for col in zip(*sigma_dual.extreme_rays()))
+            res = minimize(ToricData(sigma, sigma_dual, u0), tolerance=1e-8, max_iter=200)
+            assert res.iterations <= 30, (sigma_dual.rays, res)
+            assert res.barycenter_residual <= 1e-8, (sigma_dual.rays, res)
             solved += 1
 
     def test_conifold_symmetric_pairings(self):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -56,6 +57,12 @@ class TestVolXi:
     def test_reeb_cone_violation(self, a1):
         with pytest.raises(NotInReebCone):
             vol_xi(a1, (Fraction(0), Fraction(1)))
+
+    def test_straddling_interval_leaves_the_reeb_cone(self, c2):
+        # mpi(-0.5, 1) <= 0 is None, which used to let the box through and
+        # return vol = [-inf, +inf]
+        with pytest.raises(NotInReebCone):
+            vol_xi(c2, (mpmath.mpi(-0.5, 1), mpmath.mpi(1, 2)))
 
     @pytest.mark.parametrize("xi", [(1, 1, 1, 5), (1, 1)])
     def test_wrong_length_names_both_lengths(self, xi):
