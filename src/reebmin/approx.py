@@ -3,18 +3,28 @@
 Irrational targets enter as rational interval enclosures; every certificate
 is checked with outward rounding against the enclosure, never against a
 float.  Searches scan denominators in increasing order and fail explicitly
-when the configured bound is exhausted.
+when the configured bound is exhausted.  One integer-relation search (PSLQ,
+height 12) splits rationally dependent coordinates off the cone search and
+names a relation when the signed search is exhausted; its hits are only
+hypotheses until a certificate verifies.
 """
 
+import decimal
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
+
 from . import _exact as ex
 from .errors import SearchExhausted
 
 DEFAULT_QMAX = 10**6
+# Integer relations are searched up to this height and accepted within the
+# enclosure widths plus this slack.
+_HEIGHT = 12
+_SLACK = Fraction(1, 10**9)
 
 
 @dataclass(frozen=True)
@@ -34,11 +44,10 @@ class Enclosure:
 
     @classmethod
     def from_decimal(cls, text, radius=None):
-        """Decimal string with a radius defaulting to half an ulp of the last digit."""
+        """Decimal string; the default radius is half a unit in the last place ("1.5e3": 50)."""
         center = Fraction(text)
         if radius is None:
-            digits = len(text.split(".")[1]) if "." in text else 0
-            radius = Fraction(1, 2 * 10**digits)
+            radius = Fraction(10) ** decimal.Decimal(text).as_tuple().exponent / 2
         else:
             radius = ex.frac(radius)
         return cls(center - radius, center + radius)
@@ -85,6 +94,8 @@ class SignedApprox:
 
 def verify_signed(sa: SignedApprox) -> bool:
     """Outward-rounded re-check of 0 < sign * (p/q - alpha) <= eps/q."""
+    if not len(sa.p) == len(sa.target) == len(sa.signs):
+        return False
     for p, enc, sign in zip(sa.p, sa.target, sa.signs):
         if sign == 1:
             if not (Fraction(p, sa.q) > enc.hi and Fraction(p, sa.q) <= enc.lo + sa.epsilon / sa.q):
@@ -93,23 +104,6 @@ def verify_signed(sa: SignedApprox) -> bool:
             if not (Fraction(p, sa.q) < enc.lo and Fraction(p, sa.q) >= enc.hi - sa.epsilon / sa.q):
                 return False
     return True
-
-
-def _dependence_hint(enclosures, height=8):
-    """Small integer-relation scan; a hit explains a hopeless search."""
-    r = len(enclosures)
-    if r > 4:  # the scan is exponential in r; skip the diagnostic
-        return None
-    mids = [e.mid for e in enclosures]
-    for ks in itertools.product(range(-height, height + 1), repeat=r):
-        if all(k == 0 for k in ks):
-            continue
-        total = sum(k * m for k, m in zip(ks, mids))
-        k0 = -round(total)
-        slack = sum(abs(k) * e.width for k, e in zip(ks, enclosures)) + Fraction(1, 10**6)
-        if abs(total + k0) <= slack:
-            return tuple([k0] + list(ks))
-    return None
 
 
 def dirichlet_signed(alpha, signs, epsilon, q_max=DEFAULT_QMAX) -> SignedApprox:
@@ -144,7 +138,7 @@ def dirichlet_signed(alpha, signs, epsilon, q_max=DEFAULT_QMAX) -> SignedApprox:
             return SignedApprox(
                 p=tuple(ps), q=q, target=encls, signs=signs, epsilon=epsilon
             )
-    hint = _dependence_hint(encls)
+    hint = _relation(encls)
     extra = f"; possible rational dependence {hint}" if hint else ""
     raise SearchExhausted(f"no denominator q <= {q_max} works for epsilon={epsilon}{extra}")
 
@@ -163,7 +157,7 @@ def verify_cone(ca: ConeApprox) -> bool:
     """Re-check integrality, per-vector distance, and hull containment."""
     r = len(ca.target)
     for vec, q in ca.vectors:
-        if any((x * q).denominator != 1 for x in vec):
+        if len(vec) != r or any((x * q).denominator != 1 for x in vec):
             return False
         for x, enc in zip(vec, ca.target):
             if not max(abs(x - enc.lo), abs(x - enc.hi)) < ca.epsilon / q:
@@ -179,14 +173,41 @@ def verify_cone(ca: ConeApprox) -> bool:
     return True
 
 
-def _affine_relations(encls, height=12):
+def _relation(encls):
+    """Integer relation (k0, k1, ..., kr) with k0 + sum k_i alpha_i ~ 0, or None.
+
+    `mpmath.pslq` (Ferguson-Bailey-Arno) proposes a relation between 1 and the
+    midpoints' fractional parts, so an unbounded k0 stays inside its coefficient
+    bound; the proposal is kept only if |k_i| <= _HEIGHT for i >= 1 and it holds
+    exactly within the enclosure widths plus _SLACK.
+    """
+    mids = [e.mid for e in encls]
+    for i, (m, e) in enumerate(zip(mids, encls)):
+        if abs(m - round(m)) <= e.width + _SLACK:  # pslq rejects a (near) zero entry
+            return (-round(m), *(int(j == i) for j in range(len(mids))))
+    floors = [math.floor(m) for m in mids]
+    widths = float(sum(e.width for e in encls))
+    with mpmath.workprec(128):
+        fracs = [mpmath.mpf((m - f).numerator) / m.denominator for m, f in zip(mids, floors)]
+        # The data's own precision first: at the looser _SLACK, pslq can stop on
+        # a chance near-relation above _HEIGHT before it reaches the true one.
+        for floor in (2.0**-100, float(_SLACK)):
+            ks = mpmath.pslq([1] + fracs, tol=widths + floor, maxcoeff=len(mids) * _HEIGHT + 1)
+            if ks is not None and max(abs(k) for k in ks[1:]) <= _HEIGHT:
+                break
+        else:
+            return None
+    ks = (ks[0] - sum(k * f for k, f in zip(ks[1:], floors)), *ks[1:])
+    total = ks[0] + sum(k * m for k, m in zip(ks[1:], mids))
+    slack = sum(abs(k) * e.width for k, e in zip(ks[1:], encls)) + _SLACK
+    return ks if abs(total) <= slack else None
+
+
+def _affine_relations(encls):
     """Split coordinates into a Q-independent block and affine relations.
 
     Returns (block_indices, relations) where relations[i] = (c0, {j: c_j})
     expresses coordinate i as c0 + sum_j c_j * alpha_j over block indices.
-    Detection is a bounded-height integer-relation scan against the
-    enclosures; any hit is only a hypothesis, made sound by the final
-    certificate verification.
     """
     block = []
     relations = {}
@@ -194,29 +215,12 @@ def _affine_relations(encls, height=12):
         if enc.is_exact():
             relations[i] = (enc.lo, {})
             continue
-        found = None
-        if len(block) >= 4:  # relation scan too large; treat as independent
+        ks = _relation([encls[j] for j in block] + [enc])
+        if ks is None or ks[-1] == 0:
             block.append(i)
-            continue
-        mids = [encls[j].mid for j in block]
-        for ks in itertools.product(range(-height, height + 1), repeat=len(block) + 1):
-            kn = ks[-1]
-            if kn == 0:
-                continue
-            total = sum(k * m for k, m in zip(ks[:-1], mids)) + kn * enc.mid
-            k0 = -round(total)
-            slack = sum(
-                abs(k) * encls[j].width for k, j in zip(ks[:-1], block)
-            ) + abs(kn) * enc.width + Fraction(1, 10**9)
-            if abs(total + k0) <= slack:
-                c0 = Fraction(-k0, kn)
-                cs = {j: Fraction(-k, kn) for k, j in zip(ks[:-1], block) if k != 0}
-                found = (c0, cs)
-                break
-        if found is not None:
-            relations[i] = found
         else:
-            block.append(i)
+            cs = {j: Fraction(-k, ks[-1]) for k, j in zip(ks[1:-1], block) if k != 0}
+            relations[i] = (Fraction(-ks[0], ks[-1]), cs)
     return block, relations
 
 
@@ -235,11 +239,8 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
     r = len(encls)
     if all(e.is_exact() for e in encls):
         vec = tuple(e.lo for e in encls)
-        q = 1
-        for x in vec:
-            q = q * x.denominator // math.gcd(q, x.denominator)
         return ConeApprox(
-            vectors=((vec, q),),
+            vectors=((vec, math.lcm(*(x.denominator for x in vec))),),
             target=encls,
             epsilon=epsilon,
             hull_coefficients=(Fraction(1),),
@@ -250,11 +251,8 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
     denom = 1
     stretch = Fraction(1)
     for c0, cs in relations.values():
-        d = c0.denominator
-        for c in cs.values():
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        denom = denom * d // math.gcd(denom, d)
-        stretch = max(stretch, sum(abs(c) for c in cs.values()) + 0)
+        denom = math.lcm(denom, c0.denominator, *(c.denominator for c in cs.values()))
+        stretch = max(stretch, sum(abs(c) for c in cs.values()))
     eps_block = epsilon / (denom * (stretch + 1))
 
     sub_target = [encls[j] for j in block]

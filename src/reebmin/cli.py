@@ -13,7 +13,14 @@ import sys
 from fractions import Fraction
 
 from . import _exact as ex
-from .approx import Enclosure, cone_rational_approx, dirichlet_signed, verify_cone, verify_signed
+from .approx import (
+    DEFAULT_QMAX,
+    Enclosure,
+    cone_rational_approx,
+    dirichlet_signed,
+    verify_cone,
+    verify_signed,
+)
 from .cxonevol import PolyhedralDivisor, minimize_c1, nvol_c1, vol_xi_c1
 from .downgrade import (
     BinomialHypersurface,
@@ -60,14 +67,17 @@ def fmt_vec(v):
 def _rat(x):
     try:
         return ex.frac(x) if not isinstance(x, float) else Fraction(x)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise SpecError(f"bad rational {x!r}: {e}") from None
 
 
 def _real(x):
-    if isinstance(x, str):
-        return float(Fraction(x)) if "/" in x else float(x)
-    return float(x)
+    try:
+        if isinstance(x, str):
+            return float(Fraction(x)) if "/" in x else float(x)
+        return float(x)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise SpecError(f"bad real {x!r}: {e}") from None
 
 
 def _load_spec(path):
@@ -262,7 +272,7 @@ def run(command, doc, options):
             else:
                 targets.append(entry)
         epsilon = _rat(doc.get("epsilon", "1/2"))
-        q_max = int(doc.get("q_max", 10**6))
+        q_max = int(doc.get("q_max", DEFAULT_QMAX))
         if doc.get("mode", "signed") == "signed":
             signs = [int(s) for s in doc["signs"]]
             sa = dirichlet_signed(targets, signs, epsilon, q_max)
@@ -309,7 +319,6 @@ def main(argv=None):
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     parser.add_argument("--precision", type=int, default=53, help="working precision bits")
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; counts run serially")
     parser.add_argument("--json-only", action="store_true", dest="json_only")
     args = parser.parse_args(argv)
 

@@ -1,3 +1,4 @@
+import ast
 import math
 from fractions import Fraction
 
@@ -5,13 +6,16 @@ import mpmath
 import pytest
 
 from reebmin import (
+    ConeApprox,
     Enclosure,
     SearchExhausted,
+    SignedApprox,
     cone_rational_approx,
     dirichlet_signed,
     verify_cone,
     verify_signed,
 )
+from reebmin.approx import _affine_relations
 
 mpmath.mp.dps = 45
 
@@ -34,6 +38,22 @@ class TestEnclosure:
     def test_exact(self):
         e = Enclosure.exact("3/7")
         assert e.is_exact() and e.lo == Fraction(3, 7)
+
+    @pytest.mark.parametrize("text, radius", [
+        ("1.5e3", Fraction(50)),
+        ("1.5E3", Fraction(50)),
+        ("2.5e-10", Fraction(1, 2 * 10**11)),
+        ("1e-5", Fraction(1, 2 * 10**5)),
+        ("1.41", Fraction(1, 200)),
+    ])
+    def test_default_radius_counts_the_exponent(self, text, radius):
+        e = Enclosure.from_decimal(text)
+        assert e.mid == Fraction(text)
+        assert e.hi - e.lo == 2 * radius
+
+    def test_exponent_enclosure_holds_what_rounds_to_it(self):
+        e = Enclosure.from_decimal("1.5e3")
+        assert e.lo <= 1520 <= e.hi
 
 
 class TestDirichletSigned:
@@ -97,3 +117,83 @@ class TestConeApprox:
         for j in range(2):
             combo = sum(a * vec[j] for a, (vec, _) in zip(ca.hull_coefficients, ca.vectors))
             assert TAIL[j].lo <= combo <= TAIL[j].hi
+
+
+class TestVerifierLengths:
+    def test_signed_certificate_shorter_than_target(self):
+        sa = SignedApprox(
+            p=(3,), q=2, target=(SQRT2, enc(mpmath.sqrt(3))), signs=(1, 1), epsilon=Fraction(1, 2)
+        )
+        assert not verify_signed(sa)
+
+    def test_signed_signs_shorter_than_target(self):
+        good = dirichlet_signed([SQRT2], [1], Fraction(1, 2), 1000)
+        assert not verify_signed(SignedApprox(good.p, good.q, good.target, (), good.epsilon))
+
+    def test_cone_vector_longer_than_target(self):
+        ca = cone_rational_approx(TAIL, Fraction(1, 10), 10**6)
+        assert verify_cone(ca)
+        longer = tuple((vec + (Fraction(0),), q) for vec, q in ca.vectors)
+        assert not verify_cone(ConeApprox(longer, ca.target, ca.epsilon, ca.hull_coefficients))
+
+
+def enc35(value):
+    return Enclosure.from_decimal(mpmath.nstr(value, 35), radius=Fraction(1, 10**30))
+
+
+ROOTS = [enc35(mpmath.sqrt(k)) for k in (2, 3, 5, 7)]
+
+
+def holds(relation, targets):
+    """The relation k0 + sum k_i alpha_i is zero within the enclosure widths."""
+    k0, *ks = relation
+    total = k0 + sum(k * e.mid for k, e in zip(ks, targets))
+    slack = sum(abs(k) * e.width for k, e in zip(ks, targets)) + Fraction(1, 10**9)
+    return any(ks) and abs(total) <= slack
+
+
+class TestRelationSearch:
+    def test_fifth_coordinate_is_checked(self):
+        targets = ROOTS + [enc35(mpmath.sqrt(2) + 1)]
+        block, relations = _affine_relations(targets)
+        assert block == [0, 1, 2, 3]
+        assert relations == {4: (Fraction(1), {0: Fraction(1)})}
+
+    def test_constant_far_above_the_height(self):
+        targets = ROOTS[:2] + [enc35(mpmath.sqrt(3) + 100)]
+        assert _affine_relations(targets) == ([0, 1], {2: (Fraction(100), {1: Fraction(1)})})
+
+    def test_large_rational_constant(self):
+        targets = ROOTS[:2] + [enc35(2 * mpmath.sqrt(2) + mpmath.mpf(3770) / 3)]
+        assert _affine_relations(targets) == ([0, 1], {2: (Fraction(3770, 3), {0: Fraction(2)})})
+
+    def test_inexact_integer_midpoint_is_rational(self):
+        targets = [ROOTS[0], Enclosure(Fraction(29, 10), Fraction(31, 10))]
+        assert _affine_relations(targets) == ([0], {1: (Fraction(3), {})})
+
+    def test_height_thirteen_is_not_found(self):
+        targets = [ROOTS[0], enc35(13 * mpmath.sqrt(2) + 1)]
+        assert _affine_relations(targets) == ([0, 1], {})
+        twelve = [ROOTS[0], enc35(12 * mpmath.sqrt(2) + 1)]
+        assert _affine_relations(twelve) == ([0], {1: (Fraction(1), {0: Fraction(12)})})
+
+    @pytest.mark.parametrize("base, ks, kn, k0", [
+        (((7, 1, -28), (11, 3, 1), (2, 1, -27), (3, 1, 23)), (10, 8, 5, 12), 2, -145),
+        (((2, 1, 0), (3, 1, 0), (5, 1, 0), (7, 1, 0), (11, 1, 0)), (7, -9, 8, 11, -5), 6, 1),
+    ])
+    def test_height_twelve_relation_among_many(self, base, ks, kn, k0):
+        # a single pslq call at the 1e-9 slack stops on a chance near-relation
+        # of larger height here and misses the true one
+        xs = [a * mpmath.sqrt(p) + b for p, a, b in base]
+        targets = [enc35(x) for x in xs] + [enc35((k0 + sum(k * x for k, x in zip(ks, xs))) / kn)]
+        block, relations = _affine_relations(targets)
+        assert block == list(range(len(base)))
+        cs = {j: Fraction(k, kn) for j, k in enumerate(ks)}
+        assert relations == {len(base): (Fraction(k0, kn), cs)}
+
+    def test_exhausted_signed_search_names_a_relation(self):
+        targets = ROOTS + [enc35(mpmath.sqrt(2) + 1)]
+        with pytest.raises(SearchExhausted, match="possible rational dependence") as info:
+            dirichlet_signed(targets, [1] * 5, Fraction(1, 10**6), 50)
+        relation = ast.literal_eval(str(info.value).rsplit("dependence ", 1)[1])
+        assert len(relation) == 6 and holds(relation, targets)

@@ -1,14 +1,25 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import reebmin
 from reebmin import bundled_spec
 
 SPECS = {name: str(bundled_spec(name)) for name in
          ("c_n.json", "a1.json", "spp.json", "dk_4dim.json", "dk_downgrade.json")}
+
+
+# The CLI subprocess imports the same reebmin as the tests, installed or not.
+SRC = str(Path(reebmin.__file__).resolve().parents[1])
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args):
@@ -16,6 +27,7 @@ def run_cli(*args):
         [sys.executable, "-m", "reebmin.cli", *args],
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 
@@ -127,12 +139,6 @@ class TestOtherCommands:
 
 
 class TestThreadsAndOutputs:
-    def test_oracle_threads_identical(self):
-        one = run_cli("oracle", SPECS["a1.json"], "--json-only", "--threads", "1")
-        two = run_cli("oracle", SPECS["a1.json"], "--json-only", "--threads", "3")
-        assert one.returncode == two.returncode == 0
-        assert json.loads(one.stdout) == json.loads(two.stdout)
-
     def test_out_file_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         run_cli("minimize", SPECS["spp.json"], "--out", str(out1), "--json-only")
@@ -187,6 +193,24 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "ValueError"
         assert "4 entries" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("minimize", "u0", ["1/0", 1]),
+        ("futaki", "etas", [["1/0", 1]]),
+    ])
+    def test_zero_denominator_exit_2(self, tmp_path, command, field, value):
+        doc = {
+            "schema": "reebmin/1", "kind": "toric",
+            "sigma_dual_rays": [[1, 0], [0, 1]], "u0": [1, 1], "xi0": ["2", "1"],
+        }
+        doc[field] = value
+        spec = tmp_path / "zero_denominator.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(command, str(spec))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "SpecError"
+        assert "1/0" in err["error"]["message"]
 
     def test_deterministic_output(self):
         a = run_cli("minimize", SPECS["a1.json"], "--json-only")
