@@ -18,7 +18,8 @@ from fractions import Fraction
 import mpmath
 
 from . import _exact as ex
-from .errors import SearchExhausted
+from .errors import InfeasibleSystem, SearchExhausted
+from .polyhedral import HRep, vertex_enumeration
 
 DEFAULT_QMAX = 10**6
 # Integer relations are searched up to this height and accepted within the
@@ -224,6 +225,32 @@ def _affine_relations(encls):
     return block, relations
 
 
+def _block_point(encls, block, relations):
+    """Block coordinates whose reconstructed coordinates all lie in their enclosures.
+
+    The block midpoint when it qualifies; otherwise the vertex centroid of
+    {x in the block's box : every relation's value in its enclosure}.
+    """
+    mid = [encls[j].mid for j in block]
+    pos = {j: k for k, j in enumerate(block)}
+    rows = []
+    for i, (c0, cs) in relations.items():
+        a = [Fraction(0)] * len(block)
+        for j, c in cs.items():
+            a[pos[j]] = c
+        rows += [(a, c0 - encls[i].lo), ([-x for x in a], encls[i].hi - c0)]
+    if all(ex.dot(a, mid) + c >= 0 for a, c in rows):
+        return mid
+    for j, k in pos.items():
+        e = [int(k == m) for m in range(len(block))]
+        rows += [(e, -encls[j].lo), ([-x for x in e], encls[j].hi)]
+    try:
+        verts = vertex_enumeration(HRep(rows, len(block))).compact_vertices
+    except InfeasibleSystem:
+        raise SearchExhausted("the accepted relations contradict the enclosures") from None
+    return [sum(col) / len(verts) for col in zip(*verts)]
+
+
 def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
     """Rational vectors near v that positively span v, built per sign pattern.
 
@@ -231,7 +258,8 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
     search over all its sign patterns; rationally dependent coordinates are
     reconstructed through their affine relations, which shrinks the working
     epsilon and scales the denominators accordingly.  A subset with exact
-    positive hull coefficients for the enclosure midpoint is then selected.
+    positive hull coefficients for a block point whose reconstruction lies in
+    every enclosure (`_block_point`) is then selected.
     Exactly-known rational targets short-circuit to {v} itself.
     """
     encls = tuple(_coerce(x) for x in v)
@@ -248,6 +276,7 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
     block, relations = _affine_relations(encls)
     if not block:
         raise SearchExhausted("every coordinate looks rational but enclosures are inexact")
+    point = _block_point(encls, block, relations)
     denom = 1
     stretch = Fraction(1)
     for c0, cs in relations.values():
@@ -269,18 +298,15 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
                 full.append(c0 + sum(c * blockvals[j] for j, c in cs.items()))
         candidates.append((tuple(full), sa.q * denom))
 
-    mid = [e.mid for e in encls]
     full_rank = len(block) == r
     size = r if full_rank else len(block) + 1
     for subset in itertools.combinations(range(len(candidates)), size):
         cols = [candidates[i][0] for i in subset]
-        if full_rank:
-            matrix = [[cols[j][i] for j in range(size)] for i in range(r)]
-            rhs = mid
-        else:  # affine combination pins the dependent coordinates too
-            matrix = [[cols[j][i] for j in range(size)] for i in block]
+        matrix = [[cols[j][i] for j in range(size)] for i in block]
+        rhs = point
+        if not full_rank:  # affine combination pins the dependent coordinates too
             matrix.append([Fraction(1)] * size)
-            rhs = [mid[i] for i in block] + [Fraction(1)]
+            rhs = point + [Fraction(1)]
         if ex.rank(matrix) < size:
             continue
         coeffs = ex.solve(matrix, rhs)

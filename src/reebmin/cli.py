@@ -33,7 +33,7 @@ from .downgrade import (
 )
 from .errors import ReebminError
 from .futaki import semistable_scan
-from .oracle import CountSeries, count_cxone, count_toric, vol_estimate
+from .oracle import DEFAULT_BUDGET, CountSeries, count_cxone, count_toric, vol_estimate
 from .toricvol import (
     ReebVector,
     ToricData,
@@ -67,8 +67,18 @@ def fmt_vec(v):
 def _rat(x):
     try:
         return ex.frac(x) if not isinstance(x, float) else Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise SpecError(f"bad rational {x!r}: {e}") from None
+
+
+def _int(x):
+    try:
+        v = _rat(x)
+        if v.denominator == 1:
+            return int(v)
+    except SpecError:
+        pass
+    raise SpecError(f"bad integer {x!r}")
 
 
 def _real(x):
@@ -150,6 +160,9 @@ def run(command, doc, options):
     """Dispatch one command on a parsed spec; returns the report dict."""
     if command == "minimize":
         kind, data, u0 = _data_from_spec(doc)
+        F = WeightMatrix(doc["F"]) if kind == "complexity_one" and "F" in doc else None
+        if F is not None and F.r != data.r:
+            raise SpecError(f"F has {F.r} columns but the divisor lives in dimension {data.r}")
         if kind == "toric":
             res = minimize(data, tolerance=options.tol, max_iter=options.max_iter,
                            precision=options.precision)
@@ -165,8 +178,7 @@ def run(command, doc, options):
             "converged": res.converged,
             "provenance": "closed_form_newton",
         }
-        if kind == "complexity_one" and "F" in doc:
-            F = WeightMatrix(doc["F"])
+        if F is not None:
             results["ambient_weights"] = fmt_vec(
                 [sum(a * b for a, b in zip(row, res.xi_star.xi)) for row in F.rows]
             )
@@ -247,7 +259,7 @@ def run(command, doc, options):
             raise SpecError('oracle needs "m_list"')
         if not all(isinstance(m, (int, float)) and 0 < m < math.inf for m in ms):
             raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
-        budget = int(doc.get("budget", 10**8))
+        budget = _int(doc.get("budget", DEFAULT_BUDGET))
         counter = count_toric if kind == "toric" else count_cxone
         counts = [counter(data, xi, m, budget) for m in ms]
         series = CountSeries.from_counts(data.n, list(zip(ms, counts)))
@@ -272,9 +284,9 @@ def run(command, doc, options):
             else:
                 targets.append(entry)
         epsilon = _rat(doc.get("epsilon", "1/2"))
-        q_max = int(doc.get("q_max", DEFAULT_QMAX))
+        q_max = _int(doc.get("q_max", DEFAULT_QMAX))
         if doc.get("mode", "signed") == "signed":
-            signs = [int(s) for s in doc["signs"]]
+            signs = [_int(s) for s in doc["signs"]]
             sa = dirichlet_signed(targets, signs, epsilon, q_max)
             return {
                 "p": list(sa.p),

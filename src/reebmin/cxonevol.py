@@ -33,7 +33,7 @@ from .polyhedral import (
     MINUS_INFINITY,
     Polyhedron,
     VCone,
-    _rays_from_inequalities,
+    dual_cone,
     hrep_of,
     polyhedron_min,
     triangulate_cone,
@@ -130,12 +130,10 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
                 if j != ci:
                     normals.append(ex.vec_sub(w, v))
         normals.append(ell)
-        normals = [a for a in normals if not ex.is_zero_vec(a)]
-        rays, lin = _rays_from_inequalities(normals, r)
-        if lin or not rays or ex.rank(rays) < r:
+        region = dual_cone(VCone([a for a in normals if not ex.is_zero_vec(a)], r))
+        if not region.is_full_dimensional():
             continue
-        cone = VCone(rays, r)
-        for piece in triangulate_cone(cone):
+        for piece in triangulate_cone(region):
             cells.append((piece, ell))
     return CellComplex(cells=tuple(cells))
 

@@ -24,7 +24,7 @@ from .errors import (
     TorsionCokernel,
     TorsionQuotient,
 )
-from .polyhedral import HRep, Polyhedron, VCone, _rays_from_inequalities, dual_cone, vertex_enumeration
+from .polyhedral import HRep, Polyhedron, VCone, dual_cone, vertex_enumeration
 from .toricvol import ReebVector, ToricData
 
 
@@ -96,9 +96,7 @@ def complete_sequence(F: WeightMatrix) -> DowngradeData:
 
 def downgrade_sigma(d: DowngradeData):
     """The cone sigma = {xi : F xi >= 0} and its dual."""
-    rays, lin = _rays_from_inequalities(d.F.rows, d.F.r)
-    assert not lin  # F has full column rank
-    sigma = VCone(rays, d.F.r)
+    sigma = dual_cone(VCone([row for row in d.F.rows if any(row)], d.F.r))
     return sigma, dual_cone(sigma)
 
 

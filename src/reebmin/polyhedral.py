@@ -2,11 +2,13 @@
 
 Cones are generated by primitive integer rays (`VCone`), inequality systems
 are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
-list plus a tail cone (`Polyhedron`).  One double-description pass,
-`_rays_from_inequalities`, turns inequalities into generators; duality,
-containment, extreme rays, pointedness, vertex enumeration (by
-homogenization) and triangulation are all read off its output.  Everything
-here is exact: no floating point enters this module.
+list plus a tail cone (`Polyhedron`).  One double-description pass, the
+module-private `_rays_from_inequalities`, turns inequalities into generators:
+it runs once per cone (`dual_cone`, cached as `VCone._dual`) and once per
+vertex enumeration or H-description (by homogenization).  Containment and
+pointedness read the dual's generators; extreme rays and the pulling
+triangulation read their incidence with the dual's generators as integer
+bitmasks.  Everything here is exact: no floating point enters this module.
 """
 
 from dataclasses import dataclass
@@ -86,14 +88,16 @@ class VCone:
     def extreme_rays(self):
         """Irredundant generating subset, preserving stored order.
 
-        A stored ray is extreme when the dual generators vanishing on it have
-        rank ambient_dim - 1.  A cone that contains a line has no extreme rays.
+        A stored ray is extreme when no other stored ray lies on every dual
+        generator it lies on (any generating set of the dual will do).  A cone
+        that contains a line has no extreme rays.
         """
         if not self.is_pointed():
             raise NotPointed("cone contains a line; it has no extreme rays")
-        dual = self._dual.rays
+        masks = [_incidence(r, self._dual.rays) for r in self.rays]
         return tuple(
-            r for r in self.rays if ex.rank([y for y in dual if ex.dot(y, r) == 0]) == self.ambient_dim - 1
+            r for i, (r, m) in enumerate(zip(self.rays, masks))
+            if not any(o & m == m for j, o in enumerate(masks) if j != i)
         )
 
 
@@ -165,6 +169,11 @@ class SimplicialPiece:
     det_abs: int
 
 
+def _incidence(v, vectors):
+    """Bitmask of the vectors that pair to 0 with v."""
+    return sum(1 << i for i, w in enumerate(vectors) if ex.dot(v, w) == 0)
+
+
 def _rays_from_inequalities(normals, n):
     """Extreme rays and lineality basis of { y : <a, y> >= 0 for a in normals }.
 
@@ -224,8 +233,8 @@ def dual_cone(c: VCone) -> VCone:
     If c is not full dimensional the dual contains the orthogonal complement
     of span(c); it is returned through +/- basis ray pairs.  The two cones
     are recorded as each other's `_dual`: the rays of c generate the dual of
-    the result, which is all that `contains`, `is_pointed` and
-    `extreme_rays` read.
+    the result, which is all that `contains`, `is_pointed`, `extreme_rays`
+    and `triangulate_cone` read.
     """
     pointed, lin = _rays_from_inequalities(c.rays, c.ambient_dim)
     rays = list(pointed)
@@ -234,7 +243,7 @@ def dual_cone(c: VCone) -> VCone:
         rays.append(tuple(-x for x in b))
     dual = VCone(rays, c.ambient_dim)
     dual.__dict__["_dual"] = c
-    c.__dict__.setdefault("_dual", dual)
+    c.__dict__["_dual"] = dual
     return dual
 
 
@@ -270,47 +279,33 @@ def hrep_of(p: Polyhedron) -> HRep:
     return HRep(rows, n)
 
 
-def _facets(ray_indices, all_rays):
-    """Facets of cone(rays[i] : i in ray_indices) as (normal, sub_indices)."""
-    rays = [all_rays[i] for i in ray_indices]
-    normals, _lin = _rays_from_inequalities(rays, len(rays[0]))
-    out = []
-    for hnorm in normals:
-        sub = [i for i in ray_indices if ex.dot(hnorm, all_rays[i]) == 0]
-        out.append((hnorm, sub))
-    return out
-
-
 def triangulate_cone(c: VCone):
-    """Triangulation into simplicial subcones using only rays of c.
+    """Pulling triangulation into simplicial subcones using only rays of c.
 
-    Cells are produced by recursively coning the earliest stored extreme ray
-    over the facets it does not lie on, so the output depends only on the
-    stored ray order.
+    Faces are bitmasks over the extreme rays in stored order.  The facets of
+    a face are the inclusion-maximal proper sets among its intersections with
+    the facets of c, in the order of sorted(c._dual.rays); each face is the
+    union of its earliest extreme ray coned over, in that order, the facets it
+    does not lie on.  Pieces and their order depend only on the stored order.
     """
     n = c.ambient_dim
     if not c.is_full_dimensional():
         raise NotFullDimensional("cone rays span a proper subspace")
     ext = c.extreme_rays()
-    order = {r: i for i, r in enumerate(c.rays)}
-    idx = sorted(range(len(ext)), key=lambda i: order[ext[i]])
+    facets = [_incidence(y, ext) for y in sorted(c._dual.rays)]
 
-    def tri(indices, dim):
-        if len(indices) == dim:
-            return [tuple(indices)]
-        apex = indices[0]
-        cells = []
-        for hnorm, sub in _facets(indices, ext):
-            if ex.dot(hnorm, ext[apex]) > 0:
-                for cell in tri(sub, dim - 1):
-                    cells.append(tuple([apex] + list(cell)))
-        return cells
+    def tri(face, dim):
+        if face.bit_count() == dim:
+            return [face]
+        apex = face & -face
+        subs = list(dict.fromkeys(face & f for f in facets if face & f != face))
+        sub_facets = [g for g in subs if not any(h != g and h & g == g for h in subs)]
+        return [apex | cell for g in sub_facets if not g & apex for cell in tri(g, dim - 1)]
 
     pieces = []
-    for cell in tri(idx, n):
-        rays = tuple(ext[i] for i in sorted(cell))
-        d = abs(ex.int_det(rays))
-        pieces.append(SimplicialPiece(rays=rays, det_abs=d))
+    for cell in tri((1 << len(ext)) - 1, n):
+        rays = tuple(r for i, r in enumerate(ext) if cell >> i & 1)
+        pieces.append(SimplicialPiece(rays=rays, det_abs=abs(ex.int_det(rays))))
     return pieces
 
 

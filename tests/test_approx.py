@@ -197,3 +197,33 @@ class TestRelationSearch:
             dirichlet_signed(targets, [1] * 5, Fraction(1, 10**6), 50)
         relation = ast.literal_eval(str(info.value).rsplit("dependence ", 1)[1])
         assert len(relation) == 6 and holds(relation, targets)
+
+
+# the spp minimizer ((3+sqrt 3)/2, (3+sqrt 3)/2, sqrt 3), correctly rounded to 33 digits
+SPP_XI = ("2.36602540378443864676372317075294", "2.36602540378443864676372317075294",
+          "1.73205080756887729352744634150587")
+
+
+class TestHullPoint:
+    def test_order_of_coordinates_does_not_matter(self):
+        # x2 = 2 x0 - 3 carries x0's midpoint 1e-32 off x2's, outside its
+        # half-ulp radius 5e-33; the hull point must respect both enclosures
+        for targets in (SPP_XI, SPP_XI[::-1]):
+            ca = cone_rational_approx(targets, Fraction(1, 2))
+            assert verify_cone(ca)
+
+    def test_midpoint_is_kept_when_it_qualifies(self):
+        alpha = enc35((-3 + mpmath.sqrt(33)) / 4)
+        ca = cone_rational_approx([1, 1, alpha], Fraction(1, 2))
+        assert verify_cone(ca)
+        assert sum(a * vec[2] for a, (vec, _) in zip(ca.hull_coefficients, ca.vectors)) == alpha.mid
+
+    def test_relation_that_contradicts_the_enclosures(self):
+        # x1 = 2 x0 + 1 holds to 1e-12, inside the relation slack but far
+        # outside the 20-digit enclosures
+        targets = ["0.41421356237309504880", "1.82842712474819009760"]
+        assert _affine_relations([Enclosure.from_decimal(t) for t in targets])[1] == {
+            1: (Fraction(1), {0: Fraction(2)})
+        }
+        with pytest.raises(SearchExhausted, match="contradict the enclosures"):
+            cone_rational_approx(targets, Fraction(1, 2))

@@ -138,6 +138,18 @@ class TestOtherCommands:
         assert report["results"]["verified"] is True
 
 
+    def test_approx_cone_mode_in_either_coordinate_order(self, tmp_path):
+        xi = ["2.36602540378443864676372317075294", "2.36602540378443864676372317075294",
+              "1.73205080756887729352744634150587"]
+        for name, target in (("first", xi), ("last", xi[::-1])):
+            spec = tmp_path / f"cone_{name}.json"
+            spec.write_text(json.dumps({
+                "schema": "reebmin/1", "kind": "approx", "target": target, "epsilon": "1/2", "mode": "cone",
+            }))
+            proc = run_cli("approx", str(spec), "--json-only")
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["results"]["verified"] is True
+
 class TestThreadsAndOutputs:
     def test_out_file_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -211,6 +223,36 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "SpecError"
         assert "1/0" in err["error"]["message"]
+
+    def test_weight_matrix_of_wrong_width_exit_2(self, tmp_path):
+        doc = json.loads(open(SPECS["dk_4dim.json"]).read())
+        doc["F"] = [row[:2] for row in doc["F"]]
+        spec = tmp_path / "narrow_F.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("minimize", str(spec))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "SpecError"
+        assert "2 columns" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("oracle", "budget", "lots"),
+        ("approx", "q_max", "many"),
+        ("approx", "signs", ["plus"]),
+    ])
+    def test_malformed_integer_field_exit_2(self, tmp_path, command, field, value):
+        if command == "oracle":
+            doc = json.loads(open(SPECS["c_n.json"]).read())
+        else:
+            doc = {"schema": "reebmin/1", "kind": "approx", "target": ["1.414"], "signs": [1], "mode": "signed"}
+        doc[field] = value
+        spec = tmp_path / "bad_integer.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(command, str(spec))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "SpecError"
+        assert "bad integer" in err["error"]["message"]
 
     def test_deterministic_output(self):
         a = run_cli("minimize", SPECS["a1.json"], "--json-only")

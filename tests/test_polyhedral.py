@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from reebmin import (
     InfeasibleSystem,
     NotFullDimensional,
     NotPointed,
+    PolyhedralDivisor,
+    ToricData,
     VCone,
     dual_cone,
     hrep_of,
@@ -21,9 +24,11 @@ from reebmin import (
     vertex_enumeration,
 )
 from reebmin import _exact as ex
+from reebmin import polyhedral
+from reebmin.cxonevol import build_cells
 from reebmin.polyhedral import _rays_from_inequalities
 
-from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, random_interior_rational
+from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, SPP_U0, random_interior_rational
 
 
 class TestDualCone:
@@ -170,6 +175,16 @@ class TestVertexEnumeration:
         assert again.is_equivalent(p)
 
 
+def truncated_volume(pieces, xi):
+    total = Fraction(0)
+    for piece in pieces:
+        prod = Fraction(1)
+        for u in piece.rays:
+            prod *= sum(Fraction(a) * b for a, b in zip(u, xi))
+        total += Fraction(piece.det_abs) / prod
+    return total
+
+
 class TestTriangulate:
     def test_orthant_single_piece(self):
         pieces = triangulate_cone(VCone([(1, 0), (0, 1)]))
@@ -194,15 +209,6 @@ class TestTriangulate:
         with pytest.raises(NotFullDimensional):
             triangulate_cone(VCone([(1, 0, 0), (-1, 0, 0), (0, 1, 0)]))
 
-    def _truncated_volume(self, pieces, xi):
-        total = Fraction(0)
-        for piece in pieces:
-            prod = Fraction(1)
-            for u in piece.rays:
-                prod *= sum(Fraction(a) * b for a, b in zip(u, xi))
-            total += Fraction(piece.det_abs) / prod
-        return total
-
     def test_volume_functional_order_independent(self, rng):
         base = list(SPP_DUAL_RAYS)
         orders = [base, [base[2], base[0], base[3], base[1]]]
@@ -211,9 +217,95 @@ class TestTriangulate:
         interior_source = dual_cone(cones[0])
         for _ in range(100):
             xi = random_interior_rational(interior_source, rng)
-            vals = [self._truncated_volume(ps, xi) for ps in piece_sets]
+            vals = [truncated_volume(ps, xi) for ps in piece_sets]
             assert vals[0] == vals[1]
 
+
+def cube_cone(d):
+    """Cone over the unit d-cube: rays (v, 1) for v in {0, 1}^d."""
+    return [v + (1,) for v in itertools.product((0, 1), repeat=d)]
+
+
+class TestIncidence:
+    """Extreme rays and the triangulation are read off the dual's incidence."""
+
+    @pytest.mark.parametrize("d, pieces", [(3, 6), (4, 24)])
+    def test_cube_cones_with_non_simplicial_faces(self, d, pieces, rng):
+        rays = cube_cone(d)
+        shuffled = rays[:]
+        rng.shuffle(shuffled)
+        tris = [triangulate_cone(VCone(order)) for order in (rays, shuffled)]
+        for tri in tris:
+            assert len(tri) == pieces and all(p.det_abs == 1 for p in tri)
+        reeb = dual_cone(VCone(rays))
+        for _ in range(20):
+            xi = random_interior_rational(reeb, rng)
+            vals = [truncated_volume(tri, xi) for tri in tris]
+            assert vals[0] == vals[1]
+
+    def test_redundant_rays_in_interior_and_facet_dropped(self):
+        rays = cube_cone(3)
+        interior, in_facet = (1, 1, 1, 2), (2, 1, 1, 2)  # (1/2,1/2,1/2) and (1,1/2,1/2)
+        c = VCone([interior] + rays[:4] + [in_facet] + rays[4:])
+        assert c.extreme_rays() == tuple(rays)
+
+    def test_redundant_normals_match_a_fresh_dual(self):
+        # the 4-cube-cone's dual has 8 facets x_i >= 0, t - x_i >= 0; add
+        # t >= 0, x_0 + x_1 >= 0 and a multiple of x_0 >= 0, all redundant
+        n = 4
+        e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        normals = e[:3] + [ex.vec_sub(e[3], v) for v in e[:3]]
+        normals += [e[3], ex.vec_add(e[0], e[1]), (2, 0, 0, 0)]
+        region = dual_cone(VCone(normals))
+        fresh = VCone(region.rays)
+        assert set(region.rays) == set(cube_cone(3))
+        assert region.extreme_rays() == fresh.extreme_rays() == region.rays
+        assert triangulate_cone(region) == triangulate_cone(fresh)
+
+
+class TestKernelCalls:
+    """One double-description pass per cone."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        kernel = polyhedral._rays_from_inequalities
+
+        def counting(*args):
+            count[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(polyhedral, "_rays_from_inequalities", counting)
+        return count
+
+    def test_toric_data_from_dual_cone(self, calls):
+        ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+        assert calls[0] == 1
+
+    def test_toric_data_from_cone(self, calls):
+        ToricData.from_cone([(1, 0, 0), (0, 1, 0), (2, 0, 1), (0, 2, 1)], SPP_U0)
+        assert calls[0] == 1
+
+    @staticmethod
+    def passes_per_choice(calls, d):
+        calls[0] = 0
+        build_cells(d)
+        return calls[0], math.prod(len(poly.compact_vertices) for _, poly in d.points)
+
+    def test_build_cells_dk_4dim(self, calls, dk_divisor):
+        assert self.passes_per_choice(calls, dk_divisor) == (4, 4)
+
+    def test_build_cells_orthant_3x2x2(self, calls):
+        half = Fraction(1, 2)
+        d = PolyhedralDivisor.from_vertex_lists(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [
+                ("0", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                ("1", [(half, 0, 0), (0, -half, half)]),
+                ("inf", [(0, 0, 0), (-1, 1, 1)]),
+            ],
+        )
+        assert self.passes_per_choice(calls, d) == (12, 12)
 
 class TestSmith:
     def test_identity(self):
