@@ -47,7 +47,6 @@ from .polyhedral import (
     SimplicialPiece,
     VCone,
     dual_cone,
-    hrep_of,
     polyhedron_min,
     triangulate_cone,
     vertex_enumeration,
@@ -56,7 +55,6 @@ from .toricvol import (
     MinimizeResult,
     ReebVector,
     ToricData,
-    barycenter,
     certify_barycenter,
     grad_vol,
     hessian_vol,

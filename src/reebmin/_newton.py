@@ -5,9 +5,9 @@ strictly convex on the slice; only their normalized volumes differ.  Newton
 stops on the gradient test, or at the rounding floor of f: once the squared
 Newton decrement (twice the predicted decrease) is a few ulps of f, f no
 longer resolves the decrease, so the last Newton step is taken without a
-line search and no further iteration can improve the point.  The
-certificates are re-evaluated from the kernel at twice the working
-precision.
+line search and no further iteration can improve the point.  Newton runs in
+float64; the certificates are re-evaluated from the kernel in mpmath at
+CERTIFICATE_PRECISION bits.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ MAX_BACKTRACK = 60
 ILL_CONDITIONED = 1e12
 ROUNDING_FLOOR = 4  # ulps of f: a smaller squared Newton decrement does not show in f
 NEWTON_STOPS = ("gradient", "rounding_floor")
+CERTIFICATE_PRECISION = 106  # bits: twice float64's 53
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,13 @@ def slice_basis(u0):
     return vh[1:].T  # rows 2..n of V^T span the orthogonal complement
 
 
-def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> MinimizeResult:
-    """Global minimizer of nvol over the Reeb cone, rescaled so that <u0, xi> = n.
+def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
+    """Global minimizer of <u0, xi>^n vol(xi) over the Reeb cone, rescaled so
+    that <u0, xi> = n.
 
     Starts at the sum of the Reeb cone's rays on the slice.  It is converged
     when Newton stopped on the gradient test or at the rounding floor of f
-    and, at twice the precision, both the projected gradient norm and the
+    and, at CERTIFICATE_PRECISION, both the projected gradient norm and the
     sine between -grad vol and u0 are at most the tolerance (the sine is NaN,
     so never, when grad vol = 0).  `stop_reason` says why Newton stopped.
     """
@@ -59,7 +61,7 @@ def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> Min
     u0f = np.asarray([float(x) for x in u0])
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
-    with mpmath.workprec(2 * precision):
+    with mpmath.workprec(CERTIFICATE_PRECISION):
         _, g = cs.evaluate(tuple(mpmath.mpf(float(x)) for x in xi_hat), 1)
         u0m = tuple(mpmath.mpf(x.numerator) / x.denominator for x in u0)
         uu = sum(x * x for x in u0m)
@@ -72,7 +74,7 @@ def minimize(cs, u0, sigma_rays, n, nvol, tolerance, max_iter, precision) -> Min
     xi_star = ReebVector.real(np.asarray(xi_hat) * (n / a))
     return MinimizeResult(
         xi_star=xi_star,
-        nvol_star=float(nvol(xi_star)),
+        nvol_star=float(sum(x * y for x, y in zip(u0, xi_star)) ** n * cs.evaluate(xi_star)[0]),
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,

@@ -164,11 +164,9 @@ def run(command, doc, options):
         if F is not None and F.r != data.r:
             raise SpecError(f"F has {F.r} columns but the divisor lives in dimension {data.r}")
         if kind == "toric":
-            res = minimize(data, tolerance=options.tol, max_iter=options.max_iter,
-                           precision=options.precision)
+            res = minimize(data, tolerance=options.tol, max_iter=options.max_iter)
         else:
-            res = minimize_c1(data, u0, tolerance=options.tol, max_iter=options.max_iter,
-                              precision=options.precision)
+            res = minimize_c1(data, u0, tolerance=options.tol, max_iter=options.max_iter)
         results = {
             "xi_star": fmt_vec(res.xi_star.xi),
             "nvol_star": fmt(res.nvol_star),
@@ -330,7 +328,6 @@ def main(argv=None):
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-    parser.add_argument("--precision", type=int, default=53, help="working precision bits")
     parser.add_argument("--json-only", action="store_true", dest="json_only")
     args = parser.parse_args(argv)
 

@@ -17,6 +17,10 @@ sum, its gradient and its Hessian come in closed form from the cell-sum
 kernel shared with toric data (`_cellsum`), exact when xi is rational, and
 minimization runs the shared damped Newton method (`_newton`) on the
 slice {<u0, xi> = 1}.
+
+Building a divisor costs one double-description pass for the dual of sigma
+and one per coefficient: its vertices are the extreme rays (v, s), s > 0, of
+the homogenized cone over conv(vertices) + sigma, read off that cone's dual.
 """
 
 import itertools
@@ -28,17 +32,8 @@ from . import _exact as ex
 from . import _newton
 from ._cellsum import CellSum, check_length
 from ._newton import MinimizeResult
-from .errors import NotStrictlyConvex, UnboundedCoefficient
-from .polyhedral import (
-    MINUS_INFINITY,
-    Polyhedron,
-    VCone,
-    dual_cone,
-    hrep_of,
-    polyhedron_min,
-    triangulate_cone,
-    vertex_enumeration,
-)
+from .errors import InfeasibleSystem, NotStrictlyConvex, UnboundedCoefficient
+from .polyhedral import MINUS_INFINITY, Polyhedron, VCone, dual_cone, polyhedron_min, triangulate_cone
 
 
 @dataclass(frozen=True)
@@ -56,20 +51,22 @@ class PolyhedralDivisor:
             raise NotStrictlyConvex("tail cone must be full dimensional")
         if not sigma.is_pointed():
             raise NotStrictlyConvex("tail cone contains a line")
+        r = sigma.ambient_dim
         canon = []
         for label, poly in points:
             if not poly.tail.is_equivalent(sigma):
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
-            # re-enumerate to guarantee the stored vertex list is irredundant
-            canon_poly = vertex_enumeration(hrep_of(Polyhedron(poly.compact_vertices, sigma)))
-            canon.append((str(label), Polyhedron(canon_poly.compact_vertices, sigma)))
+            # the vertices are the extreme rays (v, s), s > 0, of the homogenization
+            hom = VCone([(*v, 1) for v in poly.compact_vertices] + [(*u, 0) for u in sigma.rays], r + 1)
+            verts = [tuple(Fraction(x, h[r]) for x in h[:r]) for h in hom.extreme_rays() if h[r] > 0]
+            if not verts:
+                raise InfeasibleSystem(f"coefficient at {label!r} is empty")
+            canon.append((str(label), Polyhedron(verts, sigma)))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma_dual", sigma._dual)
         object.__setattr__(self, "points", tuple(canon))
-        object.__setattr__(self, "r", sigma.ambient_dim)
-        object.__setattr__(self, "n", sigma.ambient_dim + 1)
-        for u in self.sigma_dual.rays:  # properness: finite degree on the weight cone
-            deg_D(self, u)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", r + 1)
 
     @classmethod
     def from_vertex_lists(cls, sigma_rays, coefficients):
@@ -152,13 +149,13 @@ def nvol_c1(d: PolyhedralDivisor, u0, xi):
     return a**d.n * vol_xi_c1(d, xi)
 
 
-def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200, precision=53) -> MinimizeResult:
+def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200) -> MinimizeResult:
     """Minimize the normalized volume over the Reeb cone of the tail.
 
     Newton on the slice {<u0, xi> = 1} with closed-form derivatives, stopped
     by the gradient test or at the rounding floor of f (`stop_reason`);
     strict convexity makes the converged point global.  Certificates are
-    re-evaluated at twice the working precision; the sine of the angle
+    re-evaluated at the certificate precision; the sine of the angle
     between -grad vol and u0 plays the role of the barycenter residual.  A
     divisor with no cells has vol = 0 and grad vol = 0, so its residual is
     NaN and it never counts as converged.
@@ -168,6 +165,4 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200, precisio
     for ray in d.sigma.rays:
         if ex.dot(u0, ray) <= 0:
             raise ValueError("u0 must pair positively with the tail cone")
-    return _newton.minimize(
-        d._cellsum, u0, d.sigma.rays, d.n, lambda xi: nvol_c1(d, u0, xi), tolerance, max_iter, precision
-    )
+    return _newton.minimize(d._cellsum, u0, d.sigma.rays, d.n, tolerance, max_iter)

@@ -31,16 +31,21 @@ class FutakiReport:
     note: str = SCAN_DISCLAIMER
 
 
-def futaki_invariant(data, xi0, eta, u0=None):
-    """Derivative of the normalized volume at xi0 in direction -eta."""
+def _weight(data, u0):
+    """The functional u0 of the data: toric data carry their own, a divisor
+    needs it given."""
     if isinstance(data, ToricData):
-        u0 = data.u0
-    elif isinstance(data, PolyhedralDivisor):
+        return data.u0
+    if isinstance(data, PolyhedralDivisor):
         if u0 is None:
             raise ValueError("u0 is required for complexity-one data")
-        u0 = ex.fracvec(u0)
-    else:
-        raise TypeError(f"unsupported data object {type(data).__name__}")
+        return ex.fracvec(u0)
+    raise TypeError(f"unsupported data object {type(data).__name__}")
+
+
+def futaki_invariant(data, xi0, eta, u0=None):
+    """Derivative of the normalized volume at xi0 in direction -eta."""
+    u0 = _weight(data, u0)
     xi = tuple(xi0)
     eta = tuple(eta)
     for name, v in (("u0", u0), ("Reeb vector", xi), ("eta", eta)):
@@ -76,7 +81,7 @@ def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     """
     if tolerance is None:
         tolerance = 1e-9
-    weight = data.u0 if isinstance(data, ToricData) else ex.fracvec(u0)
+    weight = _weight(data, u0)
     entries = []
     for eta in etas:
         fut = futaki_invariant(data, xi0, eta, u0=u0)

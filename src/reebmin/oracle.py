@@ -276,6 +276,9 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     still count towards it; it is checked before each block's work.
     """
     lo, hi, mid = _xi_enclosure(xi)
+    dim = len(dual_rays[0])
+    if len(mid) != dim:
+        raise ValueError(f"Reeb vector has {len(mid)} entries but the weight cone lies in dimension {dim}")
     mf = float(m)
     pad = 1e-9 * (1.0 + abs(mf))
     delta = _REL_MARGIN * (1.0 + abs(mf))

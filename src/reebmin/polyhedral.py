@@ -5,10 +5,10 @@ are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
 list plus a tail cone (`Polyhedron`).  One double-description pass, the
 module-private `_rays_from_inequalities`, turns inequalities into generators:
 it runs once per cone (`dual_cone`, cached as `VCone._dual`) and once per
-vertex enumeration or H-description (by homogenization).  Containment and
-pointedness read the dual's generators; extreme rays and the pulling
-triangulation read their incidence with the dual's generators as integer
-bitmasks.  Everything here is exact: no floating point enters this module.
+vertex enumeration (by homogenization).  Containment and pointedness read
+the dual's generators; extreme rays and the pulling triangulation read their
+incidence with the dual's generators as integer bitmasks.  Everything here
+is exact: no floating point enters this module.
 """
 
 from dataclasses import dataclass
@@ -130,13 +130,15 @@ class HRep:
         object.__setattr__(self, "inequalities", tuple(rows))
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
-    def satisfies(self, x):
-        return all(ex.dot(a, x) + c >= 0 for a, c in self.inequalities)
-
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """conv(compact_vertices) + tail cone, vertex list irredundant."""
+    """conv(compact_vertices) + tail cone.
+
+    The constructor only sorts and deduplicates the vertices; the list is
+    irredundant when it comes from `vertex_enumeration` or a
+    `PolyhedralDivisor`.
+    """
 
     compact_vertices: tuple
     tail: VCone
@@ -153,12 +155,6 @@ class Polyhedron:
     def translate(self, v):
         v = ex.fracvec(v)
         return Polyhedron([ex.vec_add(w, v) for w in self.compact_vertices], self.tail)
-
-    def is_equivalent(self, other):
-        return (
-            self.compact_vertices == other.compact_vertices
-            and self.tail.is_equivalent(other.tail)
-        )
 
 
 @dataclass(frozen=True)
@@ -262,21 +258,6 @@ def vertex_enumeration(h: HRep) -> Polyhedron:
     if lin:
         raise NotPointed("solution set contains a line; no vertex description")
     return Polyhedron(vertices, VCone([r[:n] for r in rays if r[n] == 0], n))
-
-
-def hrep_of(p: Polyhedron) -> HRep:
-    """Inequality description of conv(vertices) + tail (by homogenization)."""
-    n = p.ambient_dim
-    hats = [tuple(v) + (Fraction(1),) for v in p.compact_vertices]
-    hats += [tuple(Fraction(x) for x in r) + (Fraction(0),) for r in p.tail.rays]
-    pointed, lin = _rays_from_inequalities(hats, n + 1)
-    rows = []
-    for gen in pointed:
-        rows.append((gen[:n], Fraction(gen[n])))
-    for b in lin:
-        rows.append((b[:n], Fraction(b[n])))
-        rows.append((tuple(-x for x in b[:n]), Fraction(-b[n])))
-    return HRep(rows, n)
 
 
 def triangulate_cone(c: VCone):

@@ -10,7 +10,7 @@ normalized volume of a smooth point is n^n.  The sum, its gradient and its
 Hessian come from the cell-sum kernel shared with complexity-one data
 (`_cellsum`), which stays exact when xi is rational.  Minimization runs the
 shared damped Newton method (`_newton`) on the slice {A(xi) = 1} and
-re-evaluates its certificates at twice the working precision.
+re-evaluates its certificates at 106 bits.
 """
 
 from dataclasses import dataclass
@@ -101,17 +101,6 @@ def hessian_vol(t: ToricData, xi):
     return t._cellsum.evaluate(xi, 2)[2]
 
 
-def barycenter(t: ToricData, xi):
-    """Measure-weighted barycenter of the cross section {<u, xi> = 1}.
-
-    Each simplicial piece contributes its volume times the average of its
-    cross-section vertices u_i / <u_i, xi>, which sums to -grad vol / n.
-    """
-    vol, g = t._cellsum.evaluate(xi, 1)
-    den = t.n * vol
-    return tuple(-gk / den for gk in g)
-
-
 def certify_barycenter(t: ToricData, xi):
     """Projective residual between the cross-section barycenter and u0.
 
@@ -122,19 +111,17 @@ def certify_barycenter(t: ToricData, xi):
     return sine(grad_vol(t, xi), t.u0)
 
 
-def minimize(t: ToricData, tolerance=1e-9, max_iter=100, precision=53) -> MinimizeResult:
+def minimize(t: ToricData, tolerance=1e-9, max_iter=100) -> MinimizeResult:
     """Global minimizer of the normalized volume over the Reeb cone.
 
     Newton iteration on the slice {A(xi) = 1} with analytic derivatives,
     stopped by the gradient test or at the rounding floor of f
     (`stop_reason`); strict convexity and properness make the converged
     point the unique global minimizer.  The result is rescaled so that
-    A(xi_star) = n, and the reported certificates are re-evaluated at twice
-    the precision.
+    A(xi_star) = n, and the reported certificates are re-evaluated at the
+    certificate precision.
     """
-    return _newton.minimize(
-        t._cellsum, t.u0, t.sigma.rays, t.n, lambda xi: nvol(t, xi), tolerance, max_iter, precision
-    )
+    return _newton.minimize(t._cellsum, t.u0, t.sigma.rays, t.n, tolerance, max_iter)
 
 
 def is_rational_minimizer(t: ToricData, xi) -> bool:

@@ -206,6 +206,18 @@ class TestCliContract:
         assert err["error"]["type"] == "ValueError"
         assert "4 entries" in err["error"]["message"]
 
+    @pytest.mark.parametrize("name, xi", [("c_n.json", ["1"]), ("dk_4dim.json", ["1", "1", "1/3", "1"])])
+    def test_oracle_xi_of_wrong_length_exit_1(self, tmp_path, name, xi):
+        doc = json.loads(open(SPECS[name]).read())
+        doc["xi"] = xi
+        spec = tmp_path / "bad_xi.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("oracle", str(spec))
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ValueError"
+        assert f"{len(xi)} entries" in err["error"]["message"]
+
     @pytest.mark.parametrize("command, field, value", [
         ("minimize", "u0", ["1/0", 1]),
         ("futaki", "etas", [["1/0", 1]]),

@@ -132,6 +132,12 @@ class TestSemistableScan:
         assert report.all_nonnegative
         assert report.min_fut == float("inf")
 
+    @pytest.mark.parametrize("etas", [[(1, 0, 0)], []])
+    def test_complexity_one_scan_without_u0(self, dk_divisor, etas):
+        # the scan used to fail in ex.fracvec(None) with a TypeError
+        with pytest.raises(ValueError, match="u0 is required"):
+            semistable_scan(dk_divisor, (1, 1, Fraction(1, 3)), etas)
+
     def test_dk_minimizer_scan(self, dk_divisor):
         res = minimize_c1(dk_divisor, DK_U0, tolerance=1e-7)
         etas = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]

@@ -282,6 +282,20 @@ class TestCountCxone:
         assert abs(est - closed) / closed < 0.05
 
 
+class TestLengthChecks:
+    # a short xi used to raise IndexError in _pair_bound and a long one
+    # numpy's inhomogeneous-shape ValueError
+    @pytest.mark.parametrize("xi", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_toric_xi_of_wrong_length(self, c2, xi):
+        with pytest.raises(ValueError, match=f"Reeb vector has {len(xi)} entries .* dimension 2"):
+            count_toric(c2, xi, 5)
+
+    @pytest.mark.parametrize("xi", [(1, 1), (1, 1, Fraction(1, 3), 1)])
+    def test_cxone_xi_of_wrong_length(self, dk_divisor, xi):
+        with pytest.raises(ValueError, match=f"Reeb vector has {len(xi)} entries .* dimension 3"):
+            count_cxone(dk_divisor, xi, 5)
+
+
 class TestVolEstimate:
     def test_smooth_surface_extrapolates_to_one(self, c2):
         series = count_series_toric(c2, (1.0, 1.0), [100, 200, 400])

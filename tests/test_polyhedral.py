@@ -14,10 +14,10 @@ from reebmin import (
     NotFullDimensional,
     NotPointed,
     PolyhedralDivisor,
+    Polyhedron,
     ToricData,
     VCone,
     dual_cone,
-    hrep_of,
     polyhedron_min,
     smith_normal_form,
     triangulate_cone,
@@ -168,12 +168,6 @@ class TestVertexEnumeration:
         with pytest.raises(NotPointed):
             vertex_enumeration(HRep([((1, 0), 0)], 2))
 
-    def test_roundtrip_hrep(self):
-        h = HRep([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2)
-        p = vertex_enumeration(h)
-        again = vertex_enumeration(hrep_of(p))
-        assert again.is_equivalent(p)
-
 
 def truncated_volume(pieces, xi):
     total = Fraction(0)
@@ -306,6 +300,34 @@ class TestKernelCalls:
             ],
         )
         assert self.passes_per_choice(calls, d) == (12, 12)
+
+    def test_divisor_one_pass_per_coefficient(self, calls):
+        # one pass for sigma's dual, one per coefficient's homogenization
+        d = PolyhedralDivisor.from_vertex_lists(
+            [(1, 0), (0, 1)],
+            [
+                ("0", [(0, 0), (1, 1), (2, 0), (0, 2), (1, 0)]),
+                ("1", [(0, 1), (1, 0), (1, 1), (2, -1)]),
+                ("inf", [(3, 3)]),
+            ],
+        )
+        assert calls[0] == 4
+        assert [poly.compact_vertices for _, poly in d.points] == [
+            ((0, 0),),
+            ((0, 1), (2, -1)),
+            ((3, 3),),
+        ]
+
+    def test_divisor_empty_coefficient_infeasible(self):
+        with pytest.raises(InfeasibleSystem):
+            PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(0, 0)]), ("1", [])])
+
+    def test_divisor_coefficient_with_other_tail(self):
+        sigma = VCone([(1, 0), (0, 1)])
+        other = Polyhedron([(0, 0)], VCone([(1, 0), (1, 1)]))
+        with pytest.raises(ValueError, match="different tail cone"):
+            PolyhedralDivisor(sigma, [("0", other)])
+
 
 class TestSmith:
     def test_identity(self):
