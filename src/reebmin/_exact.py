@@ -47,17 +47,23 @@ def is_zero_vec(v):
 
 def primitive(v):
     """Smallest positive integer multiple of a rational vector, same direction."""
-    v = fracvec(v)
-    if is_zero_vec(v):
+    ints = _integral(v)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
+    return tuple(a // g for a in ints)
+
+
+def _integral(v):
+    """An integer vector with the direction of v: v itself when its entries
+    are ints, else v times the lcm of its denominators."""
+    if all(type(a) is int for a in v):
+        return tuple(v)
+    v = fracvec(v)
     den = 1
     for a in v:
         den = den * a.denominator // gcd(den, a.denominator)
-    ints = [int(a * den) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    return tuple(int(a * den) for a in v)
 
 
 def mat_vec(m, v):
@@ -105,7 +111,33 @@ def rref(m):
 def rank(m):
     if not m:
         return 0
-    return len(rref(m)[1])
+    rows = [_integral(r) for r in m]
+    return len(independent_rows(rows, len(rows[0])))
+
+
+def independent_rows(rows, limit):
+    """Indices of the integer rows independent of the rows before them, at
+    most `limit` of them: the pivot columns of rref(transpose(rows)).
+
+    Fraction-free (Bareiss 1968) echelon: each kept row is reduced by the
+    kept rows before it, dividing exactly by the previous pivot, so every
+    entry is a minor of the input and nothing leaves the integers.
+    """
+    basis = []  # (pivot column, reduced row)
+    kept = []
+    for i, row in enumerate(rows):
+        v = row
+        prev = 1
+        for c, b in basis:
+            v = [(b[c] * x - v[c] * y) // prev for x, y in zip(v, b)]
+            prev = b[c]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            basis.append((c, v))
+            kept.append(i)
+            if len(kept) == limit:
+                break
+    return kept
 
 
 def nullspace(m):
@@ -138,13 +170,31 @@ def solve(m, b):
     return tuple(x)
 
 
-def inverse(m):
+def adjugate(m):
+    """Integer adjugate of a nonsingular square integer matrix:
+    adj(m) m = m adj(m) = det(m) I.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on [m | I]: after the last
+    step the left block is +/- det(m) I and the right block +/- adj(m).
+    """
     n = len(m)
-    aug = [list(fracvec(row)) + list(identity(n)[i]) for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if list(pivots[:n]) != list(range(n)):
-        return None
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pv = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = pv
+    return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def det(m):

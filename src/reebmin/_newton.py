@@ -35,7 +35,7 @@ class MinimizeResult:
     barycenter_residual: float
     iterations: int
     converged: bool
-    stop_reason: str  # "gradient", "rounding_floor", "line_search" or "max_iter"
+    stop_reason: str  # "gradient", "rounding_floor", "line_search", "max_iter" or "zero_volume"
 
 
 def slice_basis(u0):
@@ -54,10 +54,24 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     and, at CERTIFICATE_PRECISION, both the projected gradient norm and the
     sine between -grad vol and u0 are at most the tolerance (the sine is NaN,
     so never, when grad vol = 0).  `stop_reason` says why Newton stopped.
+    Without cells vol = 0 and grad vol = 0 everywhere: it returns the start
+    at once, with stop_reason "zero_volume", and runs neither Newton nor the
+    certificates.
     """
     total = [sum(Fraction(c) for c in col) for col in zip(*sigma_rays)]
     a0 = sum(a * b for a, b in zip(u0, total))
     x0 = np.asarray([float(x / a0) for x in total])
+    if not cs.cells:
+        a = float(sum(x * y for x, y in zip(u0, x0)))
+        return MinimizeResult(
+            xi_star=ReebVector.real(x0 * (n / a)),
+            nvol_star=0.0,
+            grad_norm=0.0,
+            barycenter_residual=float("nan"),
+            iterations=0,
+            converged=False,
+            stop_reason="zero_volume",
+        )
     u0f = np.asarray([float(x) for x in u0])
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 

@@ -21,9 +21,12 @@ slice {<u0, xi> = 1}.
 Building a divisor costs one double-description pass for the dual of sigma
 and one per coefficient: its vertices are the extreme rays (v, s), s > 0, of
 the homogenized cone over conv(vertices) + sigma, read off that cone's dual.
+Its cells cost one pass per vertex of the Minkowski sum of the coefficients,
+plus one per coefficient with two or more vertices, after the first, to find
+those vertices; choices of vertices whose sum is not a vertex of the
+Minkowski sum have no full-dimensional region and are never visited.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -111,13 +114,17 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
 
     One region per choice of attaining vertex for every coefficient,
     intersected with the weight cone and the half-space {deg >= 0}; regions
-    of full dimension are triangulated.
+    of full dimension are triangulated.  A choice's region before the cut is
+    the normal cone of sum_p Delta_p at the sum of the chosen vertices, so
+    it is full dimensional exactly when that sum is a vertex of the
+    Minkowski sum (Gritzmann & Sturmfels, "Minkowski addition of
+    polytopes", 1993); only those choices get a region pass.
     """
     r = d.r
     base = [(tuple(map(Fraction, ray)), None) for ray in d.sigma.rays]
     vertex_lists = [poly.compact_vertices for _, poly in d.points]
     cells = []
-    for choice in itertools.product(*[range(len(vl)) for vl in vertex_lists]):
+    for choice in _minkowski_vertex_choices(d.sigma, vertex_lists):
         normals = [ray for ray, _ in base]
         ell = tuple(Fraction(0) for _ in range(r))
         for vl, ci in zip(vertex_lists, choice):
@@ -133,6 +140,31 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
         for piece in triangulate_cone(region):
             cells.append((piece, ell))
     return CellComplex(cells=tuple(cells))
+
+
+def _minkowski_vertex_choices(sigma, vertex_lists):
+    """The vertex choices whose sum is a vertex of sum_p (conv(V_p) + sigma),
+    in itertools.product order.
+
+    The sum is built one coefficient at a time.  A vertex of a Minkowski sum
+    is the sum of vertices of the summands in exactly one way, so each
+    vertex of the partial sum carries one choice tuple, and a point reached
+    by two choices is never a vertex.  A coefficient with one vertex only
+    translates the sum; one with more costs one pass, the extreme rays of
+    the homogenized cone over the candidate sums plus sigma, except the
+    first, whose vertices are the sum's vertices already.
+    """
+    r = sigma.ambient_dim
+    sums = [((), (Fraction(0),) * r)]
+    translate_only = True
+    for vl in vertex_lists:
+        sums = [(c + (j,), ex.vec_add(s, v)) for c, s in sums for j, v in enumerate(vl)]
+        if len(vl) > 1 and not translate_only:
+            homs = [ex.primitive((*s, 1)) for _, s in sums]
+            ext = set(VCone(homs + [(*u, 0) for u in sigma.rays], r + 1).extreme_rays())
+            sums = [pair for pair, h in zip(sums, homs) if h in ext]
+        translate_only = translate_only and len(vl) == 1
+    return [c for c, _ in sums]
 
 
 def vol_xi_c1(d: PolyhedralDivisor, xi):
@@ -157,8 +189,8 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200) -> Minim
     strict convexity makes the converged point global.  Certificates are
     re-evaluated at the certificate precision; the sine of the angle
     between -grad vol and u0 plays the role of the barycenter residual.  A
-    divisor with no cells has vol = 0 and grad vol = 0, so its residual is
-    NaN and it never counts as converged.
+    divisor with no cells has vol = 0 and grad vol = 0: it stops at once
+    with stop_reason "zero_volume", a NaN residual and converged=False.
     """
     u0 = ex.fracvec(u0)
     check_length("u0", u0, d.r)

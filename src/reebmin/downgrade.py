@@ -95,9 +95,21 @@ def complete_sequence(F: WeightMatrix) -> DowngradeData:
 
 
 def downgrade_sigma(d: DowngradeData):
-    """The cone sigma = {xi : F xi >= 0} and its dual."""
-    sigma = dual_cone(VCone([row for row in d.F.rows if any(row)], d.F.r))
-    return sigma, dual_cone(sigma)
+    """The cone sigma = {xi : F xi >= 0} and its dual, in one pass.
+
+    The rows of F generate the dual.  When their cone is pointed (sigma is
+    full dimensional), its sorted extreme rays are what `dual_cone(sigma)`
+    returns, and the two cones are recorded as each other's `_dual`;
+    otherwise the dual contains a line, which takes a second pass.
+    """
+    f_cone = VCone([row for row in d.F.rows if any(row)], d.F.r)
+    sigma = dual_cone(f_cone)
+    if not f_cone.is_pointed():
+        return sigma, dual_cone(sigma)
+    sigma_dual = VCone(sorted(f_cone.extreme_rays()), d.F.r)
+    sigma_dual.__dict__["_dual"] = sigma
+    sigma.__dict__["_dual"] = sigma_dual
+    return sigma, sigma_dual
 
 
 def downgrade_coefficient(d: DowngradeData, p) -> Polyhedron:

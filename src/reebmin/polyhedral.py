@@ -5,10 +5,14 @@ are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
 list plus a tail cone (`Polyhedron`).  One double-description pass, the
 module-private `_rays_from_inequalities`, turns inequalities into generators:
 it runs once per cone (`dual_cone`, cached as `VCone._dual`) and once per
-vertex enumeration (by homogenization).  Containment and pointedness read
-the dual's generators; extreme rays and the pulling triangulation read their
-incidence with the dual's generators as integer bitmasks.  Everything here
-is exact: no floating point enters this module.
+vertex enumeration (by homogenization).  The pass works in integers
+throughout, its setup included: a fraction-free echelon picks the start
+normals and integer cofactors give the start rays, so `Fraction` row
+reduction runs only for the lineality basis of a rank-deficient system.
+Containment and pointedness read the dual's generators; extreme rays and
+the pulling triangulation read their incidence with the dual's generators
+as integer bitmasks.  Everything here is exact: no floating point enters
+this module.
 """
 
 from dataclasses import dataclass
@@ -184,20 +188,25 @@ def _rays_from_inequalities(normals, n):
     ray on the positive side of the new normal and one on the negative side
     span a 2-face, and are combined, exactly when they share at least t - 2
     tight normals and no third ray is tight on all of them.
+
+    The setup stays in the integers too.  A fraction-free echelon picks the
+    first t independent normals, the rows B; start ray k is column k of
+    B^T adj(B B^T), which pairs positively with row k of B and to 0 with the
+    others.  The lineality basis is the nullspace of B, needed only when
+    t < n; B and all the normals have the same reduced row echelon form, so
+    it is the nullspace of all of them.
     """
     rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
     if not rows:
         return (), tuple(ex.primitive(b) for b in ex.identity(n))
-    lin = ex.nullspace(rows)
-    start = ex.rref(ex.transpose(rows))[1]  # indices of t independent normals
+    start = ex.independent_rows(rows, n)
     t = len(start)
-    # start ray k pairs positively with normal start[k] and to 0 with the
-    # other start normals: column k of B^T (B B^T)^-1 (a symmetric inverse)
-    basis_t = ex.transpose([rows[i] for i in start])
-    g_inv = ex.inverse(ex.mat_mul(ex.transpose(basis_t), basis_t))
+    basis = [rows[i] for i in start]
+    lin = ex.nullspace(basis) if t < n else ()
+    adj = ex.adjugate([[ex.dot(a, b) for b in basis] for a in basis])  # symmetric
     rays = []
     for k in range(t):
-        r = ex.primitive(ex.mat_vec(basis_t, g_inv[k]))
+        r = ex.primitive([sum(c * b[j] for c, b in zip(adj[k], basis)) for j in range(n)])
         rays.append((r, sum(1 << i for j, i in enumerate(start) if j != k)))
     for i, a in enumerate(rows):
         if i in start:

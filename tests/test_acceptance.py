@@ -308,7 +308,7 @@ def test_criterion_7_property_suites():
             c = rng.randint(-2, 2)
             for col in range(n):
                 u[i][col] += c * u[j][col]
-        uinv_t = ex.transpose(ex.inverse(tuple(map(tuple, u))))
+        uinv_t = ex.transpose(ex.adjugate([[int(x) for x in row] for row in u]))  # det u = 1
         t2 = ToricData.from_dual_cone(
             [ex.mat_vec(uinv_t, r) for r in t.sigma_dual.rays],
             ex.mat_vec(uinv_t, t.u0),

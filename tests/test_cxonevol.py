@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from reebmin import (
     vol_xi_c1,
 )
 from reebmin import _exact as ex
+from reebmin.cxonevol import CellComplex, _minkowski_vertex_choices, build_cells
+from reebmin.polyhedral import dual_cone, triangulate_cone
 
 from conftest import DK_SIGMA_RAYS, DK_U0, random_interior_rational
 
@@ -95,6 +99,68 @@ class TestBuildCells:
                 return total
 
             assert tri_vol([p for p, _ in pairsets]) == tri_vol(full)
+
+
+def product_loop_cells(d):
+    """The cell construction that build_cells replaced: one region pass per
+    element of the product of vertex choices.  Also returns the choices whose
+    region is full dimensional before the cut {deg >= 0}."""
+    vertex_lists = [poly.compact_vertices for _, poly in d.points]
+    cells = []
+    full_before_cut = []
+    for choice in itertools.product(*[range(len(vl)) for vl in vertex_lists]):
+        normals = [tuple(map(Fraction, ray)) for ray in d.sigma.rays]
+        ell = tuple(Fraction(0) for _ in range(d.r))
+        for vl, ci in zip(vertex_lists, choice):
+            ell = ex.vec_add(ell, vl[ci])
+            normals += [ex.vec_sub(w, vl[ci]) for j, w in enumerate(vl) if j != ci]
+        nonzero = [a for a in normals if not ex.is_zero_vec(a)]
+        if dual_cone(VCone(nonzero, d.r)).is_full_dimensional():
+            full_before_cut.append(choice)
+        region = dual_cone(VCone(nonzero + ([ell] if any(ell) else []), d.r))
+        if region.is_full_dimensional():
+            cells += [(piece, ell) for piece in triangulate_cone(region)]
+    return CellComplex(cells=tuple(cells)), full_before_cut
+
+
+TAILS = (
+    [(1, 0), (0, 1)],
+    [(1, 0), (1, 3)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    DK_SIGMA_RAYS,
+)
+
+
+def seeded_divisor(rng, rays):
+    points = []
+    for p in range(rng.randint(3, 4)):
+        verts = [tuple(Fraction(rng.randint(-2, 4), rng.choice((1, 2))) for _ in rays[0])
+                 for _ in range(rng.randint(2, 3))]
+        points.append((str(p), verts))
+    return PolyhedralDivisor.from_vertex_lists(rays, points)
+
+
+class TestCellsFromMinkowskiVertices:
+    def test_equal_to_product_loop(self):
+        rng = random.Random(1993)
+        cut_to_lower_dimension = with_cells = 0
+        for k in range(56):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            cells, full_before_cut = product_loop_cells(d)
+            assert build_cells(d) == cells
+            vertex_lists = [p.compact_vertices for _, p in d.points]
+            assert _minkowski_vertex_choices(d.sigma, vertex_lists) == full_before_cut
+            # distinct vertices of the sum have distinct functionals ell
+            cut_to_lower_dimension += len({ell for _, ell in cells.cells}) < len(full_before_cut)
+            with_cells += bool(cells.cells)
+        assert cut_to_lower_dimension >= 10 and with_cells >= 20
+
+    def test_one_vertex_coefficients_only_translate(self):
+        d = PolyhedralDivisor.from_vertex_lists(
+            DK_SIGMA_RAYS, [("0", [(0, 1, 0)]), ("1", [(1, 0, 0)]), ("2", [(0, 0, 1)])]
+        )
+        assert _minkowski_vertex_choices(d.sigma, [p.compact_vertices for _, p in d.points]) == [(0, 0, 0)]
+        assert build_cells(d) == product_loop_cells(d)[0]
 
 
 class TestVolC1:
@@ -248,14 +314,23 @@ class TestMinimizeC1:
         assert res.converged
         assert abs(res.xi_star.xi[1] - res.xi_star.xi[2]) < 1e-7
 
-    def test_zero_volume_divisor_not_converged(self):
-        # no cells, so vol = 0 and grad vol = 0: the sine residual is NaN
+    def test_zero_volume_divisor_not_converged(self, monkeypatch):
+        # no cells, so vol = 0 and grad vol = 0: minimize stops at once,
+        # evaluating nothing, and the sine residual is NaN
         d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])
         assert d.cells().cells == ()
+
+        def no_evaluation(*args):
+            raise AssertionError("the volume kernel was evaluated")
+
+        monkeypatch.setattr(d._cellsum, "evaluate", no_evaluation)
         res = minimize_c1(d, (1, 1))
         assert not res.converged
-        assert res.nvol_star == 0
+        assert res.stop_reason == "zero_volume"
+        assert res.iterations == 0
+        assert res.nvol_star == 0 and res.grad_norm == 0
         assert math.isnan(res.barycenter_residual)
+        assert res.xi_star.xi == (1.5, 1.5)  # the start, rescaled to <u0, xi> = n
 
     def test_u0_of_wrong_length(self, dk_divisor):
         # nvol_c1 and futaki_invariant used to pair a short u0 by zip

@@ -100,6 +100,31 @@ class TestDowngradeSigma:
         sigma, sigma_dual = downgrade_sigma(dk_explicit_data)
         assert dual_cone(sigma_dual).is_equivalent(sigma)
 
+    def test_one_pass(self, dk_explicit_data, monkeypatch):
+        from reebmin import dual_cone, polyhedral
+
+        calls = [0]
+        kernel = polyhedral._rays_from_inequalities
+
+        def counting(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(polyhedral, "_rays_from_inequalities", counting)
+        sigma, sigma_dual = downgrade_sigma(dk_explicit_data)
+        assert calls[0] == 1
+        assert sigma._dual is sigma_dual and sigma_dual._dual is sigma
+        assert sigma_dual.rays == ((-1, 2, 0), (0, 0, 1), (0, 1, -1), (1, 0, 0))
+        assert sigma_dual == dual_cone(VCone(sigma.rays))
+
+    def test_dual_with_a_line(self):
+        # the rows 1 and -1 span a line, so sigma = {0} is not full dimensional
+        from reebmin import dual_cone
+
+        sigma, sigma_dual = downgrade_sigma(complete_sequence(WeightMatrix([(1,), (-1,)])))
+        assert sigma.rays == ()
+        assert sigma_dual == dual_cone(VCone((), 1)) and set(sigma_dual.rays) == {(1,), (-1,)}
+
 
 class TestDowngradeCoefficient:
     def test_dk_all_three(self, dk_explicit_data):

@@ -138,9 +138,9 @@ class TestCountToric:
     def _skewed_orthant():
         lower = [[1, 0, 0, 0], [7, 1, 0, 0], [-5, 6, 1, 0], [3, -8, 4, 1]]
         upper = [[1, 3, -4, 2], [0, 1, 5, -3], [0, 0, 1, 6], [0, 0, 0, 1]]
-        u = ex.mat_mul(lower, upper)  # unimodular
+        u = ex.mat_mul(lower, upper)  # det 1, so its adjugate is its inverse
         rays = ex.transpose(u)  # the images U e_j of the orthant's rays
-        return rays, tuple(ex.mat_vec(ex.transpose(ex.inverse(u)), [1, 1, 1, 1]))
+        return rays, tuple(ex.mat_vec(ex.transpose(ex.adjugate(u)), [1, 1, 1, 1]))
 
     @pytest.mark.parametrize("rays", [
         [(1,)],
@@ -169,8 +169,8 @@ class TestCountToric:
         from reebmin import ToricData
         from reebmin import _exact as ex
 
-        u = ((1, 1, 0), (0, 1, 0), (0, 1, 1))  # unimodular
-        uinv_t = ex.transpose(ex.inverse(u))
+        u = ((1, 1, 0), (0, 1, 0), (0, 1, 1))  # det 1, so its adjugate is its inverse
+        uinv_t = ex.transpose(ex.adjugate(u))
         rays = [ex.mat_vec(uinv_t, r) for r in spp.sigma_dual.rays]
         t2 = ToricData.from_dual_cone(rays, ex.mat_vec(uinv_t, spp.u0))
         xi2 = tuple(float(x) for x in ex.mat_vec([[Fraction(x) for x in row] for row in u],

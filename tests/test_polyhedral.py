@@ -132,6 +132,123 @@ class TestKernelProperties:
             assert list(rays) == brute_force_rays(normals, n), rows
 
 
+def fraction_setup_rays(normals, n):
+    """_rays_from_inequalities with the Fraction setup it had before the
+    integer one: rref picks the start normals, a rational inverse of the Gram
+    matrix gives the start rays, and nullspace runs on every normal."""
+    rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
+    if not rows:
+        return (), tuple(ex.primitive(b) for b in ex.identity(n))
+    lin = ex.nullspace(rows)
+    start = ex.rref(ex.transpose(rows))[1]
+    t = len(start)
+    basis_t = ex.transpose([rows[i] for i in start])
+    gram = ex.mat_mul(ex.transpose(basis_t), basis_t)
+    red, _ = ex.rref([list(row) + list(e) for row, e in zip(gram, ex.identity(t))])
+    g_inv = [row[t:] for row in red]
+    rays = []
+    for k in range(t):
+        r = ex.primitive(ex.mat_vec(basis_t, g_inv[k]))
+        rays.append((r, sum(1 << i for j, i in enumerate(start) if j != k)))
+    for i, a in enumerate(rows):
+        if i in start:
+            continue
+        bit = 1 << i
+        vals = [ex.dot(a, r) for r, _ in rays]
+        new = [(r, mask | bit if v == 0 else mask) for (r, mask), v in zip(rays, vals) if v >= 0]
+        for p, (rp, mp) in enumerate(rays):
+            if vals[p] <= 0:
+                continue
+            for q, (rq, mq) in enumerate(rays):
+                if vals[q] >= 0:
+                    continue
+                shared = mp & mq
+                if shared.bit_count() < t - 2:
+                    continue
+                if any(mask & shared == shared for k, (_, mask) in enumerate(rays) if k != p and k != q):
+                    continue
+                w = [vals[p] * y - vals[q] * x for x, y in zip(rp, rq)]
+                g = math.gcd(*w)
+                new.append((tuple(c // g for c in w), shared | bit))
+        rays = new
+    return tuple(sorted(r for r, _ in rays)), tuple(ex.primitive(b) for b in lin)
+
+
+class TestIntegerSetup:
+    """The fraction-free setup of the double description."""
+
+    @staticmethod
+    def seeded_system(rng, n):
+        # rows drawn from a random subspace of dimension k; k < n gives lineality
+        k = rng.randint(1, n)
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            if kind < 0.1:
+                rows.append((0,) * n)
+            elif rows and kind < 0.2:
+                rows.append(tuple(-x for x in rng.choice(rows)))
+            else:
+                co = [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in gens]
+                rows.append(tuple(sum(c * g[j] for c, g in zip(co, gens)) for j in range(n)))
+        return rows
+
+    def test_matches_the_fraction_setup(self):
+        rng = random.Random(1968)
+        seen = {"full": 0, "deficient": 0, "lineality": 0, "zero_row": 0}
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            rows = self.seeded_system(rng, n)
+            rays, lin = _rays_from_inequalities(rows, n)
+            assert (rays, lin) == fraction_setup_rays(rows, n), rows
+            rank = ex.rank(rows)
+            seen["full" if rank == n else "deficient"] += 1
+            seen["lineality"] += bool(lin)
+            seen["zero_row"] += (0,) * n in rows
+        assert min(seen.values()) >= 50, seen
+
+    def test_ranks_of_deficient_matrices(self):
+        half = Fraction(1, 2)
+        assert ex.rank([(1, 2, 3), (2, 4, 6), (1, 0, 1)]) == 2
+        assert ex.rank([(half, 1, Fraction(3, 2)), (1, 2, 3), (0, 0, 0)]) == 1
+        assert ex.rank([(0, 0), (0, 0)]) == 0
+        assert ex.rank([(half, 0, 1), (0, Fraction(1, 3), 1), (half, Fraction(1, 3), 2)]) == 2
+        assert VCone([(1, 0, 0), (0, 1, 0), (1, 1, 0)]).span_rank() == 2
+        assert VCone([(1, -1, 0, 2), (-2, 2, 0, -4)], 4).span_rank() == 1
+        rng = random.Random(7)
+        for _ in range(200):
+            n, k = rng.randint(1, 6), rng.randint(1, 6)
+            m = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)]
+            m += [[sum(c * row[j] for c, row in zip((1, -2), m)) for j in range(n)]]
+            ints = [[int(x * 2) for x in row] for row in m]
+            assert ex.rank(m) == ex.rank(ints) == len(ex.rref(m)[1]) <= k
+
+    def test_primitive(self):
+        assert ex.primitive((-4, 6, -2)) == (-2, 3, -1)
+        assert ex.primitive((0, -7)) == (0, -1)
+        assert ex.primitive((Fraction(1, 2), 3, Fraction(-3, 4))) == (2, 12, -3)
+        assert ex.primitive((2, Fraction(4, 6))) == (3, 1)
+        for zero in ((0, 0, 0), (0, Fraction(0))):
+            with pytest.raises(ValueError):
+                ex.primitive(zero)
+
+    def test_adjugate(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            d = ex.int_det(m)
+            if d == 0:
+                continue
+            a = ex.adjugate(m)
+            scaled = tuple(tuple(d * int(i == j) for j in range(n)) for i in range(n))
+            assert ex.mat_mul(a, m) == ex.mat_mul(m, a) == scaled
+        assert ex.adjugate([(0, 1), (1, 0)]) == ((0, -1), (-1, 0))  # needs a row swap
+        with pytest.raises(ValueError):
+            ex.adjugate([(1, 2), (2, 4)])
+
+
 class TestVertexEnumeration:
     def test_triangle(self):
         p = vertex_enumeration(HRep([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2))
@@ -281,13 +398,17 @@ class TestKernelCalls:
         assert calls[0] == 1
 
     @staticmethod
-    def passes_per_choice(calls, d):
+    def build_cells_passes(calls, d):
         calls[0] = 0
         build_cells(d)
-        return calls[0], math.prod(len(poly.compact_vertices) for _, poly in d.points)
+        return calls[0]
+
+    # build_cells makes (coefficients with >= 2 vertices - 1) passes for the
+    # vertices of the Minkowski sum, then one region pass per such vertex
 
     def test_build_cells_dk_4dim(self, calls, dk_divisor):
-        assert self.passes_per_choice(calls, dk_divisor) == (4, 4)
+        # 2 coefficients with 2 vertices; all 4 choices give vertices
+        assert self.build_cells_passes(calls, dk_divisor) == 1 + 4
 
     def test_build_cells_orthant_3x2x2(self, calls):
         half = Fraction(1, 2)
@@ -299,7 +420,22 @@ class TestKernelCalls:
                 ("inf", [(0, 0, 0), (-1, 1, 1)]),
             ],
         )
-        assert self.passes_per_choice(calls, d) == (12, 12)
+        # 7 of the 12 choices sum to vertices
+        assert self.build_cells_passes(calls, d) == 2 + 7
+
+    def test_build_cells_orthant_4x3(self, calls):
+        # two triangles and two inverted ones in the planes x + y + z = c: the
+        # sum is a hexagon, so 6 of the 81 choices get a region pass
+        d = PolyhedralDivisor.from_vertex_lists(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [
+                ("0", [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                ("1", [(1, 1, 0), (0, 1, 1), (1, 0, 1)]),
+                ("2", [(2, 0, 0), (0, 2, 0), (0, 0, 2)]),
+                ("3", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]),
+            ],
+        )
+        assert self.build_cells_passes(calls, d) == 3 + 6
 
     def test_divisor_one_pass_per_coefficient(self, calls):
         # one pass for sigma's dual, one per coefficient's homogenization

@@ -134,7 +134,7 @@ def test_unimodular_invariance_exact(rng):
     for t, xi in _spread(rng, _cones(), 34):
         n = t.n
         u = _random_unimodular(n, rng)
-        uinv_t = ex.transpose(ex.inverse(u))
+        uinv_t = ex.transpose(ex.adjugate([[int(x) for x in row] for row in u]))  # det u = 1
         sigma_dual_rays = [ex.mat_vec(uinv_t, r) for r in t.sigma_dual.rays]
         u0_new = ex.mat_vec(uinv_t, t.u0)
         t2 = ToricData.from_dual_cone(sigma_dual_rays, u0_new)
