@@ -13,12 +13,16 @@ R = sum a_ci u_i u_i^T / p_i^3 (sums over the rays of the cell),
     grad vol = -sum_c t_c (w_c s + q),
     hess vol =  sum_c t_c [w_c (s s^T + W) + s q^T + q s^T + 2 R].
 
-Each call forms u_i / p_i once per ray and computes only the order it is
-asked for; toric cells skip the weight terms.  Plain Python arithmetic
-carries float, Fraction, mpf and mpi values through the same code, so the
-exact path is the float path.  A rational weight a_ci enters through its
-numerator and denominator, because a Fraction meets an mpf only as
-a * (1 / p) (Fraction / mpf raises TypeError) and an mpi not at all.
+Each call computes only the order it is asked for; toric cells skip the
+weight terms.  A rational xi (ints and Fractions) takes an integer path:
+xi's denominators are cleared once, every cell's terms are integers over
+powers of the product of its pairings, and each entry of the result is one
+Fraction.  Float, mpf and mpi values take the generic path, plain Python
+arithmetic on u_i / p_i, which carries any ordered field and stays the
+tests' reference for the integer path on Fractions.  There a rational weight
+a_ci enters through its numerator and denominator, because a Fraction meets
+an mpf only as a * (1 / p) (Fraction / mpf raises TypeError) and an mpi not
+at all.
 """
 
 import math
@@ -77,6 +81,36 @@ def sine(g, u0):
     return math.sqrt(max(float(ratio), 0.0))
 
 
+def _integer_weights(a):
+    """(A, e) with a_i = A_i / e, e the lcm of the denominators; (None, 1) for
+    a toric cell."""
+    if a is None:
+        return None, 1
+    e = math.lcm(*(x.denominator for x in a))
+    return tuple(x.numerator * (e // x.denominator) for x in a), e
+
+
+def _combination(coeffs, vectors):
+    """sum_i coeffs[i] * vectors[i], entrywise."""
+    return [sum(col) for col in zip(*[[a * x for x in v] for a, v in zip(coeffs, vectors)])]
+
+
+def _combine(terms, scale):
+    """sum over terms (den, f, nums) of f nums / den, times scale, one
+    Fraction per entry over the lcm of the denominators."""
+    lcm = math.lcm(*(d for d, _, _ in terms))
+    acc = None
+    for d, f, nums in terms:
+        m = f * (lcm // d)
+        acc = [m * x for x in nums] if acc is None else [a + m * x for a, x in zip(acc, nums)]
+    return [Fraction(a * scale, lcm) for a in acc]
+
+
+def _zero_sums(n, order):
+    """The sums over no cells: int 0 entries, as the generic path leaves them."""
+    return ((0,), (0, (0,) * n), (0, (0,) * n, ((0,) * n,) * n))[order]
+
+
 class CellSum:
     """Ray table plus simplicial cells (ray indices, |det|, weights a_ci or None)."""
 
@@ -99,6 +133,13 @@ class CellSum:
         self.rays = tuple(rays)
         self.cells = tuple(table)
         self.dim = dim
+        self._pairs = tuple((k, l) for k in range(dim) for l in range(k, dim))
+        # per cell: ray indices, rays, upper triangles of u u^T, |det|, A, e
+        self._int_cells = []
+        for idx, det, a in self.cells:
+            us = tuple(self.rays[i] for i in idx)
+            uus = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in us)
+            self._int_cells.append((idx, us, uus, det) + _integer_weights(a))
 
     def pairings(self, xi):
         """<u_i, xi> for every ray of the table; raises off the Reeb cone.
@@ -117,6 +158,86 @@ class CellSum:
 
     def evaluate(self, xi, order=0):
         """(vol,), (vol, grad) or (vol, grad, hess) at xi, for order 0, 1 or 2."""
+        xi = tuple(xi)
+        if all(isinstance(x, (int, Fraction)) for x in xi):
+            return self._evaluate_rational(xi, order)
+        return self._evaluate_generic(xi, order)
+
+    def _evaluate_rational(self, xi, order):
+        """The sums at rational xi in Python integers, one Fraction per entry.
+
+        With X = D xi integral, P_i = <u_i, X> and, per cell, Pi_c = prod P_i
+        and c_i = Pi_c / P_i, every term is an integer over a power of Pi_c
+        (times the cell's weight denominator e_c): with S = sum c_i u_i,
+        C = sum c_i^2 u_i u_i^T and, for weights a_ci = A_i / e_c,
+        W = sum A_i c_i, Q = sum A_i c_i^2 u_i, R = sum A_i c_i^3 u_i u_i^T,
+
+            toric:  vol det / Pi,           grad -det S / Pi^2,
+                    hess det (S S^T + C) / Pi^3;
+            weighted: vol det W / (e Pi^2),  grad -det (W S + Q) / (e Pi^3),
+                    hess det (W (S S^T + C) + S Q^T + Q S^T + 2 R) / (e Pi^4).
+
+        Homogeneity puts D back: order k scales by D^(dim + k), a weighted
+        cell by one more D.  The cells are summed over the lcm of their
+        denominators, so each entry costs one reduction.
+        """
+        check_length("Reeb vector", xi, self.dim)
+        den = math.lcm(*(x.denominator for x in xi))
+        big = [x.numerator * (den // x.denominator) for x in xi]
+        pair = []
+        for u in self.rays:
+            p = sum([a * b for a, b in zip(u, big)])
+            if p <= 0:
+                raise NotInReebCone(f"<{u}, xi> = {Fraction(p, den)} is not positive")
+            pair.append(p)
+        if not self.cells:
+            return _zero_sums(self.dim, order)
+        pairs = self._pairs
+        terms = [[] for _ in range(order + 1)]  # per order: (denominator, scale, numerators)
+        for idx, us, uus, det, weights, e in self._int_cells:
+            ps = [pair[i] for i in idx]
+            prod = math.prod(ps)
+            c = [prod // p for p in ps]
+            if weights is None:
+                f, d = det, prod
+                terms[0].append((d, f, (1,)))
+            else:
+                f, d = det * den, e * prod * prod
+                w = sum([a * ci for a, ci in zip(weights, c)])
+                terms[0].append((d, f, (w,)))
+            if not order:
+                continue
+            d *= prod
+            s = _combination(c, us)
+            if weights is None:
+                terms[1].append((d, -f, s))
+            else:
+                ac2 = [a * ci * ci for a, ci in zip(weights, c)]
+                q = _combination(ac2, us)
+                terms[1].append((d, -f, [w * sk + qk for sk, qk in zip(s, q)]))
+            if order < 2:
+                continue
+            d *= prod
+            h = [s[k] * s[l] + x for x, (k, l) in zip(_combination([ci * ci for ci in c], uus), pairs)]
+            if weights is not None:
+                r = _combination([b * ci for b, ci in zip(ac2, c)], uus)
+                h = [w * hk + s[k] * q[l] + q[k] * s[l] + 2 * rk for hk, rk, (k, l) in zip(h, r, pairs)]
+            terms[2].append((d, f, h))
+        out = [_combine(t, den ** (self.dim + k)) for k, t in enumerate(terms)]
+        if not order:
+            return (out[0][0],)
+        if order == 1:
+            return out[0][0], tuple(out[1])
+        n = self.dim
+        hess = [[None] * n for _ in range(n)]
+        for (k, l), x in zip(pairs, out[2]):
+            hess[k][l] = hess[l][k] = x
+        return out[0][0], tuple(out[1]), tuple(tuple(row) for row in hess)
+
+    def _evaluate_generic(self, xi, order):
+        """The sums in plain Python arithmetic on u_i / p_i: float, mpf, mpi
+        and any ordered field.  On Fractions it is the tests' reference for
+        the integer path."""
         p = self.pairings(xi)
         n = self.dim
         if order:
@@ -165,3 +286,20 @@ class CellSum:
             for l in range(k + 1, n):
                 h[l][k] = h[k][l]
         return vol, tuple(grad), tuple(tuple(row) for row in h)
+
+    def is_rational_minimizer(self, xi, u0):
+        """Exact first-order test at a rational xi: grad vol(xi) is a
+        negative multiple of u0."""
+        g = self.evaluate(ex.fracvec(xi), 1)[1]
+        scale = None
+        for gk, uk in zip(g, u0):
+            if uk == 0:
+                if gk != 0:
+                    return False
+                continue
+            r = Fraction(gk) / uk
+            if scale is None:
+                scale = r
+            elif r != scale:
+                return False
+        return scale is not None and scale < 0

@@ -197,33 +197,34 @@ def adjugate(m):
     return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
-def det(m):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    rows = [list(fracvec(r)) for r in m]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
 def int_det(m):
-    d = det(m)
-    if d.denominator != 1:
-        raise ValueError("matrix is not integral")
-    return int(d)
+    """Determinant of a square integer matrix.
+
+    Fraction-free Gaussian elimination (Bareiss 1968): after step k every
+    entry below row k is a (k+1)-minor of m, so the division by the previous
+    pivot is exact and the last pivot is +/- det(m).
+    """
+    a = [list(row) for row in m]
+    if not all(type(x) is int for row in a for x in row):
+        if not all(frac(x).denominator == 1 for row in a for x in row):
+            raise ValueError("matrix is not integral")
+        a = [[int(x) for x in row] for row in a]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pv = a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i][k + 1 :] = [(pv * x - f * y) // prev for x, y in zip(a[i][k + 1 :], a[k][k + 1 :])]
+        prev = pv
+    return sign * prev
 
 
 def smith_normal_form(m):

@@ -27,6 +27,7 @@ those vertices; choices of vertices whose sum is not a vertex of the
 Minkowski sum have no full-dimensional region and are never visited.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -121,46 +122,52 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
     polytopes", 1993); only those choices get a region pass.
     """
     r = d.r
-    base = [(tuple(map(Fraction, ray)), None) for ray in d.sigma.rays]
-    vertex_lists = [poly.compact_vertices for _, poly in d.points]
+    vertex_lists, den = _integer_vertices([poly.compact_vertices for _, poly in d.points])
     cells = []
-    for choice in _minkowski_vertex_choices(d.sigma, vertex_lists):
-        normals = [ray for ray, _ in base]
-        ell = tuple(Fraction(0) for _ in range(r))
+    for choice in _minkowski_vertex_choices(d.sigma, vertex_lists, den):
+        # the normals w - v and ell, all scaled by den: integers, same directions
+        normals = list(d.sigma.rays)
+        ell = (0,) * r
         for vl, ci in zip(vertex_lists, choice):
             v = vl[ci]
             ell = ex.vec_add(ell, v)
-            for j, w in enumerate(vl):
-                if j != ci:
-                    normals.append(ex.vec_sub(w, v))
+            normals.extend(ex.vec_sub(w, v) for j, w in enumerate(vl) if j != ci)
         normals.append(ell)
         region = dual_cone(VCone([a for a in normals if not ex.is_zero_vec(a)], r))
         if not region.is_full_dimensional():
             continue
+        ell = tuple(Fraction(x, den) for x in ell)
         for piece in triangulate_cone(region):
             cells.append((piece, ell))
     return CellComplex(cells=tuple(cells))
 
 
-def _minkowski_vertex_choices(sigma, vertex_lists):
-    """The vertex choices whose sum is a vertex of sum_p (conv(V_p) + sigma),
-    in itertools.product order.
+def _integer_vertices(vertex_lists):
+    """(lists, den): every rational vertex times den, the lcm of all their
+    denominators, as an integer vector."""
+    den = math.lcm(*(x.denominator for vl in vertex_lists for v in vl for x in v))
+    return [[tuple(x.numerator * (den // x.denominator) for x in v) for v in vl] for vl in vertex_lists], den
+
+
+def _minkowski_vertex_choices(sigma, vertex_lists, den):
+    """The vertex choices whose sum is a vertex of sum_p (conv(V_p / den) +
+    sigma), for integer vertex lists V_p, in itertools.product order.
 
     The sum is built one coefficient at a time.  A vertex of a Minkowski sum
     is the sum of vertices of the summands in exactly one way, so each
     vertex of the partial sum carries one choice tuple, and a point reached
     by two choices is never a vertex.  A coefficient with one vertex only
     translates the sum; one with more costs one pass, the extreme rays of
-    the homogenized cone over the candidate sums plus sigma, except the
-    first, whose vertices are the sum's vertices already.
+    the homogenized cone over the candidate sums (s, den) plus sigma, except
+    the first, whose vertices are the sum's vertices already.
     """
     r = sigma.ambient_dim
-    sums = [((), (Fraction(0),) * r)]
+    sums = [((), (0,) * r)]
     translate_only = True
     for vl in vertex_lists:
         sums = [(c + (j,), ex.vec_add(s, v)) for c, s in sums for j, v in enumerate(vl)]
         if len(vl) > 1 and not translate_only:
-            homs = [ex.primitive((*s, 1)) for _, s in sums]
+            homs = [ex.primitive((*s, den)) for _, s in sums]
             ext = set(VCone(homs + [(*u, 0) for u in sigma.rays], r + 1).extreme_rays())
             sums = [pair for pair, h in zip(sums, homs) if h in ext]
         translate_only = translate_only and len(vl) == 1

@@ -6,8 +6,9 @@ closed-form volume and gradient of the cell-sum kernel,
     Fut(xi0; eta) = n A(xi0)^(n-1) A(-eta) vol(xi0) + A(xi0)^n <grad vol(xi0), -eta>,
 
 exact when xi0 and eta are rational.  A scan over supplied directions
-reports per-direction signs only: it certifies nothing beyond the tested
-degenerations.
+evaluates the kernel once, at xi0, and reads every direction's invariant off
+that volume and gradient.  It reports per-direction signs only: it certifies
+nothing beyond the tested degenerations.
 """
 
 from dataclasses import dataclass
@@ -45,17 +46,25 @@ def _weight(data, u0):
 
 def futaki_invariant(data, xi0, eta, u0=None):
     """Derivative of the normalized volume at xi0 in direction -eta."""
-    u0 = _weight(data, u0)
+    return next(_invariants(data, _weight(data, u0), xi0, [eta]))
+
+
+def _invariants(data, u0, xi0, etas):
+    """Fut(xi0; eta) for each eta in turn, from one evaluation of vol and
+    grad vol at xi0, made when the first eta has passed its length checks."""
     xi = tuple(xi0)
-    eta = tuple(eta)
-    for name, v in (("u0", u0), ("Reeb vector", xi), ("eta", eta)):
-        check_length(name, v, data._cellsum.dim)
-    a = sum(x * y for x, y in zip(u0, xi))
-    a_eta = sum(x * y for x, y in zip(u0, eta))
-    vol, g = data._cellsum.evaluate(xi, 1)
     n = data.n
-    d_vol = sum(gk * (-ek) for gk, ek in zip(g, eta))
-    return n * a ** (n - 1) * (-a_eta) * vol + a**n * d_vol
+    grad = None
+    for eta in etas:
+        eta = tuple(eta)
+        for name, v in (("u0", u0), ("Reeb vector", xi), ("eta", eta)):
+            check_length(name, v, data._cellsum.dim)
+        if grad is None:
+            a = sum(x * y for x, y in zip(u0, xi))
+            vol, grad = data._cellsum.evaluate(xi, 1)
+        a_eta = sum(x * y for x, y in zip(u0, eta))
+        d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
+        yield n * a ** (n - 1) * (-a_eta) * vol + a**n * d_vol
 
 
 def normalized_direction(u0, xi0, eta):
@@ -82,10 +91,9 @@ def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     if tolerance is None:
         tolerance = 1e-9
     weight = _weight(data, u0)
-    entries = []
-    for eta in etas:
-        fut = futaki_invariant(data, xi0, eta, u0=u0)
-        entries.append((tuple(eta), fut, normalized_direction(weight, xi0, eta)))
+    etas = [tuple(eta) for eta in etas]
+    futs = _invariants(data, weight, xi0, etas)
+    entries = [(eta, fut, normalized_direction(weight, xi0, eta)) for eta, fut in zip(etas, futs)]
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

@@ -14,7 +14,6 @@ re-evaluates its certificates at 106 bits.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import _exact as ex
@@ -130,16 +129,4 @@ def is_rational_minimizer(t: ToricData, xi) -> bool:
     With strict convexity this certifies the global minimizer on its ray;
     xi must be rational.
     """
-    g = grad_vol(t, ex.fracvec(xi))
-    scale = None
-    for gk, uk in zip(g, t.u0):
-        if uk == 0:
-            if gk != 0:
-                return False
-            continue
-        r = Fraction(gk) / uk
-        if scale is None:
-            scale = r
-        elif r != scale:
-            return False
-    return scale is not None and scale < 0
+    return t._cellsum.is_rational_minimizer(xi, t.u0)

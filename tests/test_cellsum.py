@@ -1,0 +1,172 @@
+"""The cell-sum kernel's integer path for rational Reeb vectors, checked
+against the generic path on Fractions: equal values of equal types."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from reebmin import NotInReebCone, PolyhedralDivisor, ToricData, futaki_invariant, minimize, semistable_scan
+from reebmin import _exact as ex
+
+from conftest import DK_U0, random_interior_rational
+
+CONES = ((3, 6, 3), (3, 9, 5), (4, 7, 2), (4, 9, 2), (5, 7, 1), (5, 8, 2), (6, 7, 1), (6, 8, 1))
+POLYGONS = (5, 7, 9)
+TAILS = (
+    [(1, 0), (0, 1)],
+    [(1, 0), (1, 3)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(0, 1, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1)],
+)
+
+
+def same(a, b):
+    """== and the same type, entry by entry through nested tuples."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def assert_paths_agree(cs, xi):
+    for order in (0, 1, 2):
+        fast = cs.evaluate(xi, order)
+        assert same(fast, cs._evaluate_generic(xi, order)), (xi, order)
+        assert same(fast, cs._evaluate_rational(xi, order))
+
+
+def lattice_cone(rng, dim, k, box):
+    """Rays (p, 1) over k distinct lattice points of [-box, box]^(dim-1)."""
+    while True:
+        pts = set()
+        while len(pts) < k:
+            pts.add(tuple(rng.randint(-box, box) for _ in range(dim - 1)))
+        rays = [p + (1,) for p in sorted(pts)]
+        if ex.rank(rays) == dim:
+            return ToricData.from_dual_cone(rays, tuple(sum(col) for col in zip(*rays)))
+
+
+def points(rng, cone):
+    """Rational interior points: small, integral, and with denominators near 1e12."""
+    yield random_interior_rational(cone, rng)
+    for coeffs in ([rng.randint(1, 5) for _ in cone.rays],
+                   [Fraction(rng.randint(1, 10**12), rng.randint(1, 10**12)) for _ in cone.rays]):
+        yield tuple(sum(c * r[k] for c, r in zip(coeffs, cone.rays)) for k in range(cone.ambient_dim))
+
+
+def seeded_divisor(rng, rays):
+    """3-4 coefficients of 2-3 vertices with coordinates in (1/6) Z."""
+    pts = []
+    for p in range(rng.randint(3, 4)):
+        verts = [tuple(Fraction(rng.randint(-4, 8), rng.choice((1, 2, 3))) for _ in rays[0])
+                 for _ in range(rng.randint(2, 3))]
+        pts.append((str(p), verts))
+    return PolyhedralDivisor.from_vertex_lists(rays, pts)
+
+
+class TestToric:
+    def test_cones_dims_3_to_6(self):
+        rng = random.Random(61)
+        for dim, k, box in CONES:
+            for _ in range(3):
+                t = lattice_cone(rng, dim, k, box)
+                for xi in points(rng, t.sigma):
+                    assert_paths_agree(t._cellsum, xi)
+
+    def test_polygons_with_1e4_coordinates(self):
+        rng = random.Random(62)
+        for k in POLYGONS:
+            t = lattice_cone(rng, 3, k, 10**4)
+            for _ in range(2):
+                for xi in points(rng, t.sigma):
+                    assert_paths_agree(t._cellsum, xi)
+
+
+class TestComplexityOne:
+    def test_weight_denominators_2_and_3(self):
+        rng = random.Random(63)
+        denominators = set()
+        for k in range(24):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            cs = d._cellsum
+            denominators |= {a.denominator for _, _, weights in cs.cells for a in weights}
+            for xi in points(rng, d.sigma):
+                assert_paths_agree(cs, xi)
+        assert any(e % 2 == 0 for e in denominators) and any(e % 3 == 0 for e in denominators)
+
+    def test_dk_divisor(self, dk_divisor):
+        rng = random.Random(64)
+        for _ in range(5):
+            for xi in points(rng, dk_divisor.sigma):
+                assert_paths_agree(dk_divisor._cellsum, xi)
+
+    def test_rational_minimizer(self):
+        # deg(u) = u_1 + u_2 on the orthant: the minimizer for u0 = (1, 1) is (1, 1) by symmetry
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(1, 1)])])
+        assert d._cellsum.is_rational_minimizer((1, 1), (1, 1))
+        assert d._cellsum.is_rational_minimizer((Fraction(1, 3), Fraction(1, 3)), (1, 1))
+        assert not d._cellsum.is_rational_minimizer((1, 2), (1, 1))
+        assert not d._cellsum.is_rational_minimizer((1, 1), (1, 2))
+
+
+def test_cell_less_sum_returns_int_zeros():
+    cs = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])._cellsum
+    assert not cs.cells
+    for xi in ((1, 2), (Fraction(1, 3), Fraction(5, 2))):
+        assert_paths_agree(cs, xi)
+        assert type(cs.evaluate(xi)[0]) is int
+        assert not cs.is_rational_minimizer(xi, (1, 1))
+
+
+@pytest.mark.parametrize("xi", [(-1, 2, 1), (Fraction(-3, 2), Fraction(1, 7), 1), (0, 0, 1), (1, -Fraction(1, 3), -2)])
+def test_first_nonpositive_ray_names_the_same_pairing(xi, spp):
+    cs = spp._cellsum
+    with pytest.raises(NotInReebCone) as generic:
+        cs._evaluate_generic(xi, 1)
+    with pytest.raises(NotInReebCone) as rational:
+        cs.evaluate(xi, 1)
+    assert str(rational.value) == str(generic.value)
+
+
+@pytest.mark.parametrize("xi", [(1, 1), (Fraction(1, 2), 1, 1, 1), ()])
+def test_wrong_length_same_message(xi, dk_divisor):
+    cs = dk_divisor._cellsum
+    with pytest.raises(ValueError) as generic:
+        cs._evaluate_generic(xi, 0)
+    with pytest.raises(ValueError) as rational:
+        cs.evaluate(xi, 0)
+    assert str(rational.value) == str(generic.value)
+
+
+def bitwise(a, b):
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    return same(a, b)
+
+
+class TestScanFromOneGradient:
+    def test_toric(self, spp):
+        rng = random.Random(65)
+        xf = minimize(spp).xi_star.xi
+        etas = [(1, 0, 0), (0, 1, 0), (1, 1, -2), (Fraction(1, 3), 2, 1)]
+        for xi in [xf, tuple(x * 1.5 for x in xf)] + [random_interior_rational(spp.sigma, rng) for _ in range(4)]:
+            scan = semistable_scan(spp, xi, etas + [xi])
+            for eta, (scan_eta, fut, _) in zip(etas + [xi], scan.entries):
+                assert scan_eta == tuple(eta)
+                assert bitwise(fut, futaki_invariant(spp, xi, eta))
+
+    def test_complexity_one(self, dk_divisor):
+        rng = random.Random(66)
+        xf = (1.0, 1.0, 0.6861406616345072)
+        etas = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0), (Fraction(1, 2), 1, 1)]
+        for xi in [xf] + [random_interior_rational(dk_divisor.sigma, rng) for _ in range(4)]:
+            scan = semistable_scan(dk_divisor, xi, etas, u0=DK_U0)
+            for eta, (_, fut, _) in zip(etas, scan.entries):
+                assert bitwise(fut, futaki_invariant(dk_divisor, xi, eta, u0=DK_U0))
+
+    def test_one_kernel_evaluation_per_scan(self, spp, monkeypatch):
+        calls = []
+        evaluate = spp._cellsum.evaluate
+        monkeypatch.setattr(spp._cellsum, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        semistable_scan(spp, (2, 2, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert len(calls) == 1

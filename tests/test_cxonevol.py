@@ -18,7 +18,7 @@ from reebmin import (
     vol_xi_c1,
 )
 from reebmin import _exact as ex
-from reebmin.cxonevol import CellComplex, _minkowski_vertex_choices, build_cells
+from reebmin.cxonevol import CellComplex, _integer_vertices, _minkowski_vertex_choices, build_cells
 from reebmin.polyhedral import dual_cone, triangulate_cone
 
 from conftest import DK_SIGMA_RAYS, DK_U0, random_interior_rational
@@ -148,8 +148,8 @@ class TestCellsFromMinkowskiVertices:
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cells, full_before_cut = product_loop_cells(d)
             assert build_cells(d) == cells
-            vertex_lists = [p.compact_vertices for _, p in d.points]
-            assert _minkowski_vertex_choices(d.sigma, vertex_lists) == full_before_cut
+            vertex_lists, den = _integer_vertices([p.compact_vertices for _, p in d.points])
+            assert _minkowski_vertex_choices(d.sigma, vertex_lists, den) == full_before_cut
             # distinct vertices of the sum have distinct functionals ell
             cut_to_lower_dimension += len({ell for _, ell in cells.cells}) < len(full_before_cut)
             with_cells += bool(cells.cells)
@@ -159,7 +159,9 @@ class TestCellsFromMinkowskiVertices:
         d = PolyhedralDivisor.from_vertex_lists(
             DK_SIGMA_RAYS, [("0", [(0, 1, 0)]), ("1", [(1, 0, 0)]), ("2", [(0, 0, 1)])]
         )
-        assert _minkowski_vertex_choices(d.sigma, [p.compact_vertices for _, p in d.points]) == [(0, 0, 0)]
+        vertex_lists, den = _integer_vertices([p.compact_vertices for _, p in d.points])
+        assert vertex_lists == [[(0, 1, 0)], [(1, 0, 0)], [(0, 0, 1)]] and den == 1
+        assert _minkowski_vertex_choices(d.sigma, vertex_lists, den) == [(0, 0, 0)]
         assert build_cells(d) == product_loop_cells(d)[0]
 
 

@@ -248,6 +248,35 @@ class TestIntegerSetup:
         with pytest.raises(ValueError):
             ex.adjugate([(1, 2), (2, 4)])
 
+    def test_int_det_against_cofactor_expansion(self):
+        def cofactor(m):
+            if not m:
+                return 1
+            return sum((-1) ** j * m[0][j] * cofactor([row[:j] + row[j + 1 :] for row in m[1:]])
+                       for j in range(len(m)) if m[0][j])
+
+        rng = random.Random(13)
+        kinds = {"singular": 0, "swap": 0}
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            bound = rng.choice((3, 10**4))
+            m = [[rng.randint(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2 and n > 1:  # a repeated row or column
+                i, j = rng.sample(range(n), 2)
+                m[i] = list(m[j]) if rng.random() < 0.5 else m[i]
+                for row in m:
+                    row[i] = row[j]
+            d = ex.int_det(m)
+            assert type(d) is int and d == cofactor(m)
+            kinds["singular"] += d == 0
+            kinds["swap"] += m[0][0] == 0 and d != 0
+        assert kinds["singular"] >= 30 and kinds["swap"] >= 30
+        assert ex.int_det([]) == 1
+        assert ex.int_det([(0, 2), (3, 0)]) == -6
+        assert ex.int_det([(Fraction(4, 2), 1), (1, 1)]) == 1
+        with pytest.raises(ValueError, match="not integral"):
+            ex.int_det([(Fraction(1, 2), 0), (0, 2)])
+
 
 class TestVertexEnumeration:
     def test_triangle(self):
