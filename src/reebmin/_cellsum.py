@@ -22,14 +22,14 @@ arithmetic on u_i / p_i, which carries any ordered field and stays the
 tests' reference for the integer path on Fractions.  There a rational weight
 a_ci enters through its numerator and denominator, because a Fraction meets
 an mpf only as a * (1 / p) (Fraction / mpf raises TypeError) and an mpi not
-at all.
+at all.  `first_order` reads the one first-order certificate (the gradient
+projected off u0, and the sine between -grad vol and u0) off one order-1
+evaluation, for Newton's answer and for the exact tests alike.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from . import _exact as ex
 from .errors import NotInReebCone
@@ -63,22 +63,6 @@ class ReebVector:
 def check_length(name, v, dim):
     if len(v) != dim:
         raise ValueError(f"{name} has {len(v)} entries but the weight cone lies in dimension {dim}")
-
-
-def sine(g, u0):
-    """Sine of the angle between -g and u0: zero exactly when g is parallel to
-    u0, NaN when g = 0.  Exact up to the final square root for Fractions."""
-    gg = sum(x * x for x in g)
-    if gg == 0:
-        return float("nan")
-    uu = sum(x * x for x in u0)
-    gu = sum(x * y for x, y in zip(g, u0))
-    ratio = 1 - (gu * gu) / (gg * uu)
-    if isinstance(ratio, Fraction):
-        return 0.0 if ratio == 0 else math.sqrt(float(ratio))
-    if isinstance(ratio, mpmath.mpf):
-        return mpmath.sqrt(max(ratio, mpmath.mpf(0)))
-    return math.sqrt(max(float(ratio), 0.0))
 
 
 def _integer_weights(a):
@@ -287,19 +271,33 @@ class CellSum:
                 h[l][k] = h[k][l]
         return vol, tuple(grad), tuple(tuple(row) for row in h)
 
+    def first_order(self, xi, u0):
+        """(vol, grad, proj, sine) at xi, in xi's own arithmetic, from one
+        order-1 evaluation.
+
+        proj is grad vol minus its component along u0, and sine the sine of
+        the angle between -grad vol and u0, NaN when grad vol = 0.  By strict
+        convexity on the slice, xi lies on the minimizer's ray exactly when
+        proj = 0 and <grad vol, u0> < 0; sine = 0 says the same up to the
+        sign.  At a rational xi (with rational u0) both are exact, the sine
+        up to its final square root.
+        """
+        vol, g = self.evaluate(xi, 1)
+        uu = sum(x * x for x in u0)
+        gu = sum(x * y for x, y in zip(g, u0))
+        c = gu / uu
+        proj = tuple(x - c * y for x, y in zip(g, u0))
+        gg = sum(x * x for x in g)
+        if gg == 0:
+            return vol, g, proj, float("nan")
+        ratio = 1 - (gu * gu) / (gg * uu)
+        if isinstance(ratio, Fraction):
+            return vol, g, proj, 0.0 if ratio == 0 else math.sqrt(float(ratio))
+        return vol, g, proj, math.sqrt(max(float(ratio), 0.0))
+
     def is_rational_minimizer(self, xi, u0):
         """Exact first-order test at a rational xi: grad vol(xi) is a
         negative multiple of u0."""
-        g = self.evaluate(ex.fracvec(xi), 1)[1]
-        scale = None
-        for gk, uk in zip(g, u0):
-            if uk == 0:
-                if gk != 0:
-                    return False
-                continue
-            r = Fraction(gk) / uk
-            if scale is None:
-                scale = r
-            elif r != scale:
-                return False
-        return scale is not None and scale < 0
+        u0 = ex.fracvec(u0)
+        _, g, proj, _ = self.first_order(ex.fracvec(xi), u0)
+        return not any(proj) and sum(x * y for x, y in zip(g, u0)) < 0

@@ -6,17 +6,19 @@ stops on the gradient test, or at the rounding floor of f: once the squared
 Newton decrement (twice the predicted decrease) is a few ulps of f, f no
 longer resolves the decrease, so the last Newton step is taken without a
 line search and no further iteration can improve the point.  Newton runs in
-float64; the certificates are re-evaluated from the kernel in mpmath at
-CERTIFICATE_PRECISION bits.
+float64.  Its certificate is exact: every float64 point is rational, so the
+kernel evaluates vol and grad vol at Newton's point on its integer path, and
+the projected gradient, the sine and the normalized volume are read off that
+one evaluation.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
-from ._cellsum import ReebVector, sine
+from ._cellsum import ReebVector
 from .errors import NotInReebCone
 
 ARMIJO = 1e-4
@@ -24,7 +26,6 @@ MAX_BACKTRACK = 60
 ILL_CONDITIONED = 1e12
 ROUNDING_FLOOR = 4  # ulps of f: a smaller squared Newton decrement does not show in f
 NEWTON_STOPS = ("gradient", "rounding_floor")
-CERTIFICATE_PRECISION = 106  # bits: twice float64's 53
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,15 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     """Global minimizer of <u0, xi>^n vol(xi) over the Reeb cone, rescaled so
     that <u0, xi> = n.
 
-    Starts at the sum of the Reeb cone's rays on the slice.  It is converged
-    when Newton stopped on the gradient test or at the rounding floor of f
-    and, at CERTIFICATE_PRECISION, both the projected gradient norm and the
-    sine between -grad vol and u0 are at most the tolerance (the sine is NaN,
-    so never, when grad vol = 0).  `stop_reason` says why Newton stopped.
+    Starts at the sum of the Reeb cone's rays on the slice.  The certificate
+    is one exact evaluation at Newton's float point xi_hat, taken as a
+    rational point: nvol_star is A^n vol there, grad_norm the norm of the
+    gradient's projection off u0, and barycenter_residual the sine between
+    -grad vol and u0 (NaN when grad vol = 0), each exact up to the final
+    rounding to float.  It is converged when Newton stopped on the gradient
+    test or at the rounding floor of f and both grad_norm and the sine are
+    at most the tolerance.  xi_star is xi_hat rescaled in float so that
+    <u0, xi_star> = n.  `stop_reason` says why Newton stopped.
     Without cells vol = 0 and grad vol = 0 everywhere: it returns the start
     at once, with stop_reason "zero_volume", and runs neither Newton nor the
     certificates.
@@ -75,20 +80,13 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     u0f = np.asarray([float(x) for x in u0])
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
-    with mpmath.workprec(CERTIFICATE_PRECISION):
-        _, g = cs.evaluate(tuple(mpmath.mpf(float(x)) for x in xi_hat), 1)
-        u0m = tuple(mpmath.mpf(x.numerator) / x.denominator for x in u0)
-        uu = sum(x * x for x in u0m)
-        gu = sum(a * b for a, b in zip(g, u0m))
-        proj = [gi - gu / uu * ui for gi, ui in zip(g, u0m)]
-        grad_norm = float(mpmath.sqrt(sum(x * x for x in proj)))
-        residual = float(sine(g, u0m))
-
+    xq = tuple(Fraction(float(x)) for x in xi_hat)
+    vol, _, proj, residual = cs.first_order(xq, u0)
+    grad_norm = math.sqrt(sum(x * x for x in proj))
     a = float(sum(x * y for x, y in zip(u0, xi_hat)))
-    xi_star = ReebVector.real(np.asarray(xi_hat) * (n / a))
     return MinimizeResult(
-        xi_star=xi_star,
-        nvol_star=float(sum(x * y for x, y in zip(u0, xi_star)) ** n * cs.evaluate(xi_star)[0]),
+        xi_star=ReebVector.real(np.asarray(xi_hat) * (n / a)),
+        nvol_star=float(sum(x * y for x, y in zip(u0, xq)) ** n * vol),
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,

@@ -194,10 +194,10 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200) -> Minim
     Newton on the slice {<u0, xi> = 1} with closed-form derivatives, stopped
     by the gradient test or at the rounding floor of f (`stop_reason`);
     strict convexity makes the converged point global.  Certificates are
-    re-evaluated at the certificate precision; the sine of the angle
-    between -grad vol and u0 plays the role of the barycenter residual.  A
-    divisor with no cells has vol = 0 and grad vol = 0: it stops at once
-    with stop_reason "zero_volume", a NaN residual and converged=False.
+    exact at Newton's point; the sine of the angle between -grad vol and u0
+    plays the role of the barycenter residual.  A divisor with no cells has
+    vol = 0 and grad vol = 0: it stops at once with stop_reason
+    "zero_volume", a NaN residual and converged=False.
     """
     u0 = ex.fracvec(u0)
     check_length("u0", u0, d.r)

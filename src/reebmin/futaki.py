@@ -33,9 +33,12 @@ class FutakiReport:
 
 
 def _weight(data, u0):
-    """The functional u0 of the data: toric data carry their own, a divisor
-    needs it given."""
+    """The functional u0 of the data: toric data carry their own, which a
+    given u0 must equal; a divisor needs it given."""
     if isinstance(data, ToricData):
+        if u0 is not None and tuple(u0) != data.u0:
+            shown = ", ".join(map(str, data.u0))
+            raise ValueError(f"u0 {tuple(u0)} differs from the toric data's u0 ({shown})")
         return data.u0
     if isinstance(data, PolyhedralDivisor):
         if u0 is None:
@@ -51,20 +54,22 @@ def futaki_invariant(data, xi0, eta, u0=None):
 
 def _invariants(data, u0, xi0, etas):
     """Fut(xi0; eta) for each eta in turn, from one evaluation of vol and
-    grad vol at xi0, made when the first eta has passed its length checks."""
+    grad vol at xi0, made when the first eta has passed its length check."""
     xi = tuple(xi0)
-    n = data.n
+    n, dim = data.n, data._cellsum.dim
+    check_length("u0", u0, dim)
+    check_length("Reeb vector", xi, dim)
     grad = None
     for eta in etas:
         eta = tuple(eta)
-        for name, v in (("u0", u0), ("Reeb vector", xi), ("eta", eta)):
-            check_length(name, v, data._cellsum.dim)
+        check_length("eta", eta, dim)
         if grad is None:
             a = sum(x * y for x, y in zip(u0, xi))
             vol, grad = data._cellsum.evaluate(xi, 1)
+            lead, a_n = n * a ** (n - 1), a**n
         a_eta = sum(x * y for x, y in zip(u0, eta))
         d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
-        yield n * a ** (n - 1) * (-a_eta) * vol + a**n * d_vol
+        yield lead * (-a_eta) * vol + a_n * d_vol
 
 
 def normalized_direction(u0, xi0, eta):
@@ -74,11 +79,19 @@ def normalized_direction(u0, xi0, eta):
     eta = tuple(eta)
     check_length("Reeb vector", xi, len(u0))
     check_length("eta", eta, len(u0))
+    return next(_directions(u0, xi, [eta]))
+
+
+def _directions(u0, xi, etas):
+    """normalized_direction for each eta in turn, with A(xi0) formed once;
+    u0 rational, xi and each eta tuples of its length."""
     a0 = sum(x * y for x, y in zip(u0, xi))
-    ae = sum(x * y for x, y in zip(u0, eta))
     if not a0 > 0:
         raise ValueError("A(xi0) must be positive")
-    return tuple((a0 * e - ae * x) * (1 / (a0 * a0)) for e, x in zip(eta, xi))
+    inv = 1 / (a0 * a0)
+    for eta in etas:
+        ae = sum(x * y for x, y in zip(u0, eta))
+        yield tuple((a0 * e - ae * x) * inv for e, x in zip(eta, xi))
 
 
 def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
@@ -91,9 +104,10 @@ def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     if tolerance is None:
         tolerance = 1e-9
     weight = _weight(data, u0)
+    xi = tuple(xi0)
     etas = [tuple(eta) for eta in etas]
-    futs = _invariants(data, weight, xi0, etas)
-    entries = [(eta, fut, normalized_direction(weight, xi0, eta)) for eta, fut in zip(etas, futs)]
+    futs = _invariants(data, weight, xi, etas)
+    entries = list(zip(etas, futs, _directions(weight, xi, etas)))
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

@@ -25,41 +25,28 @@ _BLOCK = 2**15  # box columns (heads times y width) per block of heads formed in
 _INT64 = 2**62  # magnitudes below this leave room for one more int64 addition
 
 
-def _xi_enclosure(xi):
-    """Per-coordinate rational (lo, hi) enclosure plus a float midpoint."""
-    lo, hi, mid = [], [], []
-    for v in getattr(xi, "xi", xi):
-        if hasattr(v, "lo") and hasattr(v, "hi"):
-            a, b = ex.frac(v.lo), ex.frac(v.hi)
-        elif isinstance(v, float):
-            a = b = Fraction(v)
-        else:
-            a = b = ex.frac(v)
-        lo.append(a)
-        hi.append(b)
-        mid.append(float((a + b) / 2))
-    return lo, hi, mid
+def _exact_xi(xi):
+    """xi's coordinates as exact rationals; a float is the rational it stores."""
+    return [Fraction(v) if isinstance(v, float) else ex.frac(v) for v in getattr(xi, "xi", xi)]
 
 
-def _pair_bound(u, lo, hi):
-    """Exact lower bound of <u, xi> given the coordinate enclosure; with lo and
-    hi swapped, the upper bound."""
-    return sum(c * (lo[i] if c > 0 else hi[i]) for i, c in enumerate(u))
+def _pairing(u, x):
+    """Exact <u, x>."""
+    return sum(c * v for c, v in zip(u, x))
 
 
-def _box_from_cone(dual_rays, lo, hi, m, pad):
+def _box_from_cone(dual_rays, xi, m, pad):
     """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box.
 
     The vertices are 0 and m u / <u, xi> for the dual rays u, with the
-    enclosure's lower pairing bound, so their hull holds the truncated cone
-    of every xi in the enclosure.
+    pairing exact before its one rounding to float.
     """
-    verts = [[0.0] * len(lo)]
+    verts = [[0.0] * len(xi)]
     for u in dual_rays:
-        plo = _pair_bound(u, lo, hi)
-        if plo <= 0:
+        p = _pairing(u, xi)
+        if p <= 0:
             raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
-        scale = float(m) / float(plo)
+        scale = float(m) / float(p)
         verts.append([c * scale for c in u])
     verts = np.asarray(verts)
     box_lo = [int(np.floor(x - pad)) for x in verts.min(axis=0)]
@@ -271,24 +258,24 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
     count.  The interior run of each column is summed in closed form
     (`_interior_sums`); its border run is rechecked point by point against
-    the exact enclosure of xi.  The budget charges each slab its candidate
-    points, and at least the width of its y range, so slabs without points
-    still count towards it; it is checked before each block's work.
+    the exact xi.  The budget charges each slab its candidate points, and at
+    least the width of its y range, so slabs without points still count
+    towards it; it is checked before each block's work.
     """
-    lo, hi, mid = _xi_enclosure(xi)
+    x = _exact_xi(xi)
     dim = len(dual_rays[0])
-    if len(mid) != dim:
-        raise ValueError(f"Reeb vector has {len(mid)} entries but the weight cone lies in dimension {dim}")
+    if len(x) != dim:
+        raise ValueError(f"Reeb vector has {len(x)} entries but the weight cone lies in dimension {dim}")
     mf = float(m)
     pad = 1e-9 * (1.0 + abs(mf))
     delta = _REL_MARGIN * (1.0 + abs(mf))
-    verts, box_lo, box_hi = _box_from_cone(dual_rays, lo, hi, m, pad)
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, x, m, pad)
     # candidate points have float pairing below m + delta, so true pairing below m + 2 delta
-    top_verts = _box_from_cone(dual_rays, lo, hi, mf + 2 * delta, pad)[0]
+    top_verts = _box_from_cone(dual_rays, x, mf + 2 * delta, pad)[0]
     rays = [tuple(int(c) for c in r) for r in sigma_rays]
-    if len(mid) == 1:  # a 1-dimensional cone is one slab with the single y = 0
+    if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
         rays = [(0, *r) for r in rays]
-        lo, hi, mid, box_lo, box_hi = ([0, *v] for v in (lo, hi, mid, box_lo, box_hi))
+        x, box_lo, box_hi = ([0, *v] for v in (x, box_lo, box_hi))
         coeffs = [([(0, *v) for v in rows], den) for rows, den in coeffs]
     reach = [max(-a, b) + 1 for a, b in zip(box_lo, box_hi)]  # |u_i| < reach_i one step past the box
 
@@ -309,10 +296,10 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         or any(2 * r + 2 >= _INT64 or den * nz >= _INT64 for r, den in reaches)
     )
     coeffs = [(np.array(rows, dtype=object if wide else np.int64), den) for rows, den in coeffs]
-    xf = np.asarray(mid, dtype=float)
+    xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
-    scale = lcm(*(c.denominator for c in lo + hi))  # the recheck in integers
-    lo_n, hi_n, m_n = [int(c * scale) for c in lo], [int(c * scale) for c in hi], Fraction(m) * scale
+    scale = lcm(*(c.denominator for c in x))  # the recheck in integers
+    x_n, m_n = [int(c * scale) for c in x], Fraction(m) * scale
     total = 0
     cells = 0
     walk = _heads(verts, box_lo, box_hi, pad)
@@ -331,7 +318,7 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         head, y, zlo, zhi, rest = heads[slab[live]], y[live], zlo[live], zhi[live], rest[live]
         ia, ib, ba, bb = _split(zlo, zhi, rest, xf[-1], delta, box_lo[-1], box_hi[-1])
         border = _slab_points(head, y, ba, bb)
-        below = [_pair_bound(p, hi_n, lo_n) < m_n for p in border.tolist()]
+        below = [_pairing(p, x_n) < m_n for p in border.tolist()]
         total += int(_h0(border[np.array(below, dtype=bool)], coeffs).sum())
         inner = np.flatnonzero(ia <= ib)
         fallback = inner

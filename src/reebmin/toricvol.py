@@ -10,7 +10,7 @@ normalized volume of a smooth point is n^n.  The sum, its gradient and its
 Hessian come from the cell-sum kernel shared with complexity-one data
 (`_cellsum`), which stays exact when xi is rational.  Minimization runs the
 shared damped Newton method (`_newton`) on the slice {A(xi) = 1} and
-re-evaluates its certificates at 106 bits.
+certifies Newton's point with one exact evaluation.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from functools import cached_property
 
 from . import _exact as ex
 from . import _newton
-from ._cellsum import CellSum, ReebVector, check_length, sine  # ReebVector is re-exported
+from ._cellsum import CellSum, ReebVector, check_length  # ReebVector is re-exported
 from ._newton import MinimizeResult
 from .errors import NotStrictlyConvex
 from .polyhedral import VCone, dual_cone, triangulate_cone
@@ -107,7 +107,7 @@ def certify_barycenter(t: ToricData, xi):
     zero exactly at a minimizer on its ray, computed exactly when xi is
     rational.
     """
-    return sine(grad_vol(t, xi), t.u0)
+    return t._cellsum.first_order(xi, t.u0)[3]
 
 
 def minimize(t: ToricData, tolerance=1e-9, max_iter=100) -> MinimizeResult:
@@ -117,8 +117,7 @@ def minimize(t: ToricData, tolerance=1e-9, max_iter=100) -> MinimizeResult:
     stopped by the gradient test or at the rounding floor of f
     (`stop_reason`); strict convexity and properness make the converged
     point the unique global minimizer.  The result is rescaled so that
-    A(xi_star) = n, and the reported certificates are re-evaluated at the
-    certificate precision.
+    A(xi_star) = n; the reported certificates are exact at Newton's point.
     """
     return _newton.minimize(t._cellsum, t.u0, t.sigma.rays, t.n, tolerance, max_iter)
 

@@ -1,12 +1,26 @@
 """The cell-sum kernel's integer path for rational Reeb vectors, checked
-against the generic path on Fractions: equal values of equal types."""
+against the generic path on Fractions: equal values of equal types.  The
+first-order certificate Newton reports is checked against the same
+reference at Newton's point."""
 
+import ast
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from reebmin import NotInReebCone, PolyhedralDivisor, ToricData, futaki_invariant, minimize, semistable_scan
+from reebmin import (
+    NotInReebCone,
+    PolyhedralDivisor,
+    ToricData,
+    futaki_invariant,
+    minimize,
+    minimize_c1,
+    semistable_scan,
+)
+from reebmin import _cellsum, _newton
 from reebmin import _exact as ex
 
 from conftest import DK_U0, random_interior_rational
@@ -109,6 +123,21 @@ class TestComplexityOne:
         assert not d._cellsum.is_rational_minimizer((1, 1), (1, 2))
 
 
+def test_rational_minimizer_with_a_zero_entry_in_u0():
+    # vol = 2 / (x^2 - y^2) on the cone over (1, 1), (1, -1): grad vol is
+    # (-4, 0) at (1, 0), a negative multiple of u0 = (1, 0), and has a nonzero
+    # second entry wherever y != 0
+    t = ToricData.from_dual_cone([(1, 1), (1, -1)], (1, 0))
+    assert t._cellsum.is_rational_minimizer((1, 0), t.u0)
+    assert t._cellsum.is_rational_minimizer((Fraction(2, 7), 0), (1, 0))
+    assert not t._cellsum.is_rational_minimizer((2, 1), t.u0)
+    assert not t._cellsum.is_rational_minimizer((1, 0), (0, 1))  # grad vol is orthogonal to (0, 1)
+    # grad vol = (-8/9, -4/9) at (2, -1) pairs negatively with (0, 1), but its
+    # first entry is nonzero where u0's is zero
+    assert not t._cellsum.is_rational_minimizer((2, -1), (0, 1))
+    assert not t._cellsum.is_rational_minimizer((1, 0), (-1, 0))  # a positive multiple
+
+
 def test_cell_less_sum_returns_int_zeros():
     cs = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])._cellsum
     assert not cs.cells
@@ -170,3 +199,82 @@ class TestScanFromOneGradient:
         monkeypatch.setattr(spp._cellsum, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
         semistable_scan(spp, (2, 2, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert len(calls) == 1
+
+
+def reference_certificate(cs, u0, n, xi):
+    """(nvol, |grad vol projected off u0|, sine between -grad vol and u0) at
+    a rational xi, from the generic path on Fractions: |proj|^2 = gg - gu^2 /
+    uu and sine^2 = 1 - gu^2 / (gg uu), each rounded to float before its
+    square root."""
+    vol, g = cs._evaluate_generic(xi, 1)
+    uu = sum(Fraction(x) ** 2 for x in u0)
+    gu = sum(x * y for x, y in zip(g, u0))
+    gg = sum(x * x for x in g)
+    a = sum(x * y for x, y in zip(u0, xi))
+    sine_sq = 1 - gu * gu / (gg * uu)
+    return float(a**n * vol), math.sqrt(gg - gu * gu / uu), 0.0 if sine_sq == 0 else math.sqrt(sine_sq)
+
+
+class TestNewtonCertificate:
+    """nvol_star, grad_norm and barycenter_residual are exact at the float
+    point Newton returns, from one kernel call on Fractions after Newton."""
+
+    def check(self, monkeypatch, cs, u0, n, run):
+        calls, newton_points = [], []
+        evaluate, newton = cs.evaluate, _newton._newton
+
+        def spy(*args):
+            out = newton(*args)
+            newton_points.append((out[0], len(calls)))
+            return out
+
+        monkeypatch.setattr(cs, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(_newton, "_newton", spy)
+        res = run()
+        monkeypatch.undo()
+        [(xi_hat, seen)] = newton_points
+        [(xq, order)] = calls[seen:]  # one call after Newton, on Fractions
+        assert order == 1 and all(type(x) is Fraction for x in xq)
+        assert xq == tuple(Fraction(float(x)) for x in xi_hat)
+        nvol, grad_norm, sine = reference_certificate(cs, u0, n, xq)
+        assert (res.nvol_star, res.grad_norm, res.barycenter_residual) == (nvol, grad_norm, sine)
+        return res
+
+    def test_seeded_toric_cones(self, monkeypatch):
+        rng = random.Random(67)
+        for dim, k, box in CONES[:6]:
+            t = lattice_cone(rng, dim, k, box)
+            self.check(monkeypatch, t._cellsum, t.u0, t.n, lambda: minimize(t))
+        for k in POLYGONS:
+            t = lattice_cone(rng, 3, k, 10**4)
+            self.check(monkeypatch, t._cellsum, t.u0, t.n, lambda: minimize(t))
+
+    def test_seeded_divisors(self, monkeypatch):
+        rng = random.Random(68)
+        checked = 0
+        for k in range(12):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            if not d._cellsum.cells:
+                continue
+            u0 = tuple(sum(col) for col in zip(*d.sigma_dual.rays))
+            self.check(monkeypatch, d._cellsum, ex.fracvec(u0), d.n, lambda: minimize_c1(d, u0))
+            checked += 1
+        assert checked >= 8
+
+    def test_dk_divisor(self, monkeypatch, dk_divisor):
+        res = self.check(monkeypatch, dk_divisor._cellsum, ex.fracvec(DK_U0), dk_divisor.n,
+                         lambda: minimize_c1(dk_divisor, DK_U0))
+        assert res.converged
+
+
+@pytest.mark.parametrize("module", [_cellsum, _newton])
+def test_certificate_modules_import_no_mpmath(module):
+    # Newton's certificate is exact on the kernel's integer path; no
+    # multiprecision re-evaluation is left in the kernel or the minimizer
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "mpmath" not in imported

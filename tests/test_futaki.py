@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from reebmin import (
+    ToricData,
     futaki_invariant,
     minimize,
     minimize_c1,
@@ -88,6 +89,22 @@ class TestLengthChecks:
     def test_normalized_direction_xi_of_wrong_length(self):
         with pytest.raises(ValueError, match="Reeb vector has 3 entries .* dimension 2"):
             normalized_direction((1, 1), (1, 1, 5), (1, 0))
+
+
+class TestToricU0:
+    # a u0 given with toric data used to be dropped: this call returned 0
+    def test_a_different_u0_is_rejected(self):
+        t = ToricData.smooth_point(3)
+        for f in (lambda: futaki_invariant(t, (1, 1, 1), (1, 0, 0), u0=(5, -7, 2)),
+                  lambda: semistable_scan(t, (1, 1, 1), [(1, 0, 0)], u0=(5, -7, 2))):
+            with pytest.raises(ValueError, match="differs from the toric data's u0"):
+                f()
+
+    def test_its_own_u0_is_accepted(self, c2):
+        xi, eta = (Fraction(2), Fraction(1)), (1, 0)
+        for u0 in (c2.u0, (1, 1)):
+            assert futaki_invariant(c2, xi, eta, u0=u0) == futaki_invariant(c2, xi, eta) == Fraction(-3, 4)
+            assert semistable_scan(c2, xi, [eta], u0=u0) == semistable_scan(c2, xi, [eta])
 
 
 class TestNormalizedDirection:

@@ -90,6 +90,13 @@ class TestCountToric:
     def test_smooth_surface_small(self, c2):
         assert count_toric(c2, (1, 1), 3) == 6
 
+    def test_float_xi_is_the_rational_it_stores(self, c2):
+        # 0.3 stores 0.29999999999999998889..., so the four points with
+        # u_1 + u_2 = 3 pair below 9/10 at the float xi and on it at 3/10
+        m = Fraction(9, 10)
+        assert count_toric(c2, (0.3, 0.3), m) == count_toric(c2, (Fraction(0.3),) * 2, m) == 10
+        assert count_toric(c2, (Fraction(3, 10),) * 2, m) == 6
+
     def test_a1_hand_enumeration(self, a1):
         # {(u1, u2): 0 <= u2 <= 2 u1, 2 u1 < 4} has 1 + 3 elements
         assert count_toric(a1, (2, 0), 4) == 4
@@ -283,7 +290,7 @@ class TestCountCxone:
 
 
 class TestLengthChecks:
-    # a short xi used to raise IndexError in _pair_bound and a long one
+    # a short xi used to raise IndexError in the pairing bound and a long one
     # numpy's inhomogeneous-shape ValueError
     @pytest.mark.parametrize("xi", [(1.0,), (1.0, 1.0, 1.0)])
     def test_toric_xi_of_wrong_length(self, c2, xi):
