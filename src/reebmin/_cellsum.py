@@ -65,13 +65,16 @@ def check_length(name, v, dim):
         raise ValueError(f"{name} has {len(v)} entries but the weight cone lies in dimension {dim}")
 
 
+def _cleared(v):
+    """(N, e) with v_i = N_i / e, e the lcm of the denominators of rationals v."""
+    e = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (e // x.denominator) for x in v), e
+
+
 def _integer_weights(a):
     """(A, e) with a_i = A_i / e, e the lcm of the denominators; (None, 1) for
     a toric cell."""
-    if a is None:
-        return None, 1
-    e = math.lcm(*(x.denominator for x in a))
-    return tuple(x.numerator * (e // x.denominator) for x in a), e
+    return (None, 1) if a is None else _cleared(a)
 
 
 def _combination(coeffs, vectors):
@@ -90,9 +93,30 @@ def _combine(terms, scale):
     return [Fraction(a * scale, lcm) for a in acc]
 
 
+def _is_rational(v):
+    return all(isinstance(x, (int, Fraction)) for x in v)
+
+
 def _zero_sums(n, order):
     """The sums over no cells: int 0 entries, as the generic path leaves them."""
     return ((0,), (0, (0,) * n), (0, (0,) * n, ((0,) * n,) * n))[order]
+
+
+def _rational_certificate(g, u0):
+    """(proj, sine) of first_order in integers: with g = G / D and u0 = U / E,
+    proj = (G <U, U> - <G, U> U) / (D <U, U>) and sine^2 = 1 - <G, U>^2 /
+    (<G, G> <U, U>), one Fraction per entry.  The quotient of two ints rounds
+    correctly, as float of a Fraction does."""
+    nums, den = _cleared(g)
+    us, _ = _cleared(u0)
+    uu = sum([x * x for x in us])
+    gu = sum([x * y for x, y in zip(nums, us)])
+    gg = sum([x * x for x in nums])
+    proj = tuple(Fraction(x * uu - gu * y, den * uu) for x, y in zip(nums, us))
+    if gg == 0:
+        return proj, float("nan")
+    rest = gg * uu - gu * gu
+    return proj, 0.0 if rest == 0 else math.sqrt(rest / (gg * uu))
 
 
 class CellSum:
@@ -143,7 +167,7 @@ class CellSum:
     def evaluate(self, xi, order=0):
         """(vol,), (vol, grad) or (vol, grad, hess) at xi, for order 0, 1 or 2."""
         xi = tuple(xi)
-        if all(isinstance(x, (int, Fraction)) for x in xi):
+        if _is_rational(xi):
             return self._evaluate_rational(xi, order)
         return self._evaluate_generic(xi, order)
 
@@ -166,8 +190,7 @@ class CellSum:
         denominators, so each entry costs one reduction.
         """
         check_length("Reeb vector", xi, self.dim)
-        den = math.lcm(*(x.denominator for x in xi))
-        big = [x.numerator * (den // x.denominator) for x in xi]
+        big, den = _cleared(xi)
         pair = []
         for u in self.rays:
             p = sum([a * b for a, b in zip(u, big)])
@@ -280,9 +303,12 @@ class CellSum:
         convexity on the slice, xi lies on the minimizer's ray exactly when
         proj = 0 and <grad vol, u0> < 0; sine = 0 says the same up to the
         sign.  At a rational xi (with rational u0) both are exact, the sine
-        up to its final square root.
+        up to its final square root, and formed in integers.
         """
         vol, g = self.evaluate(xi, 1)
+        if _is_rational(g) and _is_rational(u0):
+            return vol, g, *_rational_certificate(g, u0)
+        # float, mpf or mpi values
         uu = sum(x * x for x in u0)
         gu = sum(x * y for x, y in zip(g, u0))
         c = gu / uu
@@ -291,8 +317,6 @@ class CellSum:
         if gg == 0:
             return vol, g, proj, float("nan")
         ratio = 1 - (gu * gu) / (gg * uu)
-        if isinstance(ratio, Fraction):
-            return vol, g, proj, 0.0 if ratio == 0 else math.sqrt(float(ratio))
         return vol, g, proj, math.sqrt(max(float(ratio), 0.0))
 
     def is_rational_minimizer(self, xi, u0):

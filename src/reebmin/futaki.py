@@ -12,9 +12,10 @@ nothing beyond the tested degenerations.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import _exact as ex
-from ._cellsum import check_length
+from ._cellsum import _cleared, check_length
 from .cxonevol import PolyhedralDivisor
 from .toricvol import ToricData
 
@@ -49,12 +50,34 @@ def _weight(data, u0):
 
 def futaki_invariant(data, xi0, eta, u0=None):
     """Derivative of the normalized volume at xi0 in direction -eta."""
-    return next(_invariants(data, _weight(data, u0), xi0, [eta]))
+    u0 = _weight(data, u0)
+    return next(_invariants(data, u0, _pairing(u0), xi0, [eta]))
 
 
-def _invariants(data, u0, xi0, etas):
+def _pairing(u0):
+    """v -> A(v) = <u0, v> for a rational u0, with A's value and type as
+    term-by-term arithmetic gives them: one Fraction for an int v; for a
+    float v each term float(u0_k) * v_k, as Fraction * float computes it,
+    from floats formed once; term by term otherwise."""
+    us, e = _cleared(u0)
+    uf = [float(x) for x in u0]
+
+    def pair(v):
+        if all(type(x) is float for x in v):
+            return sum([a * b for a, b in zip(uf, v)])
+        if all(type(x) is int for x in v):
+            return Fraction(sum([a * b for a, b in zip(us, v)]), e)
+        return sum(x * y for x, y in zip(u0, v))
+
+    return pair
+
+
+def _invariants(data, u0, pair, xi0, etas):
     """Fut(xi0; eta) for each eta in turn, from one evaluation of vol and
-    grad vol at xi0, made when the first eta has passed its length check."""
+    grad vol at xi0, made when the first eta has passed its length check.
+
+    A float A(xi0) meets each exact A(eta) as its float, which is what
+    Fraction * float computes."""
     xi = tuple(xi0)
     n, dim = data.n, data._cellsum.dim
     check_length("u0", u0, dim)
@@ -64,10 +87,12 @@ def _invariants(data, u0, xi0, etas):
         eta = tuple(eta)
         check_length("eta", eta, dim)
         if grad is None:
-            a = sum(x * y for x, y in zip(u0, xi))
+            a = pair(xi)
             vol, grad = data._cellsum.evaluate(xi, 1)
             lead, a_n = n * a ** (n - 1), a**n
-        a_eta = sum(x * y for x, y in zip(u0, eta))
+        a_eta = pair(eta)
+        if type(lead) is float and type(a_eta) is Fraction:
+            a_eta = float(a_eta)
         d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
         yield lead * (-a_eta) * vol + a_n * d_vol
 
@@ -79,18 +104,22 @@ def normalized_direction(u0, xi0, eta):
     eta = tuple(eta)
     check_length("Reeb vector", xi, len(u0))
     check_length("eta", eta, len(u0))
-    return next(_directions(u0, xi, [eta]))
+    return next(_directions(_pairing(u0), xi, [eta]))
 
 
-def _directions(u0, xi, etas):
+def _directions(pair, xi, etas):
     """normalized_direction for each eta in turn, with A(xi0) formed once;
-    u0 rational, xi and each eta tuples of its length."""
-    a0 = sum(x * y for x, y in zip(u0, xi))
+    xi and each eta tuples of u0's length.  At a float xi0 each A(eta)
+    enters as its float, which is what Fraction * float computes."""
+    a0 = pair(xi)
     if not a0 > 0:
         raise ValueError("A(xi0) must be positive")
     inv = 1 / (a0 * a0)
+    floats = all(type(x) is float for x in xi)
     for eta in etas:
-        ae = sum(x * y for x, y in zip(u0, eta))
+        ae = pair(eta)
+        if floats and type(ae) is Fraction:
+            ae = float(ae)
         yield tuple((a0 * e - ae * x) * inv for e, x in zip(eta, xi))
 
 
@@ -104,10 +133,11 @@ def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     if tolerance is None:
         tolerance = 1e-9
     weight = _weight(data, u0)
+    pair = _pairing(weight)
     xi = tuple(xi0)
     etas = [tuple(eta) for eta in etas]
-    futs = _invariants(data, weight, xi, etas)
-    entries = list(zip(etas, futs, _directions(weight, xi, etas)))
+    futs = _invariants(data, weight, pair, xi, etas)
+    entries = list(zip(etas, futs, _directions(pair, xi, etas)))
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

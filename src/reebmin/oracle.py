@@ -6,7 +6,12 @@ produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
 The sum runs column by column: the lattice points with all but the last
 coordinate fixed, summed in closed form, with the few points near the
-truncation rechecked one by one.
+truncation rechecked one by one.  Along a column each divisor point's
+coefficient is the lower envelope of one line per distinct slope, so the
+closed form is one floor sum per envelope piece, n (a // den) for a flat
+one.  It needs h0 = deg floor(D(u)) + 1 on the run, which one exact test per
+count proves for the whole weight cone when it holds (`_sure_everywhere`),
+and a per-column bound decides otherwise.
 """
 
 from dataclasses import dataclass
@@ -208,47 +213,84 @@ def _floor_sum(n, den, a, b):
     return total
 
 
-def _interior_sums(heads, y, z0, z1, coeffs):
+def _envelopes(coeffs):
+    """Each divisor point's vertex rows merged by slope, the last coordinate:
+    (rows, starts, slopes, den) with the rows sorted by slope, starts[s] the
+    first row of slope slopes[s], and the slopes distinct and ascending."""
+    out = []
+    for nums, den in coeffs:
+        rows = nums[np.argsort(nums[:, -1], kind="stable")]
+        slopes, starts = np.unique(rows[:, -1], return_index=True)
+        out.append((rows, starts, slopes, den))
+    return out
+
+
+def _sure_everywhere(dual_rays, coeffs):
+    """Whether the closed form holds on every point of the weight cone.
+
+    floor(x / den) >= (x - den + 1) / den gives deg floor(D(u)) + 1 >= B(u) =
+    B(0) + deg(u), B(0) = 1 - sum_P (den_P - 1) / den_P and deg(u) = sum_P
+    min_v <v, u>.  deg is superadditive and positively homogeneous, so on
+    u = sum_i l_i r_i with l_i >= 0 and r_i the weight cone's rays,
+    deg(u) >= sum_i l_i deg(r_i).  Hence B(0) >= 0 and deg(r_i) >= 0 for
+    every ray make h0 = deg floor(D(u)) + 1 everywhere; both tests are exact,
+    in integers over the lcm of the denominators.
+    """
+    common = lcm(*(den for _, den in coeffs))
+    if common < sum((den - 1) * (common // den) for _, den in coeffs):
+        return False
+    return all(
+        sum(min(_pairing(v, r) for v in rows) * (common // den) for rows, den in coeffs) >= 0
+        for r in dual_rays
+    )
+
+
+def _interior_sums(heads, y, z0, z1, envelopes, sure):
     """Sum of h0 over the runs z0..z1 of the columns, in closed form where it is sure.
 
-    Along a column each divisor point P contributes floor(min_v L_Pv(z) /
-    den_P), with L_Pv linear in z.  Where the concave lower bound
-    sum_P (min_v L_Pv - den_P + 1) / den_P of deg stays >= -1 at both ends
-    of the run, h0 = deg + 1 on the whole run, and the sum is the run's
-    length plus, for each P and each vertex v, a floor sum over the
-    interval on which v attains the min (ties to the lowest index).
-    Returns the sum and the mask of the columns left to count point by point.
+    Along a column each divisor point P contributes floor(min_s L_Ps(z) /
+    den_P), one line L_Ps(z) = a_s + s z per distinct slope s, a_s the min of
+    the vertices of that slope.  Unless `sure` says the closed form holds on
+    the whole weight cone (`_sure_everywhere`), a column is sure where the
+    concave lower bound sum_P (min_s L_Ps - den_P + 1) / den_P of deg stays
+    >= -1 at both ends of the run.  On a sure run h0 = deg + 1, and the sum
+    is the run's length plus, for each P and each slope s, a floor sum over
+    the interval on which L_Ps attains the min (ties to the lowest slope),
+    in closed form n (a_s // den_P) for s = 0.  Returns the sum and the mask
+    of the columns left to count point by point.
     """
-    lines = [
-        (heads @ nums[:, :-2].T + np.outer(y, nums[:, -2]), nums[:, -1], den)
-        for nums, den in coeffs
-    ]
-    common = lcm(*(den for _, _, den in lines))
-    sure = np.ones(len(y), dtype=bool)
-    for z in (z0, z1):  # the bound, checked in integers scaled by common
-        bound = np.full(len(y), common, dtype=np.int64)
-        for a, c, den in lines:
-            bound += (np.min(a + np.outer(z, c), axis=1) - den + 1) * (common // den)
-        sure &= bound >= 0
-    z0, z1 = z0[sure], z1[sure]
+    lines = []
+    for rows, starts, slopes, den in envelopes:
+        a = heads @ rows[:, :-2].T + np.outer(y, rows[:, -2])
+        if len(starts) < len(rows):
+            a = np.minimum.reduceat(a, starts, axis=1)
+        lines.append((a, slopes, den))
+    unsure = np.zeros(len(y), dtype=bool)
+    if not sure:
+        common = lcm(*(den for _, _, den in lines))
+        for z in (z0, z1):  # the bound, checked in integers scaled by common
+            bound = np.full(len(y), common, dtype=np.int64)
+            for a, c, den in lines:
+                bound += (np.min(a + np.outer(z, c), axis=1) - den + 1) * (common // den)
+            unsure |= bound < 0
+        keep = ~unsure
+        z0, z1 = z0[keep], z1[keep]
+        lines = [(a[keep], c, den) for a, c, den in lines]
     total = int((z1 - z0 + 1).sum())
     for a, c, den in lines:
-        a = a[sure]
-        for v in range(len(c)):
+        for v, cv in enumerate(c):
             lo, hi = z0, z1
-            for w in range(len(c)):  # L_v(z) < L_w(z) for w < v, <= for w > v
-                if w == v:
-                    continue
-                dc, rhs = c[v] - c[w], a[:, w] - a[:, v] - (w < v)
-                if dc > 0:
-                    hi = np.minimum(hi, rhs // dc)
-                elif dc < 0:
-                    lo = np.maximum(lo, -(rhs // -dc))
-                else:
-                    hi = np.where(rhs >= 0, hi, z0 - 1)
+            for w, cw in enumerate(c):  # L_v(z) < L_w(z) for w < v, <= for w > v
+                if w < v:  # cv > cw
+                    hi = np.minimum(hi, (a[:, w] - a[:, v] - 1) // (cv - cw))
+                elif w > v:  # cv < cw
+                    lo = np.maximum(lo, -((a[:, w] - a[:, v]) // (cw - cv)))
             n = np.maximum(hi - lo + 1, 0)
-            total += _floor_sum(n, den, c[v], a[:, v] + c[v] * np.where(n > 0, lo, z0))
-    return total, ~sure
+            if cv == 0:
+                total += int((n * (a[:, v] // den)).sum())
+            else:
+                total += _floor_sum(n, den, cv, a[:, v] + cv * np.where(n > 0, lo, z0))
+    return total, unsure
 
 
 def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
@@ -256,11 +298,16 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
 
     coeffs holds each divisor point's vertices as integer rows over a common
     denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
-    count.  The interior run of each column is summed in closed form
-    (`_interior_sums`); its border run is rechecked point by point against
-    the exact xi.  The budget charges each slab its candidate points, and at
-    least the width of its y range, so slabs without points still count
-    towards it; it is checked before each block's work.
+    count.  Each point's vertices are merged by slope along the columns once
+    (`_envelopes`), and whether the closed form holds on the whole weight
+    cone, which dual_rays generate, is decided once (`_sure_everywhere`).
+    The interior run of each column is summed in closed form
+    (`_interior_sums`), and counted point by point only where neither that
+    test nor the per-column bound makes it sure; its border run is
+    rechecked point by point against the exact xi.  The budget charges each
+    slab its candidate points, and at least the width of its y range, so
+    slabs without points still count towards it; it is checked before each
+    block's work.
     """
     x = _exact_xi(xi)
     dim = len(dual_rays[0])
@@ -273,6 +320,7 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     # candidate points have float pairing below m + delta, so true pairing below m + 2 delta
     top_verts = _box_from_cone(dual_rays, x, mf + 2 * delta, pad)[0]
     rays = [tuple(int(c) for c in r) for r in sigma_rays]
+    sure = _sure_everywhere(dual_rays, coeffs)
     if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
         rays = [(0, *r) for r in rays]
         x, box_lo, box_hi = ([0, *v] for v in (x, box_lo, box_hi))
@@ -296,6 +344,7 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         or any(2 * r + 2 >= _INT64 or den * nz >= _INT64 for r, den in reaches)
     )
     coeffs = [(np.array(rows, dtype=object if wide else np.int64), den) for rows, den in coeffs]
+    envelopes = None if wide else _envelopes(coeffs)
     xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
     scale = lcm(*(c.denominator for c in x))  # the recheck in integers
@@ -323,7 +372,7 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         inner = np.flatnonzero(ia <= ib)
         fallback = inner
         if not wide:
-            sums, unsure = _interior_sums(head[inner], y[inner], ia[inner], ib[inner], coeffs)
+            sums, unsure = _interior_sums(head[inner], y[inner], ia[inner], ib[inner], envelopes, sure)
             total += sums
             fallback = inner[unsure]
         points = _slab_points(head[fallback], y[fallback], ia[fallback], ib[fallback])

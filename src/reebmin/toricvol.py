@@ -42,7 +42,8 @@ class ToricData:
             raise NotStrictlyConvex("weight cone spans a proper subspace")
         if not sigma.is_full_dimensional():
             raise NotStrictlyConvex("weight cone contains a line")
-        if not sigma._dual.is_equivalent(sigma_dual):
+        # from_cone and from_dual_cone pass a cone with the dual they computed
+        if sigma._dual is not sigma_dual and not sigma._dual.is_equivalent(sigma_dual):
             raise ValueError("sigma_dual is not the dual of sigma")
         for r in sigma.rays:
             if ex.dot(u0, r) <= 0:

@@ -168,6 +168,9 @@ def test_wrong_length_same_message(xi, dk_divisor):
 
 
 def bitwise(a, b):
+    """`same`, with floats compared by float.hex, through nested tuples."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(bitwise(x, y) for x, y in zip(a, b))
     if isinstance(a, float):
         return isinstance(b, float) and a.hex() == b.hex()
     return same(a, b)
@@ -278,3 +281,71 @@ def test_certificate_modules_import_no_mpmath(module):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "mpmath" not in imported
+
+
+def term_by_term_first_order(cs, xi, u0):
+    """first_order as plain arithmetic on the order-1 values, in xi's own
+    arithmetic: the reference for its integer form at rational xi."""
+    vol, g = cs.evaluate(xi, 1)
+    uu = sum(x * x for x in u0)
+    gu = sum(x * y for x, y in zip(g, u0))
+    c = gu / uu
+    proj = tuple(x - c * y for x, y in zip(g, u0))
+    gg = sum(x * x for x in g)
+    if gg == 0:
+        return vol, g, proj, float("nan")
+    ratio = 1 - (gu * gu) / (gg * uu)
+    if isinstance(ratio, Fraction):
+        return vol, g, proj, 0.0 if ratio == 0 else math.sqrt(float(ratio))
+    return vol, g, proj, math.sqrt(max(float(ratio), 0.0))
+
+
+def term_by_term_scan(data, u0, xi, etas):
+    """(Fut, normalized eta) per eta, every A(v) a sum of u0_k v_k on the
+    Fraction u0: the reference for the scan's A(eta) formed once."""
+    vol, grad = data._cellsum.evaluate(xi, 1)
+    a = sum(x * y for x, y in zip(u0, xi))
+    inv = 1 / (a * a)
+    out = []
+    for eta in etas:
+        a_eta = sum(x * y for x, y in zip(u0, eta))
+        d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
+        fut = data.n * a ** (data.n - 1) * (-a_eta) * vol + a**data.n * d_vol
+        out.append((tuple(eta), fut, tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))))
+    return tuple(out)
+
+
+class TestSameBitsAsTermByTerm:
+    """The integer first-order certificate and the scan's pairings give the
+    values, the types and the float bits of term-by-term arithmetic."""
+
+    @staticmethod
+    def cases():
+        """(data, u0, float minimizer, rational points): seeded toric cones,
+        1e4-coordinate polygons and seeded divisors with cells."""
+        rng = random.Random(69)
+        cones = [lattice_cone(rng, dim, k, box) for dim, k, box in CONES[:6]]
+        cones += [lattice_cone(rng, 3, k, 10**4) for k in POLYGONS]
+        for t in cones:
+            yield t, t.u0, minimize(t).xi_star.xi, list(points(rng, t.sigma))
+        for k in range(8):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            if d._cellsum.cells:
+                u0 = ex.fracvec(tuple(sum(col) for col in zip(*d.sigma_dual.rays)))
+                yield d, u0, minimize_c1(d, u0).xi_star.xi, list(points(rng, d.sigma))
+
+    def test_first_order(self):
+        for data, u0, xf, rational in self.cases():
+            cs = data._cellsum
+            for xi in [tuple(Fraction(x) for x in xf), xf] + rational:
+                assert bitwise(cs.first_order(xi, u0), term_by_term_first_order(cs, xi, u0)), xi
+
+    def test_scan_and_invariants(self):
+        for data, u0, xf, rational in self.cases():
+            mixed = (Fraction(xf[0]),) + tuple(xf[1:])
+            etas = list(data.sigma.rays) + [(Fraction(1, 3),) + (2,) * (len(xf) - 1), xf, rational[0]]
+            for xi in [xf, tuple(1.5 * x for x in xf), mixed] + rational:
+                scan = semistable_scan(data, xi, etas, u0=u0)
+                assert bitwise(scan.entries, term_by_term_scan(data, u0, xi, etas)), xi
+                for eta, fut, _ in scan.entries:
+                    assert bitwise(futaki_invariant(data, xi, eta, u0=u0), fut)

@@ -289,6 +289,116 @@ class TestCountCxone:
         assert abs(est - closed) / closed < 0.05
 
 
+def equal_slope_divisor(tail, rng, shift):
+    """Seeded divisor whose points pair vertices of equal last coordinate, the
+    slope along the oracle's columns.
+
+    A vertex v = sum c_i t_i over the tail rays t_i comes with v + t_j - t_k
+    for two rays of equal last coordinate (v itself on a 1-dim tail): the two
+    lines tie wherever <t_j - t_k, u> = 0.  With shift 0 every vertex lies in
+    the tail and only the first point has denominator 2, so B(0) >= 0 and
+    deg >= 0 on the weight cone; a negative shift moves the first coordinate
+    of every vertex down and mixes in denominator 3.
+    """
+    pairs = [(j, k) for j, tj in enumerate(tail) for k, tk in enumerate(tail) if j != k and tj[-1] == tk[-1]]
+    points = []
+    for p in range(rng.randint(2, 3)):
+        den = 2 if p == 0 else (rng.choice((1, 3)) if shift else 1)
+        verts = []
+        for _ in range(rng.randint(1, 2)):
+            c = [Fraction(rng.randint(0, 2 * den), den) for _ in tail]
+            j, k = rng.choice(pairs) if pairs else (0, 0)
+            c[k] += 1
+            partner = list(c)
+            partner[j] += 1
+            partner[k] -= 1
+            for cs in (c, partner):
+                v = [sum(ci * t[i] for ci, t in zip(cs, tail)) for i in range(len(tail[0]))]
+                v[0] += shift
+                verts.append(tuple(v))
+        points.append((str(p), verts))
+    return PolyhedralDivisor.from_vertex_lists(tail, points)
+
+
+def sure_everywhere(d):
+    """B(0) = 1 - sum_P (den_P - 1) / den_P >= 0 and deg >= 0 on the weight cone's rays."""
+    dens = [math.lcm(*(c.denominator for v in poly.compact_vertices for c in v)) for _, poly in d.points]
+    b0 = 1 - sum(Fraction(den - 1, den) for den in dens)
+    return b0 >= 0 and all(sum(polyhedron_min(poly, r) for _, poly in d.points) >= 0 for r in d.sigma_dual.rays)
+
+
+def has_equal_slopes(d):
+    return any(
+        len({v[-1] for v in poly.compact_vertices}) < len(poly.compact_vertices) for _, poly in d.points
+    )
+
+
+@pytest.fixture
+def interior_spy(monkeypatch):
+    """Records (sure, number of columns left to count point by point) per
+    `_interior_sums` call."""
+    from reebmin import oracle
+
+    calls = []
+    inner = oracle._interior_sums
+
+    def spy(heads, y, z0, z1, envelopes, sure):
+        total, unsure = inner(heads, y, z0, z1, envelopes, sure)
+        calls.append((sure, int(unsure.sum())))
+        return total, unsure
+
+    monkeypatch.setattr(oracle, "_interior_sums", spy)
+    return calls
+
+
+class TestSlopeEnvelopes:
+    # a point's vertices of equal slope merge into one line, the pointwise
+    # min; the closed form then sums one floor sum per distinct slope
+    @pytest.mark.parametrize("tail", [
+        [(1,)],
+        [(1, 1), (-1, 1)],
+        [(0, 1, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1)],
+    ])
+    def test_equal_slopes_match_reference_counter(self, tail):
+        rng = random.Random(100 + len(tail[0]))
+        divisors = [equal_slope_divisor(tail, rng, shift) for shift in (0, 0, -2)]
+        assert [sure_everywhere(d) for d in divisors] == [True, True, False]
+        assert len(tail[0]) == 1 or all(map(has_equal_slopes, divisors))
+        for d in divisors:
+            for xi in integer_and_irrational_xi(tail):
+                for m in TRUNCATIONS:
+                    assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+
+    def test_four_dim_tail_matches_reference_counter(self):
+        tail = [(0, 1, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1)]
+        rng = random.Random(4)
+        for d in (equal_slope_divisor(tail, rng, 0), equal_slope_divisor(tail, rng, -1)):
+            assert has_equal_slopes(d)
+            xi = tuple(sum(r[k] for r in tail) for k in range(4))
+            for m in (3, Fraction(7, 2)):
+                assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+
+    @pytest.mark.parametrize("points", [
+        # proper, but B(0) = 1 - 3/2 < 0: three points of denominator 2
+        [("0", [(Fraction(1, 2), 0)]), ("1", [(0, Fraction(1, 2))]), ("2", [(Fraction(1, 2), Fraction(1, 2))])],
+        # improper: deg(0, 1) = -1 on a ray of the weight cone
+        [("0", [(0, -1), (1, -1)]), ("1", [(Fraction(1, 3), 0)])],
+    ])
+    def test_per_column_bound_when_not_sure_everywhere(self, points, interior_spy):
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], points)
+        for xi in ((1, 1), (1.0, 1.0 + math.sqrt(2))):
+            for m in TRUNCATIONS:
+                assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+        assert not any(sure for sure, _ in interior_spy)
+        assert sum(n for _, n in interior_spy) > 0
+
+    def test_dk_is_sure_everywhere(self, dk_divisor, interior_spy):
+        # B(0) = 1 - 1/2 - 1/2 = 0 and deg >= 0 on sigma's dual rays, so no
+        # column of dk_4dim falls back to point-by-point counting
+        assert count_cxone(dk_divisor, (1.0, 1.0, 0.6861406616345072), 50) == 1324452
+        assert interior_spy and all(sure and n == 0 for sure, n in interior_spy)
+
+
 class TestLengthChecks:
     # a short xi used to raise IndexError in the pairing bound and a long one
     # numpy's inhomogeneous-shape ValueError

@@ -18,6 +18,7 @@ from reebmin import (
     nvol,
     vol_xi,
 )
+from reebmin.polyhedral import VCone
 
 from conftest import random_interior_reeb
 
@@ -75,6 +76,28 @@ class TestVolXi:
     def test_u0_of_wrong_length(self):
         with pytest.raises(ValueError, match="u0 has 2 entries .* dimension 3"):
             ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 1))
+
+
+class TestDualPair:
+    def test_mismatched_pair_raises(self):
+        sigma = VCone([(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="not the dual of sigma"):
+            ToricData(sigma, VCone([(1, 0), (1, 1)]), (1, 1))
+
+    def test_equal_pair_passed_directly_is_accepted(self):
+        # a fresh cone equal to sigma's dual, not the object dual_cone cached
+        sigma = VCone([(0, 1), (2, -1)])
+        t = ToricData(sigma, VCone([(1, 2), (1, 0)]), (1, 1))
+        assert t.sigma_dual is not sigma._dual
+
+    def test_constructors_skip_the_self_comparison(self, monkeypatch):
+        # from_cone and from_dual_cone record each cone as the other's dual
+        def compared(self, other):
+            raise AssertionError("compared a cone with its own dual")
+
+        monkeypatch.setattr(VCone, "is_equivalent", compared)
+        ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -2)], (1, 1, -1))
+        ToricData.from_cone([(0, 1), (2, -1)], (1, 1))
 
 
 class TestNvol:
