@@ -71,10 +71,13 @@ def _cleared(v):
     return tuple(x.numerator * (e // x.denominator) for x in v), e
 
 
-def _integer_weights(a):
-    """(A, e) with a_i = A_i / e, e the lcm of the denominators; (None, 1) for
-    a toric cell."""
-    return (None, 1) if a is None else _cleared(a)
+def _integer_weights(cleared_ell, rays):
+    """(A, e) with <ell, u_i> = A_i / e and e the lcm of the weights'
+    denominators, from ell = L / e0 given as cleared_ell = (L, e0)."""
+    big, e0 = cleared_ell
+    dots = [sum([a * b for a, b in zip(big, u)]) for u in rays]
+    g = math.gcd(e0, *dots)
+    return tuple(x // g for x in dots), e0 // g
 
 
 def _combination(coeffs, vectors):
@@ -129,25 +132,31 @@ class CellSum:
         rays = list(weight_rays)
         index = {u: i for i, u in enumerate(rays)}
         table = []
+        int_weights = []  # per cell: (A, e) with weights A_i / e, or (None, 1)
+        cleared = {}  # ell -> (L, e0) with ell = L / e0: the cells of a region share ell
         for piece, ell in cells:
             for u in piece.rays:
                 if u not in index:
                     index[u] = len(rays)
                     rays.append(u)
-            weights = None
+            weights, ints = None, (None, 1)
             if ell is not None:
-                weights = tuple(ex.dot(ell, u) for u in piece.rays)
+                if ell not in cleared:
+                    cleared[ell] = _cleared(ell)
+                ints = _integer_weights(cleared[ell], piece.rays)
+                weights = tuple(Fraction(x, ints[1]) for x in ints[0])
             table.append((tuple(index[u] for u in piece.rays), piece.det_abs, weights))
+            int_weights.append(ints)
         self.rays = tuple(rays)
         self.cells = tuple(table)
         self.dim = dim
         self._pairs = tuple((k, l) for k in range(dim) for l in range(k, dim))
         # per cell: ray indices, rays, upper triangles of u u^T, |det|, A, e
         self._int_cells = []
-        for idx, det, a in self.cells:
+        for (idx, det, _), ints in zip(self.cells, int_weights):
             us = tuple(self.rays[i] for i in idx)
             uus = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in us)
-            self._int_cells.append((idx, us, uus, det) + _integer_weights(a))
+            self._int_cells.append((idx, us, uus, det) + ints)
 
     def pairings(self, xi):
         """<u_i, xi> for every ray of the table; raises off the Reeb cone.

@@ -21,10 +21,12 @@ slice {<u0, xi> = 1}.
 Building a divisor costs one double-description pass for the dual of sigma
 and one per coefficient: its vertices are the extreme rays (v, s), s > 0, of
 the homogenized cone over conv(vertices) + sigma, read off that cone's dual.
-Its cells cost one pass per vertex of the Minkowski sum of the coefficients,
-plus one per coefficient with two or more vertices, after the first, to find
-those vertices; choices of vertices whose sum is not a vertex of the
-Minkowski sum have no full-dimensional region and are never visited.
+Its cells cost no further pass: a depth-first walk over the choices of
+vertices continues the pass that made sigma's dual, one step per normal.
+The normals a choice shares with its siblings are added once, by their
+parent, and a branch is cut where its region becomes lower dimensional, so
+choices whose sum is not a vertex of the Minkowski sum of the coefficients
+are never finished.
 """
 
 import math
@@ -34,10 +36,19 @@ from functools import cached_property
 
 from . import _exact as ex
 from . import _newton
-from ._cellsum import CellSum, check_length
+from ._cellsum import CellSum, _cleared, check_length
 from ._newton import MinimizeResult
 from .errors import InfeasibleSystem, NotStrictlyConvex, UnboundedCoefficient
-from .polyhedral import MINUS_INFINITY, Polyhedron, VCone, dual_cone, polyhedron_min, triangulate_cone
+from .polyhedral import (
+    MINUS_INFINITY,
+    Polyhedron,
+    VCone,
+    _dd_step,
+    _pair,
+    _spans,
+    polyhedron_min,
+    triangulate_cone,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,9 @@ class PolyhedralDivisor:
             if not poly.tail.is_equivalent(sigma):
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
             # the vertices are the extreme rays (v, s), s > 0, of the homogenization
-            hom = VCone([(*v, 1) for v in poly.compact_vertices] + [(*u, 0) for u in sigma.rays], r + 1)
+            # (N, e) with v = N / e is primitive: e is the lcm of v's denominators
+            hom = VCone._of([(*nums, e) for nums, e in map(_cleared, poly.compact_vertices)]
+                            + [(*u, 0) for u in sigma.rays], r + 1)
             verts = [tuple(Fraction(x, h[r]) for x in h[:r]) for h in hom.extreme_rays() if h[r] > 0]
             if not verts:
                 raise InfeasibleSystem(f"coefficient at {label!r} is empty")
@@ -113,32 +126,58 @@ def deg_D(d: PolyhedralDivisor, u):
 def build_cells(d: PolyhedralDivisor) -> CellComplex:
     """Refine the weight cone so deg is linear and nonnegative per cell.
 
-    One region per choice of attaining vertex for every coefficient,
-    intersected with the weight cone and the half-space {deg >= 0}; regions
-    of full dimension are triangulated.  A choice's region before the cut is
-    the normal cone of sum_p Delta_p at the sum of the chosen vertices, so
-    it is full dimensional exactly when that sum is a vertex of the
-    Minkowski sum (Gritzmann & Sturmfels, "Minkowski addition of
-    polytopes", 1993); only those choices get a region pass.
+    One region per choice of attaining vertex for every coefficient: the
+    weight cone cut by the normals w - v, v the chosen and w another vertex
+    of a coefficient, and by the half-space {deg >= 0}, whose normal ell is
+    the sum of the chosen vertices; regions of full dimension are
+    triangulated.  The choices are walked depth first in itertools.product
+    order on one double-description pass: it starts from the rays of
+    sigma's dual with their recorded masks, each level adds its choice's
+    normals as steps on its parent's rays, and each leaf adds ell.  Normals
+    are scaled to integers by den, made primitive, and each enters once, at
+    its first occurrence along the path.  A partial region that is lower
+    dimensional, a bit test on the rays' masks, has no full-dimensional
+    refinement, so its branch is cut: the leaves reached are the choices
+    whose sum is a vertex of the Minkowski sum (Gritzmann & Sturmfels,
+    "Minkowski addition of polytopes", 1993).
     """
     r = d.r
     vertex_lists, den = _integer_vertices([poly.compact_vertices for _, poly in d.points])
+    normals = list(d.sigma.rays)
     cells = []
-    for choice in _minkowski_vertex_choices(d.sigma, vertex_lists, den):
-        # the normals w - v and ell, all scaled by den: integers, same directions
-        normals = list(d.sigma.rays)
-        ell = (0,) * r
-        for vl, ci in zip(vertex_lists, choice):
-            v = vl[ci]
-            ell = ex.vec_add(ell, v)
-            normals.extend(ex.vec_sub(w, v) for j, w in enumerate(vl) if j != ci)
-        normals.append(ell)
-        region = dual_cone(VCone([a for a in normals if not ex.is_zero_vec(a)], r))
-        if not region.is_full_dimensional():
-            continue
-        ell = tuple(Fraction(x, den) for x in ell)
-        for piece in triangulate_cone(region):
-            cells.append((piece, ell))
+
+    def add(rays, a):
+        """The rays after normal a; a zero normal or one already on the path adds nothing."""
+        if any(a):
+            a = ex.primitive(a)
+            if a not in normals:
+                normals.append(a)
+                rays = _dd_step(rays, a, len(normals) - 1, r)
+        return rays
+
+    def walk(k, rays, ell):
+        mark = len(normals)
+        if k < len(vertex_lists):
+            vl = vertex_lists[k]
+            for ci, v in enumerate(vl):
+                sub = rays
+                for w in vl[:ci] + vl[ci + 1 :]:
+                    sub = add(sub, ex.vec_sub(w, v))
+                if _spans([m for _, m in sub]):
+                    walk(k + 1, sub, ex.vec_add(ell, v))
+                del normals[mark:]
+            return
+        pairs = sorted(add(rays, ell))
+        if _spans([m for _, m in pairs]):
+            region = VCone._of([u for u, _ in pairs], r)
+            _pair(VCone._of(normals, r), region, [m for _, m in pairs])
+            ell = tuple(Fraction(x, den) for x in ell)
+            cells.extend((piece, ell) for piece in triangulate_cone(region))
+        del normals[mark:]
+
+    # the walk starts from the pass that made sigma's dual: its rays and
+    # their masks over sigma's rays are the state after sigma's normals
+    walk(0, list(zip(d.sigma_dual.rays, d.sigma_dual._tight)), (0,) * r)
     return CellComplex(cells=tuple(cells))
 
 
@@ -147,31 +186,6 @@ def _integer_vertices(vertex_lists):
     denominators, as an integer vector."""
     den = math.lcm(*(x.denominator for vl in vertex_lists for v in vl for x in v))
     return [[tuple(x.numerator * (den // x.denominator) for x in v) for v in vl] for vl in vertex_lists], den
-
-
-def _minkowski_vertex_choices(sigma, vertex_lists, den):
-    """The vertex choices whose sum is a vertex of sum_p (conv(V_p / den) +
-    sigma), for integer vertex lists V_p, in itertools.product order.
-
-    The sum is built one coefficient at a time.  A vertex of a Minkowski sum
-    is the sum of vertices of the summands in exactly one way, so each
-    vertex of the partial sum carries one choice tuple, and a point reached
-    by two choices is never a vertex.  A coefficient with one vertex only
-    translates the sum; one with more costs one pass, the extreme rays of
-    the homogenized cone over the candidate sums (s, den) plus sigma, except
-    the first, whose vertices are the sum's vertices already.
-    """
-    r = sigma.ambient_dim
-    sums = [((), (0,) * r)]
-    translate_only = True
-    for vl in vertex_lists:
-        sums = [(c + (j,), ex.vec_add(s, v)) for c, s in sums for j, v in enumerate(vl)]
-        if len(vl) > 1 and not translate_only:
-            homs = [ex.primitive((*s, den)) for _, s in sums]
-            ext = set(VCone(homs + [(*u, 0) for u in sigma.rays], r + 1).extreme_rays())
-            sums = [pair for pair, h in zip(sums, homs) if h in ext]
-        translate_only = translate_only and len(vl) == 1
-    return [c for c, _ in sums]
 
 
 def vol_xi_c1(d: PolyhedralDivisor, xi):

@@ -24,7 +24,7 @@ from .errors import (
     TorsionCokernel,
     TorsionQuotient,
 )
-from .polyhedral import HRep, Polyhedron, VCone, dual_cone, vertex_enumeration
+from .polyhedral import HRep, Polyhedron, VCone, _extreme_cone, dual_cone, vertex_enumeration
 from .toricvol import ReebVector, ToricData
 
 
@@ -99,17 +99,15 @@ def downgrade_sigma(d: DowngradeData):
 
     The rows of F generate the dual.  When their cone is pointed (sigma is
     full dimensional), its sorted extreme rays are what `dual_cone(sigma)`
-    returns, and the two cones are recorded as each other's `_dual`;
-    otherwise the dual contains a line, which takes a second pass.
+    returns, and the two cones are recorded as each other's `_dual`, with
+    the incidence of that pass; otherwise the dual contains a line, which
+    takes a second pass.
     """
     f_cone = VCone([row for row in d.F.rows if any(row)], d.F.r)
     sigma = dual_cone(f_cone)
     if not f_cone.is_pointed():
         return sigma, dual_cone(sigma)
-    sigma_dual = VCone(sorted(f_cone.extreme_rays()), d.F.r)
-    sigma_dual.__dict__["_dual"] = sigma
-    sigma.__dict__["_dual"] = sigma_dual
-    return sigma, sigma_dual
+    return sigma, _extreme_cone(f_cone)
 
 
 def downgrade_coefficient(d: DowngradeData, p) -> Polyhedron:

@@ -51,7 +51,9 @@ def _weight(data, u0):
 def futaki_invariant(data, xi0, eta, u0=None):
     """Derivative of the normalized volume at xi0 in direction -eta."""
     u0 = _weight(data, u0)
-    return next(_invariants(data, u0, _pairing(u0), xi0, [eta]))
+    pair = _pairing(u0)
+    eta = tuple(eta)
+    return next(_invariants(data, u0, pair, xi0, [(eta, pair(eta))]))
 
 
 def _pairing(u0):
@@ -72,9 +74,10 @@ def _pairing(u0):
     return pair
 
 
-def _invariants(data, u0, pair, xi0, etas):
-    """Fut(xi0; eta) for each eta in turn, from one evaluation of vol and
-    grad vol at xi0, made when the first eta has passed its length check.
+def _invariants(data, u0, pair, xi0, paired):
+    """Fut(xi0; eta) for each (eta, A(eta)) in turn, from one evaluation of
+    vol and grad vol at xi0, made when the first eta has passed its length
+    check.
 
     A float A(xi0) meets each exact A(eta) as its float, which is what
     Fraction * float computes."""
@@ -83,14 +86,12 @@ def _invariants(data, u0, pair, xi0, etas):
     check_length("u0", u0, dim)
     check_length("Reeb vector", xi, dim)
     grad = None
-    for eta in etas:
-        eta = tuple(eta)
+    for eta, a_eta in paired:
         check_length("eta", eta, dim)
         if grad is None:
             a = pair(xi)
             vol, grad = data._cellsum.evaluate(xi, 1)
             lead, a_n = n * a ** (n - 1), a**n
-        a_eta = pair(eta)
         if type(lead) is float and type(a_eta) is Fraction:
             a_eta = float(a_eta)
         d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
@@ -104,20 +105,21 @@ def normalized_direction(u0, xi0, eta):
     eta = tuple(eta)
     check_length("Reeb vector", xi, len(u0))
     check_length("eta", eta, len(u0))
-    return next(_directions(_pairing(u0), xi, [eta]))
+    pair = _pairing(u0)
+    return next(_directions(pair, xi, [(eta, pair(eta))]))
 
 
-def _directions(pair, xi, etas):
-    """normalized_direction for each eta in turn, with A(xi0) formed once;
-    xi and each eta tuples of u0's length.  At a float xi0 each A(eta)
-    enters as its float, which is what Fraction * float computes."""
+def _directions(pair, xi, paired):
+    """normalized_direction for each (eta, A(eta)) in turn, with A(xi0)
+    formed once; xi and each eta tuples of u0's length.  At a float xi0
+    each A(eta) enters as its float, which is what Fraction * float
+    computes."""
     a0 = pair(xi)
     if not a0 > 0:
         raise ValueError("A(xi0) must be positive")
     inv = 1 / (a0 * a0)
     floats = all(type(x) is float for x in xi)
-    for eta in etas:
-        ae = pair(eta)
+    for eta, ae in paired:
         if floats and type(ae) is Fraction:
             ae = float(ae)
         yield tuple((a0 * e - ae * x) * inv for e, x in zip(eta, xi))
@@ -136,8 +138,9 @@ def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
     pair = _pairing(weight)
     xi = tuple(xi0)
     etas = [tuple(eta) for eta in etas]
-    futs = _invariants(data, weight, pair, xi, etas)
-    entries = list(zip(etas, futs, _directions(pair, xi, etas)))
+    paired = [(eta, pair(eta)) for eta in etas]  # each A(eta) formed once, for both generators
+    futs = _invariants(data, weight, pair, xi, paired)
+    entries = list(zip(etas, futs, _directions(pair, xi, paired)))
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

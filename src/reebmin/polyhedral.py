@@ -2,23 +2,29 @@
 
 Cones are generated by primitive integer rays (`VCone`), inequality systems
 are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
-list plus a tail cone (`Polyhedron`).  One double-description pass, the
-module-private `_rays_from_inequalities`, turns inequalities into generators:
-it runs once per cone (`dual_cone`, cached as `VCone._dual`) and once per
-vertex enumeration (by homogenization).  The pass works in integers
-throughout, its setup included: a fraction-free echelon picks the start
+list plus a tail cone (`Polyhedron`).  Inequalities become generators by
+double description, split into an integer start (`_dd_start`) and a step
+that adds one normal (`_dd_step`); each ray carries the bitmask of the
+normals it is tight on.  The full pass, `_rays_from_inequalities`, runs once
+per cone (`dual_cone`, cached as `VCone._dual`) and once per vertex
+enumeration (by homogenization); callers that add normals along a search,
+as the complexity-one cell refinement does, run the steps themselves.  The
+start works in integers too: a fraction-free echelon picks the start
 normals and integer cofactors give the start rays, so `Fraction` row
 reduction runs only for the lineality basis of a rank-deficient system.
-Containment and pointedness read the dual's generators; extreme rays and
-the pulling triangulation read their incidence with the dual's generators
-as integer bitmasks.  Everything here is exact: no floating point enters
-this module.
+
+A cone and its dual are recorded as each other's `_dual` together with the
+pass's incidence, one bitmask per ray over the other cone's rays
+(`VCone._tight`).  Containment reads the dual's generators; full dimension,
+pointedness, extreme rays and the pulling triangulation read the bitmasks.
+Everything here is exact: no floating point enters this module.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
+from operator import and_
 
 from . import _exact as ex
 from .errors import InfeasibleSystem, NotFullDimensional, NotPointed
@@ -62,10 +68,24 @@ class VCone:
         object.__setattr__(self, "rays", tuple(prim))
         object.__setattr__(self, "ambient_dim", ambient_dim)
 
+    @classmethod
+    def _of(cls, rays, ambient_dim):
+        """A cone on rays the kernel has already made primitive and distinct."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "rays", tuple(rays))
+        object.__setattr__(c, "ambient_dim", ambient_dim)
+        return c
+
     @cached_property
     def _dual(self):
         """The dual cone, computed once per cone."""
         return dual_cone(self)
+
+    @cached_property
+    def _tight(self):
+        """Per ray, the bitmask of the rays of `_dual` it pairs to 0 with."""
+        self._dual  # every pairing records the masks of both cones (`_pair`)
+        return self.__dict__["_tight"]
 
     def contains(self, v):
         """Whether v pairs nonnegatively with every generator of the dual."""
@@ -83,7 +103,8 @@ class VCone:
         return ex.rank(self.rays) if self.rays else 0
 
     def is_full_dimensional(self):
-        return self.span_rank() == self.ambient_dim
+        """Whether no generator of the dual pairs to 0 with every ray."""
+        return _spans(self._tight)
 
     def is_pointed(self):
         """Whether the cone contains no line, i.e. its dual is full dimensional."""
@@ -98,7 +119,7 @@ class VCone:
         """
         if not self.is_pointed():
             raise NotPointed("cone contains a line; it has no extreme rays")
-        masks = [_incidence(r, self._dual.rays) for r in self.rays]
+        masks = self._tight
         return tuple(
             r for i, (r, m) in enumerate(zip(self.rays, masks))
             if not any(o & m == m for j, o in enumerate(masks) if j != i)
@@ -169,87 +190,130 @@ class SimplicialPiece:
     det_abs: int
 
 
-def _incidence(v, vectors):
-    """Bitmask of the vectors that pair to 0 with v."""
-    return sum(1 << i for i, w in enumerate(vectors) if ex.dot(v, w) == 0)
+def _spans(masks):
+    """Whether rays with these tight masks generate a full-dimensional cone:
+    there is a ray and no dual generator is tight on all of them."""
+    return reduce(and_, masks, -1) == 0
 
 
-def _rays_from_inequalities(normals, n):
+def _dd_start(rows, n):
+    """(rays, start, lineality_basis): the start of double description over
+    nonzero primitive integer rows in R^n.
+
+    A fraction-free echelon picks the first t independent rows, t the rank,
+    indexed by `start`; call them B.  Start ray k is column k of
+    B^T adj(B B^T), which pairs positively with row k of B and to 0 with the
+    others, so its mask holds the bits of the other start rows.  The
+    lineality basis is the nullspace of B, needed only when t < n; B and all
+    the rows have the same reduced row echelon form, so it is the nullspace
+    of all of them.
+    """
+    start = ex.independent_rows(rows, n)
+    basis = [rows[i] for i in start]
+    lin = ex.nullspace(basis) if len(start) < n else ()
+    adj = ex.adjugate([[ex.dot(a, b) for b in basis] for a in basis])  # symmetric
+    rays = []
+    for k in range(len(start)):
+        r = ex.primitive([sum(c * b[j] for c, b in zip(adj[k], basis)) for j in range(n)])
+        rays.append((r, sum(1 << i for j, i in enumerate(start) if j != k)))
+    return rays, start, tuple(ex.primitive(b) for b in lin)
+
+
+def _dd_step(rays, a, i, t):
+    """The (ray, mask) list after adding the primitive integer normal a as
+    bit i, in a pass of rank t.
+
+    Rays on the nonnegative side stay, in order, and gain bit i where they
+    pair to 0.  A ray on the positive side and one on the negative side span
+    a 2-face, and are combined, exactly when they share at least t - 2 tight
+    normals and no third ray is tight on all of them; the combinations
+    follow in order of the positive, then the negative ray.
+    """
+    bit = 1 << i
+    vals = [sum([x * y for x, y in zip(a, r)]) for r, _ in rays]
+    new = [(r, mask | bit if v == 0 else mask) for (r, mask), v in zip(rays, vals) if v >= 0]
+    for p, (rp, mp) in enumerate(rays):
+        if vals[p] <= 0:
+            continue
+        for q, (rq, mq) in enumerate(rays):
+            if vals[q] >= 0:
+                continue
+            shared = mp & mq
+            if shared.bit_count() < t - 2:
+                continue
+            if any(mask & shared == shared for k, (_, mask) in enumerate(rays) if k != p and k != q):
+                continue
+            w = [vals[p] * y - vals[q] * x for x, y in zip(rp, rq)]
+            g = gcd(*w)
+            new.append((tuple(c // g for c in w), shared | bit))
+    return new
+
+
+def _rays_from_inequalities(normals, n, masks=None):
     """Extreme rays and lineality basis of { y : <a, y> >= 0 for a in normals }.
 
     Returns (pointed_rays, lineality_basis); the cone equals
     cone(pointed_rays) + span(lineality_basis).  The pointed rays lie in the
-    row space of the normals and come out primitive and sorted.
+    row space of the normals and come out primitive and sorted.  A list
+    passed as `masks` receives, in the same order, the bitmask of the
+    nonzero normals each pointed ray is tight on.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
     from the simplicial cone that t independent normals cut out of the row
-    space, t the rank, and add the other normals one at a time in integer
-    arithmetic.  Each ray carries the normals it is tight on as a bitmask.  A
-    ray on the positive side of the new normal and one on the negative side
-    span a 2-face, and are combined, exactly when they share at least t - 2
-    tight normals and no third ray is tight on all of them.
-
-    The setup stays in the integers too.  A fraction-free echelon picks the
-    first t independent normals, the rows B; start ray k is column k of
-    B^T adj(B B^T), which pairs positively with row k of B and to 0 with the
-    others.  The lineality basis is the nullspace of B, needed only when
-    t < n; B and all the normals have the same reduced row echelon form, so
-    it is the nullspace of all of them.
+    space (`_dd_start`), then add the other normals one at a time
+    (`_dd_step`), all in integer arithmetic.
     """
     rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
     if not rows:
         return (), tuple(ex.primitive(b) for b in ex.identity(n))
-    start = ex.independent_rows(rows, n)
-    t = len(start)
-    basis = [rows[i] for i in start]
-    lin = ex.nullspace(basis) if t < n else ()
-    adj = ex.adjugate([[ex.dot(a, b) for b in basis] for a in basis])  # symmetric
-    rays = []
-    for k in range(t):
-        r = ex.primitive([sum(c * b[j] for c, b in zip(adj[k], basis)) for j in range(n)])
-        rays.append((r, sum(1 << i for j, i in enumerate(start) if j != k)))
+    rays, start, lin = _dd_start(rows, n)
     for i, a in enumerate(rows):
-        if i in start:
-            continue
-        bit = 1 << i
-        vals = [ex.dot(a, r) for r, _ in rays]
-        new = [(r, mask | bit if v == 0 else mask) for (r, mask), v in zip(rays, vals) if v >= 0]
-        for p, (rp, mp) in enumerate(rays):
-            if vals[p] <= 0:
-                continue
-            for q, (rq, mq) in enumerate(rays):
-                if vals[q] >= 0:
-                    continue
-                shared = mp & mq
-                if shared.bit_count() < t - 2:
-                    continue
-                if any(mask & shared == shared for k, (_, mask) in enumerate(rays) if k != p and k != q):
-                    continue
-                w = [vals[p] * y - vals[q] * x for x, y in zip(rp, rq)]
-                g = gcd(*w)
-                new.append((tuple(c // g for c in w), shared | bit))
-        rays = new
-    return tuple(sorted(r for r, _ in rays)), tuple(ex.primitive(b) for b in lin)
+        if i not in start:
+            rays = _dd_step(rays, a, i, len(start))
+    rays.sort()
+    if masks is not None:
+        masks.extend(m for _, m in rays)
+    return tuple(r for r, _ in rays), lin
+
+
+def _pair(c, dual, masks):
+    """Record c and dual as each other's `_dual`, with the incidence both
+    read: masks[j] is the bitmask of the rays of c that pair to 0 with
+    dual.rays[j].  Every pairing goes through here, so the masks a cone
+    holds always index the rays of the `_dual` it holds."""
+    tight = tuple(sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(c.rays)))
+    c.__dict__.update(_dual=dual, _tight=tight)
+    dual.__dict__.update(_dual=c, _tight=tuple(masks))
 
 
 def dual_cone(c: VCone) -> VCone:
     """Generators of { y : <y, r> >= 0 for every ray r of c }.
 
     If c is not full dimensional the dual contains the orthogonal complement
-    of span(c); it is returned through +/- basis ray pairs.  The two cones
-    are recorded as each other's `_dual`: the rays of c generate the dual of
-    the result, which is all that `contains`, `is_pointed`, `extreme_rays`
-    and `triangulate_cone` read.
+    of span(c); it is returned through +/- basis ray pairs, which pair to 0
+    with every ray of c.  The two cones are recorded as each other's `_dual`
+    with the pass's incidence.
     """
-    pointed, lin = _rays_from_inequalities(c.rays, c.ambient_dim)
+    masks = []
+    pointed, lin = _rays_from_inequalities(c.rays, c.ambient_dim, masks)
     rays = list(pointed)
+    everything = (1 << len(c.rays)) - 1
     for b in lin:
-        rays.append(b)
-        rays.append(tuple(-x for x in b))
-    dual = VCone(rays, c.ambient_dim)
-    dual.__dict__["_dual"] = c
-    c.__dict__["_dual"] = dual
+        rays += [b, tuple(-x for x in b)]
+        masks += [everything, everything]
+    dual = VCone._of(rays, c.ambient_dim)
+    _pair(c, dual, masks)
     return dual
+
+
+def _extreme_cone(c: VCone) -> VCone:
+    """The cone on the sorted extreme rays of the pointed cone c, recorded
+    as the dual of c's dual in place of c."""
+    ext = sorted(c.extreme_rays())
+    tight = dict(zip(c.rays, c._tight))
+    irredundant = VCone._of(ext, c.ambient_dim)
+    _pair(c._dual, irredundant, [tight[y] for y in ext])
+    return irredundant
 
 
 def vertex_enumeration(h: HRep) -> Polyhedron:
@@ -266,7 +330,7 @@ def vertex_enumeration(h: HRep) -> Polyhedron:
         raise InfeasibleSystem("inequality system has no solution")
     if lin:
         raise NotPointed("solution set contains a line; no vertex description")
-    return Polyhedron(vertices, VCone([r[:n] for r in rays if r[n] == 0], n))
+    return Polyhedron(vertices, VCone._of([r[:n] for r in rays if r[n] == 0], n))
 
 
 def triangulate_cone(c: VCone):
@@ -282,7 +346,12 @@ def triangulate_cone(c: VCone):
     if not c.is_full_dimensional():
         raise NotFullDimensional("cone rays span a proper subspace")
     ext = c.extreme_rays()
-    facets = [_incidence(y, ext) for y in sorted(c._dual.rays)]
+    keep = [c.rays.index(r) for r in ext]
+    dual = c._dual
+    facets = [
+        sum(1 << k for k, i in enumerate(keep) if dual._tight[j] >> i & 1)
+        for j in sorted(range(len(dual.rays)), key=dual.rays.__getitem__)
+    ]
 
     def tri(face, dim):
         if face.bit_count() == dim:

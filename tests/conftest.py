@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from reebmin import PolyhedralDivisor, ToricData
+from reebmin import _exact as ex
 
 
 SPP_DUAL_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -2)]
@@ -64,3 +65,16 @@ def random_interior_reeb(t, rng, max_num=9):
 @pytest.fixture
 def rng():
     return random.Random(20250810)
+
+
+def assert_incidence_recorded(cone):
+    """cone and its dual hold each other as `_dual`, and the masks each
+    holds equal its incidence with the other recomputed by dot products."""
+    dual = cone._dual
+    assert dual._dual is cone
+
+    def incidence(rays, others):
+        return tuple(sum(1 << j for j, y in enumerate(others) if ex.dot(x, y) == 0) for x in rays)
+
+    assert cone._tight == incidence(cone.rays, dual.rays)
+    assert dual._tight == incidence(dual.rays, cone.rays)

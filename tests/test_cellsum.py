@@ -18,9 +18,10 @@ from reebmin import (
     futaki_invariant,
     minimize,
     minimize_c1,
+    normalized_direction,
     semistable_scan,
 )
-from reebmin import _cellsum, _newton
+from reebmin import _cellsum, _newton, futaki
 from reebmin import _exact as ex
 
 from conftest import DK_U0, random_interior_rational
@@ -107,6 +108,17 @@ class TestComplexityOne:
             for xi in points(rng, d.sigma):
                 assert_paths_agree(cs, xi)
         assert any(e % 2 == 0 for e in denominators) and any(e % 3 == 0 for e in denominators)
+
+    def test_weights_are_the_pairings_with_ell(self):
+        # ell is cleared once per region: the weights stay the Fractions
+        # <ell, u_i>, and the integer path's (A, e) their cleared form
+        rng = random.Random(68)
+        for k in range(24):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            cs = d._cellsum
+            for (piece, ell), (_, _, weights), cell in zip(d.cells().cells, cs.cells, cs._int_cells):
+                assert same(weights, tuple(ex.dot(ell, u) for u in piece.rays))
+                assert cell[4:] == _cellsum._cleared(weights)
 
     def test_dk_divisor(self, dk_divisor):
         rng = random.Random(64)
@@ -202,6 +214,31 @@ class TestScanFromOneGradient:
         monkeypatch.setattr(spp._cellsum, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
         semistable_scan(spp, (2, 2, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert len(calls) == 1
+
+    def test_one_pairing_per_direction(self, spp, dk_divisor, monkeypatch):
+        # each A(eta) is formed once and shared by the invariant and the
+        # normalized direction, with the value, type and float bits that
+        # each forms on its own
+        pairings = []
+        pairing = futaki._pairing
+
+        def counting(u0):
+            pair = pairing(u0)
+            return lambda v: pairings.append(v) or pair(v)
+
+        rng = random.Random(67)
+        for data, u0, xf in ((spp, spp.u0, minimize(spp).xi_star.xi),
+                             (dk_divisor, ex.fracvec(DK_U0), (1.0, 1.0, 0.6861406616345072))):
+            etas = list(data.sigma.rays) + [(Fraction(1, 3), 2, 1), xf, (0.5, 1, Fraction(1, 2))]
+            for xi in (xf, random_interior_rational(data.sigma, rng)):
+                monkeypatch.setattr(futaki, "_pairing", counting)
+                pairings.clear()
+                scan = semistable_scan(data, xi, etas, u0=u0)
+                assert len(pairings) == len(etas) + 2  # and A(xi) once per generator
+                monkeypatch.undo()
+                for eta, (_, fut, direction) in zip(etas, scan.entries):
+                    assert bitwise(fut, futaki_invariant(data, xi, eta, u0=u0))
+                    assert bitwise(direction, normalized_direction(u0, xi, eta))
 
 
 def reference_certificate(cs, u0, n, xi):

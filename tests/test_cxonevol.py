@@ -18,7 +18,7 @@ from reebmin import (
     vol_xi_c1,
 )
 from reebmin import _exact as ex
-from reebmin.cxonevol import CellComplex, _integer_vertices, _minkowski_vertex_choices, build_cells
+from reebmin.cxonevol import CellComplex, _integer_vertices, build_cells
 from reebmin.polyhedral import dual_cone, triangulate_cone
 
 from conftest import DK_SIGMA_RAYS, DK_U0, random_interior_rational
@@ -140,6 +140,16 @@ def seeded_divisor(rng, rays):
     return PolyhedralDivisor.from_vertex_lists(rays, points)
 
 
+def lattice_divisor(rng, rays):
+    """2-3 coefficients of 2-3 vertices in {-1, 0, 1}^r: differences repeat
+    across coefficients, and the chosen vertices often sum to 0."""
+    points = []
+    for p in range(rng.randint(2, 3)):
+        verts = {tuple(rng.randint(-1, 1) for _ in rays[0]) for _ in range(rng.randint(2, 3))}
+        points.append((str(p), sorted(verts)))
+    return PolyhedralDivisor.from_vertex_lists(rays, points)
+
+
 class TestCellsFromMinkowskiVertices:
     def test_equal_to_product_loop(self):
         rng = random.Random(1993)
@@ -148,12 +158,31 @@ class TestCellsFromMinkowskiVertices:
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cells, full_before_cut = product_loop_cells(d)
             assert build_cells(d) == cells
-            vertex_lists, den = _integer_vertices([p.compact_vertices for _, p in d.points])
-            assert _minkowski_vertex_choices(d.sigma, vertex_lists, den) == full_before_cut
             # distinct vertices of the sum have distinct functionals ell
             cut_to_lower_dimension += len({ell for _, ell in cells.cells}) < len(full_before_cut)
             with_cells += bool(cells.cells)
         assert cut_to_lower_dimension >= 10 and with_cells >= 20
+
+    def test_repeated_normals_and_zero_ell(self):
+        # a difference w - v that repeats an earlier one, or an ell along a
+        # sigma ray, enters the walk once and a zero ell adds no normal, as in
+        # a fresh pass per choice (a difference is never along a sigma ray:
+        # then one of v, w would lie in the other plus sigma)
+        rng = random.Random(1953)
+        seen = {"earlier": 0, "ell_on_sigma": 0, "zero_ell": 0}
+        for k in range(100):
+            d = lattice_divisor(rng, TAILS[k % len(TAILS)])
+            cells, full_before_cut = product_loop_cells(d)
+            assert build_cells(d) == cells
+            vertex_lists = [p.compact_vertices for _, p in d.points]
+            for choice in full_before_cut:
+                chosen = [vl[ci] for vl, ci in zip(vertex_lists, choice)]
+                diffs = [ex.primitive(ex.vec_sub(w, v)) for vl, v in zip(vertex_lists, chosen) for w in vl if w != v]
+                ell = tuple(map(sum, zip(*chosen)))
+                seen["earlier"] += len(set(diffs)) < len(diffs)
+                seen["ell_on_sigma"] += any(ell) and ex.primitive(ell) in d.sigma.rays
+                seen["zero_ell"] += not any(ell)
+        assert min(seen.values()) >= 5, seen
 
     def test_one_vertex_coefficients_only_translate(self):
         d = PolyhedralDivisor.from_vertex_lists(
@@ -161,7 +190,6 @@ class TestCellsFromMinkowskiVertices:
         )
         vertex_lists, den = _integer_vertices([p.compact_vertices for _, p in d.points])
         assert vertex_lists == [[(0, 1, 0)], [(1, 0, 0)], [(0, 0, 1)]] and den == 1
-        assert _minkowski_vertex_choices(d.sigma, vertex_lists, den) == [(0, 0, 0)]
         assert build_cells(d) == product_loop_cells(d)[0]
 
 

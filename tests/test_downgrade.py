@@ -26,7 +26,7 @@ from reebmin import (
 )
 from reebmin import _exact as ex
 
-from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0
+from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded
 
 SQRT3 = math.sqrt(3)
 SQRT33 = math.sqrt(33)
@@ -116,6 +116,28 @@ class TestDowngradeSigma:
         assert sigma._dual is sigma_dual and sigma_dual._dual is sigma
         assert sigma_dual.rays == ((-1, 2, 0), (0, 0, 1), (0, 1, -1), (1, 0, 0))
         assert sigma_dual == dual_cone(VCone(sigma.rays))
+
+    def test_recorded_incidence(self, dk_explicit_data):
+        # sigma is re-paired with the extreme rays of F's cone: the masks it
+        # holds must index those rays, not the rows of F it was first paired with
+        sigma, sigma_dual = downgrade_sigma(dk_explicit_data)
+        assert sigma._dual is sigma_dual
+        assert_incidence_recorded(sigma)
+        rng = random.Random(110)
+        redundant_rows = line = 0
+        while redundant_rows < 10 or line < 5:
+            n, r = rng.randint(3, 6), rng.randint(2, 3)
+            rows = [tuple(rng.randint(-2, 3) for _ in range(r)) for _ in range(n)]
+            try:
+                data = complete_sequence(WeightMatrix(rows))
+            except (RankDeficient, TorsionCokernel):
+                continue
+            sigma, sigma_dual = downgrade_sigma(data)
+            assert sigma._dual is sigma_dual
+            for cone in (sigma, sigma_dual):
+                assert_incidence_recorded(cone)
+            redundant_rows += len(sigma_dual.rays) < len({row for row in rows if any(row)})
+            line += not sigma.is_full_dimensional()
 
     def test_dual_with_a_line(self):
         # the rows 1 and -1 span a line, so sigma = {0} is not full dimensional

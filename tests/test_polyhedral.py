@@ -24,11 +24,11 @@ from reebmin import (
     vertex_enumeration,
 )
 from reebmin import _exact as ex
-from reebmin import polyhedral
+from reebmin import cxonevol, polyhedral
 from reebmin.cxonevol import build_cells
 from reebmin.polyhedral import _rays_from_inequalities
 
-from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, SPP_U0, random_interior_rational
+from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, SPP_U0, assert_incidence_recorded, random_interior_rational
 
 
 class TestDualCone:
@@ -130,6 +130,26 @@ class TestKernelProperties:
                 assert ex.rank(list(lin) + tight) == n - 1
             assert list(rays) == sorted(rays)
             assert list(rays) == brute_force_rays(normals, n), rows
+
+    def test_dual_cone_records_incidence(self):
+        # the masks that full dimension, pointedness, extreme rays and the
+        # triangulation read are the pass's incidence, on both cones; the
+        # dual's rays are primitive and distinct as VCone would make them
+        rng = random.Random(1996)
+        seen = {"full": 0, "not_full": 0, "pointed": 0, "with_line": 0}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [r for r in self.random_rows(rng, n) if not ex.is_zero_vec(r)]
+            cone = VCone(rows, n)
+            dual = dual_cone(cone)
+            assert_incidence_recorded(cone)
+            assert VCone(dual.rays, n).rays == dual.rays
+            full = cone.span_rank() == n
+            assert cone.is_full_dimensional() == full
+            assert cone.is_pointed() == (dual.span_rank() == n)
+            seen["full" if full else "not_full"] += 1
+            seen["pointed" if cone.is_pointed() else "with_line"] += 1
+        assert min(seen.values()) >= 40, seen
 
 
 def fraction_setup_rays(normals, n):
@@ -427,19 +447,29 @@ class TestKernelCalls:
         assert calls[0] == 1
 
     @staticmethod
-    def build_cells_passes(calls, d):
+    def build_cells_regions(calls, monkeypatch, d):
+        """(full passes, regions triangulated) of one build_cells call."""
+        regions = [0]
+        triangulate = cxonevol.triangulate_cone
+
+        def counting(region):
+            regions[0] += 1
+            return triangulate(region)
+
+        monkeypatch.setattr(cxonevol, "triangulate_cone", counting)
         calls[0] = 0
         build_cells(d)
-        return calls[0]
+        return calls[0], regions[0]
 
-    # build_cells makes (coefficients with >= 2 vertices - 1) passes for the
-    # vertices of the Minkowski sum, then one region pass per such vertex
+    # build_cells makes no full pass: one depth-first walk adds each
+    # choice's normals as steps on its parent's rays, and triangulates every
+    # full-dimensional region it reaches
 
-    def test_build_cells_dk_4dim(self, calls, dk_divisor):
+    def test_build_cells_dk_4dim(self, calls, monkeypatch, dk_divisor):
         # 2 coefficients with 2 vertices; all 4 choices give vertices
-        assert self.build_cells_passes(calls, dk_divisor) == 1 + 4
+        assert self.build_cells_regions(calls, monkeypatch, dk_divisor) == (0, 4)
 
-    def test_build_cells_orthant_3x2x2(self, calls):
+    def test_build_cells_orthant_3x2x2(self, calls, monkeypatch):
         half = Fraction(1, 2)
         d = PolyhedralDivisor.from_vertex_lists(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
@@ -450,11 +480,11 @@ class TestKernelCalls:
             ],
         )
         # 7 of the 12 choices sum to vertices
-        assert self.build_cells_passes(calls, d) == 2 + 7
+        assert self.build_cells_regions(calls, monkeypatch, d) == (0, 7)
 
-    def test_build_cells_orthant_4x3(self, calls):
+    def test_build_cells_orthant_4x3(self, calls, monkeypatch):
         # two triangles and two inverted ones in the planes x + y + z = c: the
-        # sum is a hexagon, so 6 of the 81 choices get a region pass
+        # sum is a hexagon, so 6 of the 81 choices reach a region
         d = PolyhedralDivisor.from_vertex_lists(
             [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
             [
@@ -464,7 +494,7 @@ class TestKernelCalls:
                 ("3", [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]),
             ],
         )
-        assert self.build_cells_passes(calls, d) == 3 + 6
+        assert self.build_cells_regions(calls, monkeypatch, d) == (0, 6)
 
     def test_divisor_one_pass_per_coefficient(self, calls):
         # one pass for sigma's dual, one per coefficient's homogenization
