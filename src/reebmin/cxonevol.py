@@ -22,11 +22,11 @@ Building a divisor costs one double-description pass for the dual of sigma
 and one per coefficient: its vertices are the extreme rays (v, s), s > 0, of
 the homogenized cone over conv(vertices) + sigma, read off that cone's dual.
 Its cells cost no further pass: a depth-first walk over the choices of
-vertices continues the pass that made sigma's dual, one step per normal.
-The normals a choice shares with its siblings are added once, by their
-parent, and a branch is cut where its region becomes lower dimensional, so
-choices whose sum is not a vertex of the Minkowski sum of the coefficients
-are never finished.
+vertices continues from the extreme rays of sigma's recorded dual and their
+masks, one step per normal.  The normals a choice shares with its siblings
+are added once, by their parent, and a branch is cut where its region
+becomes lower dimensional, so choices whose sum is not a vertex of the
+Minkowski sum of the coefficients are never finished.
 """
 
 import math
@@ -43,9 +43,7 @@ from .polyhedral import (
     MINUS_INFINITY,
     Polyhedron,
     VCone,
-    _dd_step,
-    _pair,
-    _spans,
+    _Pass,
     polyhedron_min,
     triangulate_cone,
 )
@@ -131,53 +129,35 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
     of a coefficient, and by the half-space {deg >= 0}, whose normal ell is
     the sum of the chosen vertices; regions of full dimension are
     triangulated.  The choices are walked depth first in itertools.product
-    order on one double-description pass: it starts from the rays of
-    sigma's dual with their recorded masks, each level adds its choice's
-    normals as steps on its parent's rays, and each leaf adds ell.  Normals
-    are scaled to integers by den, made primitive, and each enters once, at
-    its first occurrence along the path.  A partial region that is lower
-    dimensional, a bit test on the rays' masks, has no full-dimensional
-    refinement, so its branch is cut: the leaves reached are the choices
-    whose sum is a vertex of the Minkowski sum (Gritzmann & Sturmfels,
-    "Minkowski addition of polytopes", 1993).
+    order on one double-description pass (`_Pass`): it starts from the
+    extreme rays of sigma's dual with their recorded masks, each level adds
+    its choice's normals as steps on its parent's pass, and each leaf adds
+    ell.  Normals are scaled to integers by den, made primitive, and each
+    enters once, at its first occurrence along the path.  A partial region
+    that is lower dimensional, a bit test on the rays' masks, has no
+    full-dimensional refinement, so its branch is cut: the leaves reached
+    are the choices whose sum is a vertex of the Minkowski sum (Gritzmann &
+    Sturmfels, "Minkowski addition of polytopes", 1993).
     """
-    r = d.r
     vertex_lists, den = _integer_vertices([poly.compact_vertices for _, poly in d.points])
-    normals = list(d.sigma.rays)
     cells = []
 
-    def add(rays, a):
-        """The rays after normal a; a zero normal or one already on the path adds nothing."""
-        if any(a):
-            a = ex.primitive(a)
-            if a not in normals:
-                normals.append(a)
-                rays = _dd_step(rays, a, len(normals) - 1, r)
-        return rays
-
-    def walk(k, rays, ell):
-        mark = len(normals)
+    def walk(k, dd, ell):
         if k < len(vertex_lists):
             vl = vertex_lists[k]
             for ci, v in enumerate(vl):
-                sub = rays
+                sub = dd
                 for w in vl[:ci] + vl[ci + 1 :]:
-                    sub = add(sub, ex.vec_sub(w, v))
-                if _spans([m for _, m in sub]):
+                    sub = sub.add(ex.vec_sub(w, v))
+                if sub.spans():
                     walk(k + 1, sub, ex.vec_add(ell, v))
-                del normals[mark:]
             return
-        pairs = sorted(add(rays, ell))
-        if _spans([m for _, m in pairs]):
-            region = VCone._of([u for u, _ in pairs], r)
-            _pair(VCone._of(normals, r), region, [m for _, m in pairs])
+        dd = dd.add(ell)
+        if dd.spans():
             ell = tuple(Fraction(x, den) for x in ell)
-            cells.extend((piece, ell) for piece in triangulate_cone(region))
-        del normals[mark:]
+            cells.extend((piece, ell) for piece in triangulate_cone(dd.cone()))
 
-    # the walk starts from the pass that made sigma's dual: its rays and
-    # their masks over sigma's rays are the state after sigma's normals
-    walk(0, list(zip(d.sigma_dual.rays, d.sigma_dual._tight)), (0,) * r)
+    walk(0, _Pass.dual_of(d.sigma), (0,) * d.r)
     return CellComplex(cells=tuple(cells))
 
 

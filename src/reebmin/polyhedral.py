@@ -5,10 +5,11 @@ are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
 list plus a tail cone (`Polyhedron`).  Inequalities become generators by
 double description, split into an integer start (`_dd_start`) and a step
 that adds one normal (`_dd_step`); each ray carries the bitmask of the
-normals it is tight on.  The full pass, `_rays_from_inequalities`, runs once
-per cone (`dual_cone`, cached as `VCone._dual`) and once per vertex
-enumeration (by homogenization); callers that add normals along a search,
-as the complexity-one cell refinement does, run the steps themselves.  The
+normals it is tight on.  The full pass, `_dd_pass`, runs once per cone
+(`dual_cone`, cached as `VCone._dual`) and once per vertex enumeration (by
+homogenization, through `_rays_from_inequalities`, which drops the masks).
+A search that adds normals one at a time, as the complexity-one cell
+refinement does, extends a `_Pass` started from a cone's recorded dual.  The
 start works in integers too: a fraction-free echelon picks the start
 normals and integer cofactors give the start rays, so `Fraction` row
 reduction runs only for the lineality basis of a rank-deficient system.
@@ -249,14 +250,12 @@ def _dd_step(rays, a, i, t):
     return new
 
 
-def _rays_from_inequalities(normals, n, masks=None):
-    """Extreme rays and lineality basis of { y : <a, y> >= 0 for a in normals }.
+def _dd_pass(normals, n):
+    """(pairs, lineality_basis) of { y : <a, y> >= 0 for a in normals }.
 
-    Returns (pointed_rays, lineality_basis); the cone equals
-    cone(pointed_rays) + span(lineality_basis).  The pointed rays lie in the
-    row space of the normals and come out primitive and sorted.  A list
-    passed as `masks` receives, in the same order, the bitmask of the
-    nonzero normals each pointed ray is tight on.
+    The cone equals cone(pointed rays) + span(lineality_basis).  The pairs
+    are (ray, mask), sorted: each pointed ray, primitive and in the row space
+    of the normals, with the bitmask of the nonzero normals it is tight on.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996): start
     from the simplicial cone that t independent normals cut out of the row
@@ -265,15 +264,67 @@ def _rays_from_inequalities(normals, n, masks=None):
     """
     rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
     if not rows:
-        return (), tuple(ex.primitive(b) for b in ex.identity(n))
+        return [], tuple(ex.primitive(b) for b in ex.identity(n))
     rays, start, lin = _dd_start(rows, n)
     for i, a in enumerate(rows):
         if i not in start:
             rays = _dd_step(rays, a, i, len(start))
     rays.sort()
-    if masks is not None:
-        masks.extend(m for _, m in rays)
-    return tuple(r for r, _ in rays), lin
+    return rays, lin
+
+
+def _rays_from_inequalities(normals, n):
+    """(pointed_rays, lineality_basis): `_dd_pass` without the masks."""
+    pairs, lin = _dd_pass(normals, n)
+    return tuple(r for r, _ in pairs), lin
+
+
+class _Pass:
+    """A double-description pass that a search extends one normal at a time.
+
+    `normals` are the distinct primitive normals added so far and `pairs`
+    the (ray, mask) pairs of the pointed cone they cut out, each mask over
+    the normals.  The normals span R^n, so every step has rank n.  Extending
+    a pass returns a new one and leaves the old one as it was, so a search
+    can branch from any pass.
+    """
+
+    __slots__ = ("normals", "pairs")
+
+    def __init__(self, normals, pairs):
+        self.normals = normals
+        self.pairs = pairs
+
+    @classmethod
+    def dual_of(cls, c):
+        """The pass whose normals are the rays of the full-dimensional cone c:
+        the extreme rays of c's dual with their recorded masks.  Redundant
+        rays of the recorded dual are left out, since a step's adjacency
+        test holds only among extreme rays."""
+        dual = c._dual
+        ext = set(dual.extreme_rays())
+        return cls(c.rays, [(y, m) for y, m in zip(dual.rays, dual._tight) if y in ext])
+
+    def add(self, a):
+        """The pass after the integer normal a; a zero normal, or one whose
+        primitive is already a normal, adds nothing."""
+        if any(a):
+            a = ex.primitive(a)
+            if a not in self.normals:
+                return _Pass(self.normals + (a,), _dd_step(self.pairs, a, len(self.normals), len(a)))
+        return self
+
+    def spans(self):
+        """Whether the cone cut out so far is full dimensional."""
+        return _spans([m for _, m in self.pairs])
+
+    def cone(self):
+        """The cone on the sorted rays, paired with the cone on the normals."""
+        pairs = sorted(self.pairs)
+        n = len(self.normals[0])
+        cone = VCone._of([u for u, _ in pairs], n)
+        _pair(VCone._of(self.normals, n), cone, [m for _, m in pairs])
+        return cone
 
 
 def _pair(c, dual, masks):
@@ -294,9 +345,9 @@ def dual_cone(c: VCone) -> VCone:
     with every ray of c.  The two cones are recorded as each other's `_dual`
     with the pass's incidence.
     """
-    masks = []
-    pointed, lin = _rays_from_inequalities(c.rays, c.ambient_dim, masks)
-    rays = list(pointed)
+    pairs, lin = _dd_pass(c.rays, c.ambient_dim)
+    rays = [r for r, _ in pairs]
+    masks = [m for _, m in pairs]
     everything = (1 << len(c.rays)) - 1
     for b in lin:
         rays += [b, tuple(-x for x in b)]

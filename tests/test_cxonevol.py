@@ -18,10 +18,11 @@ from reebmin import (
     vol_xi_c1,
 )
 from reebmin import _exact as ex
+from reebmin import cxonevol
 from reebmin.cxonevol import CellComplex, _integer_vertices, build_cells
-from reebmin.polyhedral import dual_cone, triangulate_cone
+from reebmin.polyhedral import Polyhedron, dual_cone, triangulate_cone
 
-from conftest import DK_SIGMA_RAYS, DK_U0, random_interior_rational
+from conftest import DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded, random_interior_rational
 
 ALPHA = (-3 + math.sqrt(33)) / 4  # third coordinate of the known minimizer direction
 
@@ -163,17 +164,30 @@ class TestCellsFromMinkowskiVertices:
             with_cells += bool(cells.cells)
         assert cut_to_lower_dimension >= 10 and with_cells >= 20
 
-    def test_repeated_normals_and_zero_ell(self):
+    def test_repeated_normals_and_zero_ell(self, monkeypatch):
         # a difference w - v that repeats an earlier one, or an ell along a
         # sigma ray, enters the walk once and a zero ell adds no normal, as in
         # a fresh pass per choice (a difference is never along a sigma ray:
-        # then one of v, w would lie in the other plus sigma)
+        # then one of v, w would lie in the other plus sigma); each region
+        # triangulated is paired with its distinct primitive normals
+        regions = []
+        triangulate = cxonevol.triangulate_cone
+
+        def spy(region):
+            regions.append(region)
+            return triangulate(region)
+
+        monkeypatch.setattr(cxonevol, "triangulate_cone", spy)
         rng = random.Random(1953)
         seen = {"earlier": 0, "ell_on_sigma": 0, "zero_ell": 0}
         for k in range(100):
             d = lattice_divisor(rng, TAILS[k % len(TAILS)])
             cells, full_before_cut = product_loop_cells(d)
+            del regions[:]
             assert build_cells(d) == cells
+            for region in regions:
+                assert VCone(region._dual.rays, d.r).rays == region._dual.rays
+                assert_incidence_recorded(region)
             vertex_lists = [p.compact_vertices for _, p in d.points]
             for choice in full_before_cut:
                 chosen = [vl[ci] for vl, ci in zip(vertex_lists, choice)]
@@ -183,6 +197,29 @@ class TestCellsFromMinkowskiVertices:
                 seen["ell_on_sigma"] += any(ell) and ex.primitive(ell) in d.sigma.rays
                 seen["zero_ell"] += not any(ell)
         assert min(seen.values()) >= 5, seen
+
+    def test_sigma_paired_with_redundant_dual(self):
+        # dual_cone of a cone with a redundant ray pairs sigma with that
+        # cone: the walk must start from its extreme rays only.  On the
+        # quadrant with dual (1, 0), (1, 1), (0, 1), the normal (1, -2) cuts
+        # out the cell cone((1, 0), (2, 1))
+        sigma = dual_cone(VCone([(1, 0), (1, 1), (0, 1)]))
+        d = PolyhedralDivisor(sigma, [("0", Polyhedron([(0, 0), (1, -2)], sigma))])
+        assert (1, 1) in sigma._dual.rays
+        assert [p.rays for p, _ in build_cells(d).cells] == [((1, 0), (2, 1))]
+        rng = random.Random(1978)
+        with_cells = 0
+        for k in range(40):
+            rays = TAILS[k % len(TAILS)]
+            redundant = [ex.vec_add(a, b) for a, b in zip(rays, rays[1:])]
+            sigma = dual_cone(VCone(list(rays) + redundant))
+            points = seeded_divisor(rng, sigma.rays).points
+            d = PolyhedralDivisor(sigma, [(label, Polyhedron(p.compact_vertices, sigma)) for label, p in points])
+            assert len(d.sigma_dual.extreme_rays()) < len(d.sigma_dual.rays)
+            cells = build_cells(d)
+            assert cells == product_loop_cells(d)[0]
+            with_cells += bool(cells.cells)
+        assert with_cells >= 20
 
     def test_one_vertex_coefficients_only_translate(self):
         d = PolyhedralDivisor.from_vertex_lists(

@@ -104,13 +104,13 @@ class TestDowngradeSigma:
         from reebmin import dual_cone, polyhedral
 
         calls = [0]
-        kernel = polyhedral._rays_from_inequalities
+        kernel = polyhedral._dd_pass
 
         def counting(*args):
             calls[0] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(polyhedral, "_rays_from_inequalities", counting)
+        monkeypatch.setattr(polyhedral, "_dd_pass", counting)
         sigma, sigma_dual = downgrade_sigma(dk_explicit_data)
         assert calls[0] == 1
         assert sigma._dual is sigma_dual and sigma_dual._dual is sigma

@@ -429,13 +429,13 @@ class TestKernelCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
         count = [0]
-        kernel = polyhedral._rays_from_inequalities
+        kernel = polyhedral._dd_pass
 
         def counting(*args):
             count[0] += 1
             return kernel(*args)
 
-        monkeypatch.setattr(polyhedral, "_rays_from_inequalities", counting)
+        monkeypatch.setattr(polyhedral, "_dd_pass", counting)
         return count
 
     def test_toric_data_from_dual_cone(self, calls):
