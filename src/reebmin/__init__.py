@@ -7,7 +7,6 @@ scans, subtorus downgrades, and certified Diophantine approximation.
 
 from importlib import resources
 
-from ._exact import smith_normal_form
 from .approx import ConeApprox, Enclosure, SignedApprox, cone_rational_approx, dirichlet_signed, verify_cone, verify_signed
 from .cxonevol import CellComplex, PolyhedralDivisor, build_cells, deg_D, minimize_c1, nvol_c1, vol_xi_c1
 from .downgrade import (

@@ -65,12 +65,6 @@ def check_length(name, v, dim):
         raise ValueError(f"{name} has {len(v)} entries but the weight cone lies in dimension {dim}")
 
 
-def _cleared(v):
-    """(N, e) with v_i = N_i / e, e the lcm of the denominators of rationals v."""
-    e = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (e // x.denominator) for x in v), e
-
-
 def _integer_weights(cleared_ell, rays):
     """(A, e) with <ell, u_i> = A_i / e and e the lcm of the weights'
     denominators, from ell = L / e0 given as cleared_ell = (L, e0)."""
@@ -110,8 +104,8 @@ def _rational_certificate(g, u0):
     proj = (G <U, U> - <G, U> U) / (D <U, U>) and sine^2 = 1 - <G, U>^2 /
     (<G, G> <U, U>), one Fraction per entry.  The quotient of two ints rounds
     correctly, as float of a Fraction does."""
-    nums, den = _cleared(g)
-    us, _ = _cleared(u0)
+    nums, den = ex.cleared(g)
+    us, _ = ex.cleared(u0)
     uu = sum([x * x for x in us])
     gu = sum([x * y for x, y in zip(nums, us)])
     gg = sum([x * x for x in nums])
@@ -142,7 +136,7 @@ class CellSum:
             weights, ints = None, (None, 1)
             if ell is not None:
                 if ell not in cleared:
-                    cleared[ell] = _cleared(ell)
+                    cleared[ell] = ex.cleared(ell)
                 ints = _integer_weights(cleared[ell], piece.rays)
                 weights = tuple(Fraction(x, ints[1]) for x in ints[0])
             table.append((tuple(index[u] for u in piece.rays), piece.det_abs, weights))
@@ -199,7 +193,7 @@ class CellSum:
         denominators, so each entry costs one reduction.
         """
         check_length("Reeb vector", xi, self.dim)
-        big, den = _cleared(xi)
+        big, den = ex.cleared(xi)
         pair = []
         for u in self.rays:
             p = sum([a * b for a, b in zip(u, big)])

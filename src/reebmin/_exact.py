@@ -5,7 +5,7 @@ Vectors are tuples, matrices are tuples of row tuples.  Entries are ints or
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def frac(x):
@@ -59,11 +59,13 @@ def _integral(v):
     are ints, else v times the lcm of its denominators."""
     if all(type(a) is int for a in v):
         return tuple(v)
-    v = fracvec(v)
-    den = 1
-    for a in v:
-        den = den * a.denominator // gcd(den, a.denominator)
-    return tuple(int(a * den) for a in v)
+    return cleared(fracvec(v))[0]
+
+
+def cleared(v):
+    """(N, e) with v_i = N_i / e, e the lcm of the denominators of rationals v."""
+    e = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (e // x.denominator) for x in v), e
 
 
 def mat_vec(m, v):
@@ -227,116 +229,51 @@ def int_det(m):
     return sign * prev
 
 
-def smith_normal_form(m):
-    """Smith decomposition of an integer matrix.
+def hermite(m):
+    """Row Hermite form of an integer matrix by row operations only.
 
-    Returns (U, D, V) with U (rows x rows) and V (cols x cols) unimodular,
-    U m V = D, and D diagonal with nonnegative entries forming a divisibility
-    chain d1 | d2 | ...
+    Returns (H, U) with U unimodular and U m = H: H is in row echelon form,
+    each pivot is positive and the entries above it lie in [0, pivot).  The
+    nonzero rows of H are a canonical basis of the lattice m's rows span,
+    and the rows of U beside H's zero rows a basis of the integer left
+    kernel {y : y m = 0}.  Each column is cleared by a Euclid loop: the
+    smallest entry is the pivot, each other entry is reduced by it, and a
+    nonzero remainder is promoted to be the next pivot.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     a = [[int(x) for x in row] for row in m]
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
     def row_op(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
+    def swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
     t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
+    for c in range(ncols):
+        live = [i for i in range(t, nrows) if a[i][c]]
+        if not live:
+            continue
+        swap(t, min(live, key=lambda i: abs(a[i][c])))
+        done = False
+        while not done:
             done = True
             for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # remainder smaller than pivot; promote it
-                        swap_rows(t, i)
+                if a[i][c]:
+                    row_op(i, t, a[i][c] // a[t][c])
+                    if a[i][c]:  # remainder smaller than the pivot; promote it
+                        swap(t, i)
                         done = False
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if not done:
-                continue
-            # pivot must divide the rest of the submatrix
-            stray = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                break
-            row_op(t, stray, -1)  # fold the offending row into the pivot row
-        if a[t][t] < 0:
+        if a[t][c] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+        for i in range(t):
+            row_op(i, t, a[i][c] // a[t][c])
         t += 1
-        if t == min(nrows, ncols):
+        if t == nrows:
             break
-    d = tuple(tuple(a[i][j] if i == j else 0 for j in range(ncols)) for i in range(nrows))
-    return (tuple(tuple(r) for r in u), d, tuple(tuple(r) for r in v))
-
-
-def solve_integer(m, b):
-    """One integer solution of m x = b, or None."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    u, d, v = smith_normal_form(m)
-    ub = mat_vec(u, b)
-    y = [0] * ncols
-    for i in range(nrows):
-        di = d[i][i] if i < ncols else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            if i < ncols:
-                y[i] = ub[i] // di
-    return mat_vec(v, tuple(y))
-
-
-def row_lattices_equal(a, b):
-    """Whether two integer matrices generate the same row lattice."""
-    at = transpose(a)
-    bt = transpose(b)
-    return all(solve_integer(at, row) is not None for row in b) and all(
-        solve_integer(bt, row) is not None for row in a
-    )
+    return tuple(map(tuple, a)), tuple(map(tuple, u))

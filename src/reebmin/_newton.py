@@ -63,7 +63,7 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     at once, with stop_reason "zero_volume", and runs neither Newton nor the
     certificates.
     """
-    total = [sum(Fraction(c) for c in col) for col in zip(*sigma_rays)]
+    total = [sum(col) for col in zip(*sigma_rays)]
     a0 = sum(a * b for a, b in zip(u0, total))
     x0 = np.asarray([float(x / a0) for x in total])
     if not cs.cells:

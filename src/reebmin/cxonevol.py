@@ -29,14 +29,13 @@ becomes lower dimensional, so choices whose sum is not a vertex of the
 Minkowski sum of the coefficients are never finished.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import _exact as ex
 from . import _newton
-from ._cellsum import CellSum, _cleared, check_length
+from ._cellsum import CellSum, check_length
 from ._newton import MinimizeResult
 from .errors import InfeasibleSystem, NotStrictlyConvex, UnboundedCoefficient
 from .polyhedral import (
@@ -67,11 +66,11 @@ class PolyhedralDivisor:
         r = sigma.ambient_dim
         canon = []
         for label, poly in points:
-            if not poly.tail.is_equivalent(sigma):
+            if poly.tail is not sigma and not poly.tail.is_equivalent(sigma):
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
             # the vertices are the extreme rays (v, s), s > 0, of the homogenization
             # (N, e) with v = N / e is primitive: e is the lcm of v's denominators
-            hom = VCone._of([(*nums, e) for nums, e in map(_cleared, poly.compact_vertices)]
+            hom = VCone._of([(*nums, e) for nums, e in map(ex.cleared, poly.compact_vertices)]
                             + [(*u, 0) for u in sigma.rays], r + 1)
             verts = [tuple(Fraction(x, h[r]) for x in h[:r]) for h in hom.extreme_rays() if h[r] > 0]
             if not verts:
@@ -164,8 +163,9 @@ def build_cells(d: PolyhedralDivisor) -> CellComplex:
 def _integer_vertices(vertex_lists):
     """(lists, den): every rational vertex times den, the lcm of all their
     denominators, as an integer vector."""
-    den = math.lcm(*(x.denominator for vl in vertex_lists for v in vl for x in v))
-    return [[tuple(x.numerator * (den // x.denominator) for x in v) for v in vl] for vl in vertex_lists], den
+    nums, den = ex.cleared([x for vl in vertex_lists for v in vl for x in v])
+    it = iter(nums)
+    return [[tuple(next(it) for _ in v) for v in vl] for vl in vertex_lists], den
 
 
 def vol_xi_c1(d: PolyhedralDivisor, xi):

@@ -6,11 +6,16 @@ s (s F = id), read off the cone sigma = {xi : F xi >= 0}, and compute the
 coefficient polyhedra s({y >= 0, P y = p}) of the induced polyhedral divisor.
 Binomial hypersurfaces z^a = z^b are converted to toric data through the
 saturated character-lattice quotient Z^N / Z(a - b).
+
+Every lattice question is read off one row Hermite reduction U F = H
+(`_exact.hermite`): coker(F) is torsion free iff the top r rows of H are
+the identity, and then the top r rows of U are a section and the others a
+basis of the left kernel {y : y F = 0}, which P must span.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -22,7 +27,6 @@ from .errors import (
     NonInvariant,
     RankDeficient,
     TorsionCokernel,
-    TorsionQuotient,
 )
 from .polyhedral import HRep, Polyhedron, VCone, _extreme_cone, dual_cone, vertex_enumeration
 from .toricvol import ReebVector, ToricData
@@ -70,28 +74,47 @@ class DowngradeData:
         sf = tuple(tuple(Fraction(x) for x in row) for row in ex.mat_mul(s, F.rows))
         if sf != ex.identity(F.r):
             raise ValueError("s F != id")
-        u, d, _ = ex.smith_normal_form(F.rows)
-        if any(abs(d[i][i]) != 1 for i in range(F.r)):
-            raise TorsionCokernel("coker(F) has torsion")
-        if P and not ex.row_lattices_equal(P, u[F.r :]):
+        u = _reduction(F)
+        if P and _lattice(P) != _lattice(u[F.r :]):
             raise ValueError("rows of P do not generate the saturated cokernel lattice")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "s", s)
 
 
+def _reduction(F):
+    """U from the Hermite form U F = H, checked to have H = (I; 0): its top
+    r rows are a section of F and the others span the left kernel."""
+    h, u = ex.hermite(F.rows)
+    order = math.prod(h[i][i] for i in range(F.r))  # |det| of H's top block; F has rank r
+    if order != 1:
+        raise TorsionCokernel(f"coker(F) has torsion of order {order}")
+    return u
+
+
+def _lattice(m):
+    """The nonzero rows of m's Hermite form: one basis per row lattice."""
+    return tuple(row for row in ex.hermite(m)[0] if any(row))
+
+
 def complete_sequence(F: WeightMatrix) -> DowngradeData:
-    """Cokernel map P and integer section s from the Smith form of F."""
-    u, d, v = ex.smith_normal_form(F.rows)
-    diag = [d[i][i] for i in range(F.r)]
-    if any(x == 0 for x in diag):
-        raise RankDeficient("rank(F) < r")
-    if any(abs(x) != 1 for x in diag):
-        raise TorsionCokernel(f"coker(F) has torsion of orders {[x for x in diag if abs(x) != 1]}")
-    p = tuple(u[F.r :])
-    s = ex.mat_mul(v, u[: F.r])
-    s = tuple(tuple(int(x) for x in row) for row in s)
-    return DowngradeData(F, p, s)
+    """Canonical cokernel map P and integer section s of F.
+
+    Both come from one Hermite reduction U F = (I; 0): P is the Hermite form
+    of U's kernel rows, and s is U's top r rows, each reduced against P's
+    pivots into [0, pivot).  Every section is one of these plus a vector
+    in P's row lattice, so P and s depend only on F.
+    """
+    u = _reduction(F)
+    p = _lattice(u[F.r :])
+    s = []
+    for row in u[: F.r]:
+        for prow in p:
+            c = next(j for j, x in enumerate(prow) if x)
+            q = row[c] // prow[c]
+            row = tuple(x - q * y for x, y in zip(row, prow))
+        s.append(row)
+    return DowngradeData(F, p, tuple(s))
 
 
 def downgrade_sigma(d: DowngradeData):
@@ -138,9 +161,8 @@ class BinomialHypersurface:
 
     a: tuple
     b: tuple
-    ambient_weight: tuple = None
 
-    def __init__(self, a, b, ambient_weight=None):
+    def __init__(self, a, b):
         a = tuple(int(x) for x in a)
         b = tuple(int(x) for x in b)
         if len(a) != len(b):
@@ -151,14 +173,8 @@ class BinomialHypersurface:
             raise ValueError("a == b defines the zero polynomial")
         if any(x > 0 and y > 0 for x, y in zip(a, b)):
             raise ValueError("supports of a and b must be disjoint")
-        if ambient_weight is not None:
-            ambient_weight = tuple(float(w) for w in ambient_weight)
-            pairing = sum((x - y) * w for x, y, w in zip(a, b, ambient_weight))
-            if abs(pairing) > 1e-9:
-                raise ValueError("ambient weight does not annihilate a - b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "ambient_weight", ambient_weight)
 
     @property
     def N(self):
@@ -168,18 +184,13 @@ class BinomialHypersurface:
 def binomial_to_toric(h: BinomialHypersurface) -> ToricData:
     """Toric data of the binomial hypersurface via the character quotient.
 
-    The quotient Z^N / Z(a-b) is saturated through the Smith form; coordinate
-    characters map to the weight-cone rays and u0 is the image of
-    (1, ..., 1) - a.
+    The quotient by the primitive c = (a - b) / gcd is saturated: the
+    Hermite reduction U c = (1, 0, ..., 0) makes the rows of U after the
+    first a projection onto it.  Coordinate characters map to the
+    weight-cone rays and u0 is the image of (1, ..., 1) - a.
     """
-    c = tuple(x - y for x, y in zip(h.a, h.b))
-    g = 0
-    for x in c:
-        g = gcd(g, abs(x))
-    c = tuple(x // g for x in c)
-    u, d, _v = ex.smith_normal_form(tuple((x,) for x in c))
-    if d[0][0] != 1:
-        raise TorsionQuotient("character lattice quotient kept torsion after saturation")
+    c = ex.primitive([x - y for x, y in zip(h.a, h.b)])
+    _h, u = ex.hermite(tuple((x,) for x in c))
     q = u[1:]  # (N-1) x N projection onto the saturated quotient
     images = [tuple(row[i] for row in q) for i in range(h.N)]
     if any(all(x == 0 for x in img) for img in images):

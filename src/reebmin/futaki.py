@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _exact as ex
-from ._cellsum import _cleared, check_length
+from ._cellsum import check_length
 from .cxonevol import PolyhedralDivisor
 from .toricvol import ToricData
 
@@ -61,7 +61,7 @@ def _pairing(u0):
     term-by-term arithmetic gives them: one Fraction for an int v; for a
     float v each term float(u0_k) * v_k, as Fraction * float computes it,
     from floats formed once; term by term otherwise."""
-    us, e = _cleared(u0)
+    us, e = ex.cleared(u0)
     uf = [float(x) for x in u0]
 
     def pair(v):
@@ -125,15 +125,13 @@ def _directions(pair, xi, paired):
         yield tuple((a0 * e - ae * x) * inv for e, x in zip(eta, xi))
 
 
-def semistable_scan(data, xi0, etas, tolerance=None, u0=None) -> FutakiReport:
+def semistable_scan(data, xi0, etas, tolerance=1e-9, u0=None) -> FutakiReport:
     """Evaluate the Futaki invariant along each direction and report signs.
 
     The verdict covers only the supplied directions.  The default sign
     tolerance is 1e-9 for both kinds of data, whose invariants are closed
     forms.
     """
-    if tolerance is None:
-        tolerance = 1e-9
     weight = _weight(data, u0)
     pair = _pairing(weight)
     xi = tuple(xi0)

@@ -347,8 +347,8 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     envelopes = None if wide else _envelopes(coeffs)
     xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
-    scale = lcm(*(c.denominator for c in x))  # the recheck in integers
-    x_n, m_n = [int(c * scale) for c in x], Fraction(m) * scale
+    x_n, scale = ex.cleared(x)  # the recheck in integers
+    m_n = Fraction(m) * scale
     total = 0
     cells = 0
     walk = _heads(verts, box_lo, box_hi, pad)
@@ -394,8 +394,9 @@ def count_cxone(d, xi, m, budget=DEFAULT_BUDGET):
     coeffs = []
     for _label, poly in d.points:
         verts = poly.compact_vertices
-        den = lcm(*(c.denominator for v in verts for c in v))
-        coeffs.append(([[int(c * den) for c in v] for v in verts], den))
+        nums, den = ex.cleared([c for v in verts for c in v])
+        it = iter(nums)
+        coeffs.append(([[next(it) for _ in v] for v in verts], den))
     return _enumerate(d.sigma.rays, d.sigma_dual.rays, xi, m, coeffs, budget)
 
 

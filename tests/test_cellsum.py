@@ -118,7 +118,7 @@ class TestComplexityOne:
             cs = d._cellsum
             for (piece, ell), (_, _, weights), cell in zip(d.cells().cells, cs.cells, cs._int_cells):
                 assert same(weights, tuple(ex.dot(ell, u) for u in piece.rays))
-                assert cell[4:] == _cellsum._cleared(weights)
+                assert cell[4:] == ex.cleared(weights)
 
     def test_dk_divisor(self, dk_divisor):
         rng = random.Random(64)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,11 +26,23 @@ from reebmin import (
     nvol,
 )
 from reebmin import _exact as ex
+from reebmin import downgrade
 
 from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded
 
 SQRT3 = math.sqrt(3)
 SQRT33 = math.sqrt(33)
+
+
+def assert_canonical_sequence(f, d):
+    """P F = 0, s F = I, P in Hermite form, and P's rows a saturated lattice:
+    the Hermite form of P^T is the identity over zeros."""
+    assert all(x == 0 for row in ex.mat_mul(d.P, f.rows) for x in row)
+    assert ex.mat_mul(d.s, f.rows) == tuple(tuple(int(i == j) for j in range(f.r)) for i in range(f.r))
+    assert len(d.P) == f.N - f.r
+    assert ex.hermite(d.P)[0] == d.P
+    h, _ = ex.hermite(ex.transpose(d.P))
+    assert h[: len(d.P)] == tuple(tuple(int(i == j) for j in range(len(d.P))) for i in range(len(d.P)))
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +63,9 @@ class TestCompleteSequence:
 
     def test_dk_row_lattice(self, dk_weights):
         d = complete_sequence(dk_weights)
-        assert ex.row_lattices_equal(d.P, DK_P)
+        assert downgrade._lattice(d.P) == downgrade._lattice(DK_P)
+        assert d.P == ((1, 1, 0, -2, -1), (0, 0, 2, -2, -1))
+        assert d.s == ((0, -1, 0, 2, 1), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0))
 
     def test_section_property(self, dk_weights):
         d = complete_sequence(dk_weights)
@@ -58,8 +73,52 @@ class TestCompleteSequence:
         assert tuple(tuple(Fraction(x) for x in r) for r in sf) == ex.identity(3)
 
     def test_torsion_cokernel(self):
-        with pytest.raises(TorsionCokernel):
+        with pytest.raises(TorsionCokernel, match="order 2"):
             complete_sequence(WeightMatrix([(2,)]))
+        with pytest.raises(TorsionCokernel, match="order 3"):
+            complete_sequence(WeightMatrix([(1, 1), (1, -2), (2, -1)]))
+
+    def test_lattice_check(self, dk_weights):
+        rng = random.Random(53)
+        for _ in range(20):
+            q = rng.randint(-3, 3)
+            e = ((1, q), (0, 1)) if rng.random() < 0.5 else ((0, 1), (-1, q))
+            DowngradeData(dk_weights, ex.mat_mul(e, DK_P), DK_S)  # same lattice
+        doubled = (DK_P[0], tuple(2 * x for x in DK_P[1]))
+        summed = (ex.vec_add(*DK_P), tuple(x - 2 * y for x, y in zip(DK_P[0], DK_P[1])))  # index 3
+        for p in (doubled, DK_P[:1], summed):
+            with pytest.raises(ValueError, match="saturated cokernel lattice"):
+                DowngradeData(dk_weights, p, DK_S)
+        # three rows spanning the kernel lattice are accepted
+        DowngradeData(dk_weights, (*DK_P, ex.vec_add(*DK_P)), DK_S)
+
+    def test_reproducer_returns_canonical(self):
+        # the Smith form this replaced grew its entries without bound here
+        f = WeightMatrix(
+            [(-2, -1, 3), (-2, 0, -3), (-1, -1, -3), (3, -2, 3), (1, -1, -2), (-2, -2, 2), (-1, 2, 1)]
+        )
+        d = complete_sequence(f)
+        assert_canonical_sequence(f, d)
+        assert max(abs(x) for row in d.P + d.s for x in row) <= 18
+
+    def test_seeded_sequences_canonical(self):
+        rng = random.Random(1979)
+        done = 0
+        while done < 300:
+            n, r = rng.randint(4, 8), rng.randint(2, 5)
+            rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(n)]
+            try:
+                f = WeightMatrix(rows)
+            except RankDeficient:
+                continue
+            t = time.perf_counter()
+            try:
+                d = complete_sequence(f)
+            except TorsionCokernel:
+                continue
+            assert time.perf_counter() - t < 1.0
+            assert_canonical_sequence(f, d)
+            done += 1
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
@@ -202,6 +261,26 @@ class TestDowngradeCoefficient:
 
 
 class TestBinomialToToric:
+    def test_pinned_toric_data(self):
+        # (a, b) -> (sigma_dual rays, sigma rays, u0), as the Smith form gave them
+        pins = {
+            ((1, 1, 0), (0, 0, 2)): (((-1, 2), (1, 0), (0, 1)), ((0, 1), (2, 1)), (0, 1)),
+            ((1, 1, 0, 0), (0, 0, 2, 1)): (
+                ((-1, 2, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 0, 1), (0, 1, 0), (1, 0, 1), (2, 1, 0)),
+                (0, 1, 1),
+            ),
+            ((1, 1, 0, 0), (0, 0, 1, 1)): (
+                ((-1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                ((0, 0, 1), (0, 1, 0), (1, 0, 1), (1, 1, 0)),
+                (0, 1, 1),
+            ),
+        }
+        for (a, b), (dual_rays, rays, u0) in pins.items():
+            t = binomial_to_toric(BinomialHypersurface(a, b))
+            assert (t.sigma_dual.rays, t.sigma.rays, t.u0) == (dual_rays, rays, u0)
+            assert all(type(x) is Fraction for x in t.u0)
+
     def test_a1_pipeline(self):
         t = binomial_to_toric(BinomialHypersurface((1, 1, 0), (0, 0, 2)))
         res = minimize(t)

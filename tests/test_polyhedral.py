@@ -19,7 +19,6 @@ from reebmin import (
     VCone,
     dual_cone,
     polyhedron_min,
-    smith_normal_form,
     triangulate_cone,
     vertex_enumeration,
 )
@@ -522,42 +521,93 @@ class TestKernelCalls:
         other = Polyhedron([(0, 0)], VCone([(1, 0), (1, 1)]))
         with pytest.raises(ValueError, match="different tail cone"):
             PolyhedralDivisor(sigma, [("0", other)])
+        same = Polyhedron([(0, 0)], VCone([(0, 1), (1, 0)]))
+        assert PolyhedralDivisor(sigma, [("0", same)]).points[0][1].tail is sigma
+
+    def test_divisor_from_vertex_lists_compares_no_tails(self, monkeypatch):
+        # every coefficient of from_vertex_lists has sigma itself as its tail
+        calls = []
+        compare = VCone.is_equivalent
+        monkeypatch.setattr(VCone, "is_equivalent", lambda self, other: calls.append(1) or compare(self, other))
+        PolyhedralDivisor.from_vertex_lists(
+            [(1, 0), (0, 1)], [("0", [(0, 0), (1, 0)]), ("1", [(0, Fraction(1, 2))])]
+        )
+        assert calls == []
 
 
-class TestSmith:
-    def test_identity(self):
-        u, d, v = smith_normal_form(((1, 0), (0, 1)))
-        assert d == ((1, 0), (0, 1))
+class TestHermite:
+    @staticmethod
+    def unimodular(rng, n):
+        """A seeded unimodular n x n matrix: a product of elementary row
+        operations, swaps and sign changes."""
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            kind = rng.randint(0, 2)
+            if kind == 0 and i != j:
+                q = rng.randint(-3, 3)
+                e[i] = [x + q * y for x, y in zip(e[i], e[j])]
+            elif kind == 1:
+                e[i], e[j] = e[j], e[i]
+            else:
+                e[i] = [-x for x in e[i]]
+        return tuple(map(tuple, e))
 
-    def test_spp_binomial_column(self):
-        u, d, v = smith_normal_form(((1,), (1,), (-2,), (-1,)))
-        assert d[0][0] == 1
+    @staticmethod
+    def assert_hermite(h):
+        last = -1
+        zero = False
+        for t, row in enumerate(h):
+            c = next((j for j, x in enumerate(row) if x), None)
+            if c is None:
+                zero = True
+                continue
+            assert not zero, "a nonzero row below a zero row"
+            assert c > last, "pivots must move right"
+            assert row[c] > 0
+            assert all(0 <= h[i][c] < row[c] for i in range(t))
+            last = c
 
-    def test_one_by_one(self):
-        u, d, v = smith_normal_form(((2,),))
-        assert d == ((2,),)
+    def test_identity_and_column(self):
+        assert ex.hermite(((1, 0), (0, 1))) == (((1, 0), (0, 1)), ((1, 0), (0, 1)))
+        h, u = ex.hermite(((1,), (1,), (-2,), (-1,)))
+        assert h == ((1,), (0,), (0,), (0,))
+        assert ex.hermite(((-2,),)) == (((2,),), ((-1,),))
+        assert ex.hermite(()) == ((), ())
 
-    @settings(max_examples=120, deadline=None)
+    def test_reduces_above_pivots(self):
+        h, u = ex.hermite(((2, 3), (0, 5)))
+        assert h == ((2, 3), (0, 5))
+        h, u = ex.hermite(((1, 7), (0, 3)))
+        assert h == ((1, 1), (0, 3))
+        assert ex.mat_mul(u, ((1, 7), (0, 3))) == h
+
+    @settings(max_examples=150, deadline=None)
     @given(
         st.lists(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
-            min_size=2,
-            max_size=4,
+            min_size=1,
+            max_size=5,
         )
     )
     def test_decomposition_properties(self, rows):
         m = tuple(tuple(r) for r in rows)
-        u, d, v = smith_normal_form(m)
-        assert ex.mat_mul(ex.mat_mul(u, m), v) == d
+        h, u = ex.hermite(m)
+        assert ex.mat_mul(u, m) == h
         assert abs(ex.int_det(u)) == 1
-        assert abs(ex.int_det(v)) == 1
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        for a, b in zip(diag, diag[1:]):
-            if a != 0 and b != 0:
-                assert b % a == 0
-            if a == 0:
-                assert b == 0
-        assert all(x >= 0 for x in diag)
+        self.assert_hermite(h)
+
+    def test_canonical_under_unimodular_rows(self):
+        rng = random.Random(515)
+        for _ in range(200):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 5)
+            m = tuple(tuple(rng.randint(-5, 5) for _ in range(ncols)) for _ in range(nrows))
+            e = self.unimodular(rng, nrows)
+            h, u = ex.hermite(m)
+            h2, u2 = ex.hermite(ex.mat_mul(e, m))
+            self.assert_hermite(h)
+            assert [row for row in h if any(row)] == [row for row in h2 if any(row)]
+            assert ex.mat_mul(u, m) == h and abs(ex.int_det(u)) == 1
 
 
 class TestPolyhedronMin:
@@ -576,21 +626,3 @@ class TestPolyhedronMin:
     def test_unbounded(self, dk_divisor):
         d0 = dk_divisor.points[0][1]
         assert polyhedron_min(d0, (0, -1, 0)) is MINUS_INFINITY
-
-
-class TestSmithAgainstSympy:
-    def test_diagonal_matches_sympy(self, rng):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-        for _ in range(40):
-            ncols = rng.randint(1, 4)
-            rows = [
-                [rng.randint(-9, 9) for _ in range(ncols)]
-                for _ in range(rng.randint(1, 4))
-            ]
-            _, d, _ = smith_normal_form(rows)
-            mine = [d[i][i] for i in range(min(len(d), ncols))]
-            theirs = [abs(int(x)) for x in sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ).diagonal()]
-            theirs += [0] * (len(mine) - len(theirs))
-            assert mine == theirs[: len(mine)]
