@@ -568,12 +568,19 @@ class TestHermite:
             assert all(0 <= h[i][c] < row[c] for i in range(t))
             last = c
 
-    def test_identity_and_column(self):
+    def test_identity(self):
         assert ex.hermite(((1, 0), (0, 1))) == (((1, 0), (0, 1)), ((1, 0), (0, 1)))
-        h, u = ex.hermite(((1,), (1,), (-2,), (-1,)))
-        assert h == ((1,), (0,), (0,), (0,))
-        assert ex.hermite(((-2,),)) == (((2,),), ((-1,),))
         assert ex.hermite(()) == ((), ())
+
+    def test_spp_binomial_column(self):
+        m = ((1,), (1,), (-2,), (-1,))
+        h, u = ex.hermite(m)
+        assert h == ((1,), (0,), (0,), (0,))
+        assert ex.mat_mul(u, m) == h
+
+    def test_one_by_one(self):
+        assert ex.hermite(((2,),)) == (((2,),), ((1,),))
+        assert ex.hermite(((-2,),)) == (((2,),), ((-1,),))
 
     def test_reduces_above_pivots(self):
         h, u = ex.hermite(((2, 3), (0, 5)))
