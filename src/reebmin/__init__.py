@@ -34,14 +34,12 @@ from .errors import (
     SearchExhausted,
     TooLarge,
     TorsionCokernel,
-    TorsionQuotient,
     UnboundedCoefficient,
 )
 from .futaki import FutakiReport, futaki_invariant, normalized_direction, semistable_scan
-from .oracle import CountSeries, count_cxone, count_series_cxone, count_series_toric, count_toric, vol_estimate
+from .oracle import CountSeries, count_cxone, count_toric, vol_estimate
 from .polyhedral import (
     MINUS_INFINITY,
-    HRep,
     Polyhedron,
     SimplicialPiece,
     VCone,

@@ -19,7 +19,7 @@ import mpmath
 
 from . import _exact as ex
 from .errors import InfeasibleSystem, SearchExhausted
-from .polyhedral import HRep, vertex_enumeration
+from .polyhedral import vertex_enumeration
 
 DEFAULT_QMAX = 10**6
 # Integer relations are searched up to this height and accepted within the
@@ -245,7 +245,7 @@ def _block_point(encls, block, relations):
         e = [int(k == m) for m in range(len(block))]
         rows += [(e, -encls[j].lo), ([-x for x in e], encls[j].hi)]
     try:
-        verts = vertex_enumeration(HRep(rows, len(block))).compact_vertices
+        verts = vertex_enumeration(rows, len(block)).compact_vertices
     except InfeasibleSystem:
         raise SearchExhausted("the accepted relations contradict the enclosures") from None
     return [sum(col) / len(verts) for col in zip(*verts)]

@@ -18,15 +18,17 @@ kernel shared with toric data (`_cellsum`), exact when xi is rational, and
 minimization runs the shared damped Newton method (`_newton`) on the
 slice {<u0, xi> = 1}.
 
-Building a divisor costs one double-description pass for the dual of sigma
-and one per coefficient: its vertices are the extreme rays (v, s), s > 0, of
-the homogenized cone over conv(vertices) + sigma, read off that cone's dual.
-Its cells cost no further pass: a depth-first walk over the choices of
-vertices continues from the extreme rays of sigma's recorded dual and their
-masks, one step per normal.  The normals a choice shares with its siblings
-are added once, by their parent, and a branch is cut where its region
-becomes lower dimensional, so choices whose sum is not a vertex of the
-Minkowski sum of the coefficients are never finished.
+Building a divisor costs one double-description pass for the dual of sigma.
+Its coefficients are `Polyhedron`s, which hold their irredundant vertices:
+`from_vertex_lists` pays one pass per coefficient to read them off the
+homogenized cone over the given points and sigma, and a downgraded
+coefficient has them from its vertex enumeration.  Its cells cost no
+further pass: a depth-first walk over the choices of vertices continues
+from the extreme rays of sigma's recorded dual and their masks, one step
+per normal.  The normals a choice shares with its siblings are added
+once, by their parent, and a branch is cut where its region becomes lower
+dimensional, so choices whose sum is not a vertex of the Minkowski sum of
+the coefficients are never finished.
 """
 
 from dataclasses import dataclass
@@ -59,33 +61,25 @@ class PolyhedralDivisor:
     n: int
 
     def __init__(self, sigma, points):
-        if not sigma.is_full_dimensional():
-            raise NotStrictlyConvex("tail cone must be full dimensional")
-        if not sigma.is_pointed():
-            raise NotStrictlyConvex("tail cone contains a line")
-        r = sigma.ambient_dim
+        _check_tail(sigma)
         canon = []
         for label, poly in points:
             if poly.tail is not sigma and not poly.tail.is_equivalent(sigma):
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
-            # the vertices are the extreme rays (v, s), s > 0, of the homogenization
-            # (N, e) with v = N / e is primitive: e is the lcm of v's denominators
-            hom = VCone._of([(*nums, e) for nums, e in map(ex.cleared, poly.compact_vertices)]
-                            + [(*u, 0) for u in sigma.rays], r + 1)
-            verts = [tuple(Fraction(x, h[r]) for x in h[:r]) for h in hom.extreme_rays() if h[r] > 0]
-            if not verts:
+            if not poly.compact_vertices:
                 raise InfeasibleSystem(f"coefficient at {label!r} is empty")
-            canon.append((str(label), Polyhedron(verts, sigma)))
+            canon.append((str(label), Polyhedron._of(poly.compact_vertices, sigma)))
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "sigma_dual", sigma._dual)
         object.__setattr__(self, "points", tuple(canon))
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "n", r + 1)
+        object.__setattr__(self, "r", sigma.ambient_dim)
+        object.__setattr__(self, "n", sigma.ambient_dim + 1)
 
     @classmethod
     def from_vertex_lists(cls, sigma_rays, coefficients):
         """coefficients: iterable of (label, list of rational vertices)."""
         sigma = VCone(sigma_rays)
+        _check_tail(sigma)  # before the polyhedra, whose homogenization needs a pointed tail
         pts = [(label, Polyhedron(verts, sigma)) for label, verts in coefficients]
         return cls(sigma, pts)
 
@@ -99,6 +93,13 @@ class PolyhedralDivisor:
     @cached_property
     def _cellsum(self):
         return CellSum(self.sigma_dual.rays, self.cells().cells, self.r)
+
+
+def _check_tail(sigma):
+    if not sigma.is_full_dimensional():
+        raise NotStrictlyConvex("tail cone must be full dimensional")
+    if not sigma.is_pointed():
+        raise NotStrictlyConvex("tail cone contains a line")
 
 
 @dataclass(frozen=True)

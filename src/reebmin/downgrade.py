@@ -28,7 +28,7 @@ from .errors import (
     RankDeficient,
     TorsionCokernel,
 )
-from .polyhedral import HRep, Polyhedron, VCone, _extreme_cone, dual_cone, vertex_enumeration
+from .polyhedral import Polyhedron, VCone, _extreme_cone, dual_cone, vertex_enumeration
 from .toricvol import ReebVector, ToricData
 
 
@@ -146,9 +146,8 @@ def downgrade_coefficient(d: DowngradeData, p) -> Polyhedron:
     if len(p) != d.F.N - d.F.r:
         raise ValueError("fiber point has the wrong dimension")
     y0 = ex.solve(d.P, p) if d.P else (Fraction(0),) * d.F.N
-    h = HRep([(row, y0[i]) for i, row in enumerate(d.F.rows)], d.F.r)
     try:
-        poly = vertex_enumeration(h)
+        poly = vertex_enumeration(zip(d.F.rows, y0), d.F.r)
     except InfeasibleSystem:
         raise EmptyFiber(f"no y >= 0 with P y = {p}") from None
     sy0 = ex.mat_vec(d.s, y0)
@@ -198,7 +197,7 @@ def binomial_to_toric(h: BinomialHypersurface) -> ToricData:
     sigma_dual = VCone(images, h.N - 1)
     one_minus_a = tuple(1 - x for x in h.a)
     u0 = ex.mat_vec(q, one_minus_a)
-    return ToricData(dual_cone(sigma_dual), sigma_dual, u0)
+    return ToricData(sigma_dual, u0)
 
 
 def induced_reeb(F: WeightMatrix, ambient_weight) -> ReebVector:
@@ -227,11 +226,11 @@ def induced_reeb(F: WeightMatrix, ambient_weight) -> ReebVector:
     return ReebVector.real(sol)
 
 
-def hypersurface_u0(F: WeightMatrix, f_weight=None, monomials=None):
+def hypersurface_u0(F: WeightMatrix, monomials=None):
     """Log-discrepancy functional (sum of weight rows) - (weight of f).
 
-    Either pass f_weight directly or a list of exponent vectors of the
-    defining equation; all monomials must then share one torus weight.
+    The weight of f is read off the exponent vectors of its monomials, which
+    must all share one torus weight; with no equation it is 0.
     """
     if monomials is not None:
         weights = []
@@ -242,12 +241,8 @@ def hypersurface_u0(F: WeightMatrix, f_weight=None, monomials=None):
             weights.append(tuple(sum(m * row[j] for m, row in zip(mono, F.rows)) for j in range(F.r)))
         if any(w != weights[0] for w in weights):
             raise NonInvariant(f"monomial weights differ: {sorted(set(weights))}")
-        derived = weights[0]
-        if f_weight is not None and tuple(int(x) for x in f_weight) != derived:
-            raise NonInvariant("declared f_weight does not match the monomials")
-        f_weight = derived
-    if f_weight is None:
-        f_weight = tuple(0 for _ in range(F.r))
-    f_weight = tuple(int(x) for x in f_weight)
+        f_weight = weights[0]
+    else:
+        f_weight = (0,) * F.r
     cols = F.column_sums()
     return tuple(Fraction(c - w) for c, w in zip(cols, f_weight))

@@ -33,10 +33,6 @@ class TorsionCokernel(ReebminError):
     """The cokernel of a weight matrix has torsion."""
 
 
-class TorsionQuotient(ReebminError):
-    """A character-lattice quotient could not be made torsion free."""
-
-
 class RankDeficient(ReebminError):
     """A weight matrix does not have full column rank."""
 

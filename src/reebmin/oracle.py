@@ -417,18 +417,6 @@ class CountSeries:
         return cls(truncations=pairs, n=n, estimates=est)
 
 
-def count_series_toric(t, xi, ms, budget=DEFAULT_BUDGET):
-    return CountSeries.from_counts(
-        t.n, [(m, count_toric(t, xi, m, budget)) for m in ms]
-    )
-
-
-def count_series_cxone(d, xi, ms, budget=DEFAULT_BUDGET):
-    return CountSeries.from_counts(
-        d.n, [(m, count_cxone(d, xi, m, budget)) for m in ms]
-    )
-
-
 def vol_estimate(series: CountSeries):
     """Extrapolated limit of n! count / m^n with a convergence diagnostic.
 

@@ -1,18 +1,23 @@
 """Exact rational polyhedral kernel.
 
-Cones are generated by primitive integer rays (`VCone`), inequality systems
-are `HRep` objects, and unbounded polyhedra are stored as a compact vertex
-list plus a tail cone (`Polyhedron`).  Inequalities become generators by
-double description, split into an integer start (`_dd_start`) and a step
-that adds one normal (`_dd_step`); each ray carries the bitmask of the
-normals it is tight on.  The full pass, `_dd_pass`, runs once per cone
-(`dual_cone`, cached as `VCone._dual`) and once per vertex enumeration (by
-homogenization, through `_rays_from_inequalities`, which drops the masks).
-A search that adds normals one at a time, as the complexity-one cell
-refinement does, extends a `_Pass` started from a cone's recorded dual.  The
-start works in integers too: a fraction-free echelon picks the start
-normals and integer cofactors give the start rays, so `Fraction` row
-reduction runs only for the lineality basis of a rank-deficient system.
+Cones are generated by primitive integer rays (`VCone`), and unbounded
+polyhedra are stored as their sorted irredundant vertices plus a tail cone
+(`Polyhedron`).  This module is the one place that normalizes polyhedral
+input: `VCone` makes rays primitive and distinct, `Polyhedron` reads its
+vertices off the homogenized cone over its points and tail, and
+`vertex_enumeration` takes plain (normal, offset) rows.  Inequalities become
+generators by double description, split into an integer start (`_dd_start`)
+and a step that adds one normal (`_dd_step`); each ray carries the bitmask
+of the normals it is tight on.  The full pass, `_dd_pass`, runs once per
+cone (`dual_cone`, cached as `VCone._dual`), which covers a `Polyhedron`'s
+homogenized cone, and once per vertex enumeration, on the homogenized rows.
+The kernel's own polyhedra (`vertex_enumeration`, `translate`) skip the
+constructor's pass.  A search that adds normals one at a time, as the
+complexity-one cell refinement does, extends a `_Pass` started from a
+cone's recorded dual.  The start works in integers too: a fraction-free
+echelon picks the start normals and integer cofactors give the start rays,
+so `Fraction` row reduction runs only for the lineality basis of a
+rank-deficient system.
 
 A cone and its dual are recorded as each other's `_dual` together with the
 pass's incidence, one bitmask per ray over the other cone's rays
@@ -128,59 +133,37 @@ class VCone:
 
 
 @dataclass(frozen=True)
-class HRep:
-    """Inequality system { x : <normal, x> + offset >= 0 }."""
-
-    inequalities: tuple
-    ambient_dim: int
-
-    def __init__(self, inequalities, ambient_dim):
-        rows = []
-        seen = set()
-        for normal, offset in inequalities:
-            normal = ex.fracvec(normal)
-            offset = ex.frac(offset)
-            if len(normal) != ambient_dim:
-                raise ValueError("inequality dimension mismatch")
-            if ex.is_zero_vec(normal):
-                if offset >= 0:
-                    continue  # trivially true
-                row = (tuple([0] * ambient_dim), Fraction(-1))  # canonical absurd row
-            else:
-                p = ex.primitive(normal)
-                scale = next(Fraction(int(pc), 1) / nc for pc, nc in zip(p, normal) if nc != 0)
-                row = (p, offset * scale)
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
-        object.__setattr__(self, "inequalities", tuple(rows))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-
-
-@dataclass(frozen=True)
 class Polyhedron:
-    """conv(compact_vertices) + tail cone.
+    """conv(compact_vertices) + tail cone, with sorted irredundant vertices.
 
-    The constructor only sorts and deduplicates the vertices; the list is
-    irredundant when it comes from `vertex_enumeration` or a
-    `PolyhedralDivisor`.
+    The constructor takes any points and reads the vertices off the extreme
+    rays (v, s), s > 0, of the homogenized cone over (point, 1) and
+    (tail ray, 0), one double-description pass; the tail must be pointed.
     """
 
     compact_vertices: tuple
     tail: VCone
 
-    def __init__(self, compact_vertices, tail):
-        verts = sorted(set(ex.fracvec(v) for v in compact_vertices))
-        object.__setattr__(self, "compact_vertices", tuple(verts))
+    def __init__(self, points, tail):
+        n = tail.ambient_dim
+        # (N, e) with v = N / e is primitive: e is the lcm of v's denominators
+        hom = VCone([(*nums, e) for nums, e in map(ex.cleared, map(ex.fracvec, points))]
+                    + [(*u, 0) for u in tail.rays], n + 1)
+        verts = [tuple(Fraction(x, h[n]) for x in h[:n]) for h in hom.extreme_rays() if h[n] > 0]
+        object.__setattr__(self, "compact_vertices", tuple(sorted(verts)))
         object.__setattr__(self, "tail", tail)
 
-    @property
-    def ambient_dim(self):
-        return self.tail.ambient_dim
+    @classmethod
+    def _of(cls, vertices, tail):
+        """A polyhedron on vertices the kernel has already made sorted and irredundant."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "compact_vertices", tuple(vertices))
+        object.__setattr__(p, "tail", tail)
+        return p
 
     def translate(self, v):
         v = ex.fracvec(v)
-        return Polyhedron([ex.vec_add(w, v) for w in self.compact_vertices], self.tail)
+        return Polyhedron._of([ex.vec_add(w, v) for w in self.compact_vertices], self.tail)
 
 
 @dataclass(frozen=True)
@@ -273,12 +256,6 @@ def _dd_pass(normals, n):
     return rays, lin
 
 
-def _rays_from_inequalities(normals, n):
-    """(pointed_rays, lineality_basis): `_dd_pass` without the masks."""
-    pairs, lin = _dd_pass(normals, n)
-    return tuple(r for r, _ in pairs), lin
-
-
 class _Pass:
     """A double-description pass that a search extends one normal at a time.
 
@@ -367,21 +344,30 @@ def _extreme_cone(c: VCone) -> VCone:
     return irredundant
 
 
-def vertex_enumeration(h: HRep) -> Polyhedron:
-    """Irredundant vertices plus tail cone of a pointed inequality system.
+def vertex_enumeration(inequalities, n) -> Polyhedron:
+    """Irredundant vertices plus tail cone of the pointed system
+    { x in R^n : <a, x> + c >= 0 for (a, c) in inequalities }.
 
-    One kernel call on the homogenization {<a, x> + c s >= 0, s >= 0}: its
-    rays with s > 0 are the vertices x / s, those with s = 0 span the tail.
+    One kernel call on the homogenization {<a, x> + c s >= 0, s >= 0}, each
+    row made primitive and entered once: its rays with s > 0 are the
+    vertices x / s, those with s = 0 span the tail.  A zero a with c >= 0
+    adds nothing, and one with c < 0 forces s = 0, so no vertex.
     """
-    n = h.ambient_dim
-    hats = [a + (c,) for a, c in h.inequalities] + [(0,) * n + (1,)]
-    rays, lin = _rays_from_inequalities(hats, n + 1)
-    vertices = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0]
+    rows = {}
+    for a, c in inequalities:
+        if len(a) != n:
+            raise ValueError("inequality dimension mismatch")
+        hat = ex.fracvec((*a, c))
+        if not ex.is_zero_vec(hat):
+            rows[ex.primitive(hat)] = None
+    rows[(0,) * n + (1,)] = None
+    pairs, lin = _dd_pass(list(rows), n + 1)
+    vertices = sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r, _ in pairs if r[n] > 0)
     if not vertices:
         raise InfeasibleSystem("inequality system has no solution")
     if lin:
         raise NotPointed("solution set contains a line; no vertex description")
-    return Polyhedron(vertices, VCone._of([r[:n] for r in rays if r[n] == 0], n))
+    return Polyhedron._of(vertices, VCone._of([r[:n] for r, _ in pairs if r[n] == 0], n))
 
 
 def triangulate_cone(c: VCone):

@@ -26,7 +26,12 @@ from .polyhedral import VCone, dual_cone, triangulate_cone
 
 @dataclass(frozen=True)
 class ToricData:
-    """A toric singularity: cone sigma, weight cone sigma_dual, functional u0."""
+    """A toric singularity: weight cone sigma_dual, functional u0.
+
+    sigma is `sigma_dual._dual`, the cone that the double-description pass
+    paired with sigma_dual: `from_cone` keeps sigma's rays as given, and a
+    weight cone, given directly or through `from_dual_cone`, keeps its own.
+    """
 
     n: int
     sigma: VCone
@@ -34,17 +39,15 @@ class ToricData:
     u0: tuple
     pieces: tuple
 
-    def __init__(self, sigma, sigma_dual, u0):
-        n = sigma.ambient_dim
+    def __init__(self, sigma_dual, u0):
+        n = sigma_dual.ambient_dim
         u0 = ex.fracvec(u0)
         check_length("u0", u0, n)
         if not sigma_dual.is_full_dimensional():
             raise NotStrictlyConvex("weight cone spans a proper subspace")
+        sigma = sigma_dual._dual  # the cone the pass paired with sigma_dual
         if not sigma.is_full_dimensional():
             raise NotStrictlyConvex("weight cone contains a line")
-        # from_cone and from_dual_cone pass a cone with the dual they computed
-        if sigma._dual is not sigma_dual and not sigma._dual.is_equivalent(sigma_dual):
-            raise ValueError("sigma_dual is not the dual of sigma")
         for r in sigma.rays:
             if ex.dot(u0, r) <= 0:
                 raise ValueError("u0 does not lie in the interior of the weight cone")
@@ -57,13 +60,11 @@ class ToricData:
 
     @classmethod
     def from_dual_cone(cls, sigma_dual_rays, u0):
-        sigma_dual = VCone(sigma_dual_rays)
-        return cls(dual_cone(sigma_dual), sigma_dual, u0)
+        return cls(VCone(sigma_dual_rays), u0)
 
     @classmethod
     def from_cone(cls, sigma_rays, u0):
-        sigma = VCone(sigma_rays)
-        return cls(sigma, dual_cone(sigma), u0)
+        return cls(dual_cone(VCone(sigma_rays)), u0)
 
     @classmethod
     def smooth_point(cls, n):

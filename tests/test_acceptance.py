@@ -17,6 +17,7 @@ import pytest
 
 from reebmin import (
     BinomialHypersurface,
+    CountSeries,
     DowngradeData,
     Enclosure,
     PolyhedralDivisor,
@@ -26,7 +27,6 @@ from reebmin import (
     binomial_to_toric,
     bundled_spec,
     count_cxone,
-    count_series_cxone,
     count_toric,
     dirichlet_signed,
     downgrade_coefficient,
@@ -203,7 +203,8 @@ def test_criterion_6_oracle_equivalence():
     d = _divisor_from_doc(doc)
     xi = tuple(float(x) for x in doc["xi"])
     closed = float(vol_xi_c1(d, xi))
-    series = count_series_cxone(d, xi, [100, 200, 300], budget=int(doc["budget"]))
+    budget = int(doc["budget"])
+    series = CountSeries.from_counts(d.n, [(m, count_cxone(d, xi, m, budget)) for m in [100, 200, 300]])
     assert [c for _, c in series.truncations] == [20257327, 316789998, 1591500867]
     est, _diag = vol_estimate(series)
     rel = abs(est - closed) / closed

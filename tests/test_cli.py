@@ -150,6 +150,69 @@ class TestOtherCommands:
             assert proc.returncode == 0, proc.stderr
             assert json.loads(proc.stdout)["results"]["verified"] is True
 
+class TestStdoutTables:
+    """The table printed without --json-only, pinned byte for byte."""
+
+    def test_eval_complexity_one(self):
+        proc = run_cli("eval", SPECS["dk_4dim.json"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "reebmin eval on 4-dimensional D-type hypersurface degeneration\n"
+            "log_discrepancy          2.31385933837\n"
+            "vol                      4.64356776939\n"
+            "nvol                     133.106604585\n"
+            "provenance               closed_form\n"
+        )
+
+    def test_nested_dicts(self):
+        proc = run_cli("downgrade", SPECS["dk_downgrade.json"])
+        assert proc.returncode == 0, proc.stderr
+        tail = "    tail_rays                [[0, 1, 0], [0, 1, 1], [2, 1, 0], [2, 1, 1]]\n"
+        assert proc.stdout == (
+            "reebmin downgrade on rank-3 subtorus of C^5\n"
+            "P                        [[-1, -1, 0, 2, 1], [-1, -1, 2, 0, 0]]\n"
+            "s                        [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]\n"
+            "sigma_rays               [[0, 1, 0], [0, 1, 1], [2, 1, 0], [2, 1, 1]]\n"
+            "sigma_dual_rays          [[-1, 2, 0], [0, 0, 1], [0, 1, -1], [1, 0, 0]]\n"
+            "coefficients:\n"
+            "  0:\n"
+            "    vertices                 [['0', '0', '0'], ['0', '0', '1/2']]\n" + tail +
+            "  1:\n"
+            "    vertices                 [['0', '1/2', '0']]\n" + tail +
+            "  inf:\n"
+            "    vertices                 [['0', '0', '0'], ['1', '0', '0']]\n" + tail +
+            "provenance               exact\n"
+        )
+
+    def test_list_of_dicts(self, tmp_path):
+        spec = tmp_path / "fut.json"
+        spec.write_text(json.dumps({
+            "schema": "reebmin/1", "kind": "toric", "name": "C^2",
+            "sigma_dual_rays": [[1, 0], [0, 1]], "u0": [1, 1],
+            "xi0": ["2", "1"], "etas": [[1, 0], [0, 1]],
+        }))
+        proc = run_cli("futaki", str(spec))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "reebmin futaki on C^2\n"
+            "entries:\n"
+            "  eta                      ['1', '0']\n"
+            "  fut                      -0.75\n"
+            "  normalized_eta           ['0.111111111111', '-0.111111111111']\n"
+            "  -\n"
+            "  eta                      ['0', '1']\n"
+            "  fut                      1.5\n"
+            "  normalized_eta           ['-0.222222222222', '0.222222222222']\n"
+            "  -\n"
+            "min_fut                  -0.75\n"
+            "all_nonnegative          False\n"
+            "tolerance                1e-09\n"
+            "note                     nonnegative along all tested directions;"
+            " no statement about untested degenerations\n"
+            "provenance               closed_form\n"
+        )
+
+
 class TestThreadsAndOutputs:
     def test_out_file_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -12,6 +12,7 @@ from reebmin import (
     EmptyFiber,
     Inconsistent,
     NonInvariant,
+    PolyhedralDivisor,
     RankDeficient,
     TorsionCokernel,
     VCone,
@@ -26,7 +27,7 @@ from reebmin import (
     nvol,
 )
 from reebmin import _exact as ex
-from reebmin import downgrade
+from reebmin import downgrade, polyhedral
 
 from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded
 
@@ -222,6 +223,20 @@ class TestDowngradeCoefficient:
         for poly in (d0, d1, d2):
             assert poly.tail.is_equivalent(sigma)
 
+    def test_divisor_makes_no_homogenization_pass(self, dk_explicit_data, monkeypatch):
+        # a downgraded coefficient holds the vertices its vertex enumeration
+        # found, so the divisor makes no pass in dimension r + 1; its passes
+        # are the duals of the coefficients' tails, compared with sigma
+        sigma, _ = downgrade_sigma(dk_explicit_data)
+        pts = [(label, downgrade_coefficient(dk_explicit_data, p))
+               for label, p in (("0", (1, 0)), ("1", (0, 1)), ("inf", (-1, -1)))]
+        dims = []
+        kernel = polyhedral._dd_pass
+        monkeypatch.setattr(polyhedral, "_dd_pass", lambda normals, n: dims.append(n) or kernel(normals, n))
+        d = PolyhedralDivisor(sigma, pts)
+        assert dims == [3, 3, 3]
+        assert [poly.compact_vertices for _, poly in d.points] == [poly.compact_vertices for _, poly in pts]
+
     def test_empty_fiber(self):
         d = complete_sequence(WeightMatrix([(1,), (0,)]))
         with pytest.raises(EmptyFiber):
@@ -339,10 +354,10 @@ class TestInducedReeb:
 
 
 class TestHypersurfaceU0:
+    DK_MONOMIALS = [(1, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 1)]  # z1 z2 + z3^2 + z4^2 z5
+
     def test_dk(self, dk_weights):
-        u0 = hypersurface_u0(
-            dk_weights, monomials=[(1, 1, 0, 0, 0), (0, 0, 2, 0, 0), (0, 0, 0, 2, 1)]
-        )
+        u0 = hypersurface_u0(dk_weights, monomials=self.DK_MONOMIALS)
         assert u0 == (0, 3, -1)
 
     def test_consistency_with_induced_reeb(self, dk_weights):
@@ -350,7 +365,7 @@ class TestHypersurfaceU0:
         beta = (7 - SQRT33) / 2
         w = (1.0, 1.0, 1.0, alpha, beta)
         xi = induced_reeb(dk_weights, w)
-        u0 = hypersurface_u0(dk_weights, f_weight=(0, 2, 0))
+        u0 = hypersurface_u0(dk_weights, monomials=self.DK_MONOMIALS)
         lhs = sum(float(u) * x for u, x in zip(u0, xi.xi))
         rhs = sum(w) - 2.0
         assert abs(lhs - rhs) < 1e-12

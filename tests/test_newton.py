@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reebmin import PolyhedralDivisor, ToricData, minimize, minimize_c1
+from reebmin import PolyhedralDivisor, ToricData, _newton, minimize, minimize_c1
 
 from conftest import SPP_DUAL_RAYS, SPP_U0
 
@@ -74,3 +74,24 @@ class TestRoundingFloor:
         res = minimize_c1(d, DIVISOR_U0)
         assert res.converged
         assert res.stop_reason in ("gradient", "rounding_floor")
+
+
+def test_gradient_step_fallback(monkeypatch):
+    # with no Hessian conditioned well enough every step is -grad: the line
+    # search keeps f from increasing, and Newton stops for a named reason
+    monkeypatch.setattr(_newton, "ILL_CONDITIONED", 0)
+    t = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+    fs = []
+    evaluate = t._cellsum.evaluate
+
+    def recording(xi, order=0):
+        out = evaluate(xi, order)
+        if order == 2:
+            fs.append(float(out[0]))
+        return out
+
+    monkeypatch.setattr(t._cellsum, "evaluate", recording)
+    res = minimize(t, max_iter=40)
+    assert res.stop_reason in ("gradient", "rounding_floor", "line_search", "max_iter", "zero_volume")
+    assert len(fs) > 4  # Newton steps reach the gradient test in 4 iterations
+    assert all(b <= a for a, b in zip(fs, fs[1:])), fs

@@ -17,8 +17,6 @@ from reebmin import (
     bundled_spec,
     cli,
     count_cxone,
-    count_series_cxone,
-    count_series_toric,
     count_toric,
     polyhedron_min,
     vol_estimate,
@@ -207,7 +205,7 @@ class TestCountToric:
     def test_spp_pinned_within_one_percent_at_m400(self, spp):
         # raw estimate at 400 sits at ~1.13%; the module's extrapolation over
         # truncations up to m = 400 pins the value well inside 1%
-        series = count_series_toric(spp, XI0_SPP, [100, 200, 400])
+        series = CountSeries.from_counts(spp.n, [(m, count_toric(spp, XI0_SPP, m)) for m in [100, 200, 400]])
         est, _ = vol_estimate(series)
         closed = float(vol_xi(spp, XI0_SPP))
         assert abs(est - closed) / closed < 0.01
@@ -415,13 +413,13 @@ class TestLengthChecks:
 
 class TestVolEstimate:
     def test_smooth_surface_extrapolates_to_one(self, c2):
-        series = count_series_toric(c2, (1.0, 1.0), [100, 200, 400])
+        series = CountSeries.from_counts(c2.n, [(m, count_toric(c2, (1.0, 1.0), m)) for m in [100, 200, 400]])
         est, diag = vol_estimate(series)
         assert abs(est - 1.0) < 1e-3
         assert diag["monotone_counts"]
 
     def test_a1_extrapolates_to_half(self, a1):
-        series = count_series_toric(a1, (2.0, 0.0), [100, 200, 400])
+        series = CountSeries.from_counts(a1.n, [(m, count_toric(a1, (2.0, 0.0), m)) for m in [100, 200, 400]])
         est, _ = vol_estimate(series)
         assert abs(est - 0.5) < 1e-2
 
@@ -441,7 +439,7 @@ class TestVolEstimate:
             CountSeries.from_counts(2, [(m, 0), (10, 66), (20, 231)])
 
     def test_estimates_recorded(self, c2):
-        series = count_series_toric(c2, (1.0, 1.0), [10, 20, 40])
+        series = CountSeries.from_counts(c2.n, [(m, count_toric(c2, (1.0, 1.0), m)) for m in [10, 20, 40]])
         assert len(series.estimates) == 3
         assert series.truncations[0] == (10.0, count_toric(c2, (1.0, 1.0), 10))
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from reebmin import (
     MINUS_INFINITY,
-    HRep,
     InfeasibleSystem,
     NotFullDimensional,
     NotPointed,
@@ -25,7 +24,7 @@ from reebmin import (
 from reebmin import _exact as ex
 from reebmin import cxonevol, polyhedral
 from reebmin.cxonevol import build_cells
-from reebmin.polyhedral import _rays_from_inequalities
+from reebmin.polyhedral import _dd_pass
 
 from conftest import DK_F, DK_SIGMA_RAYS, SPP_DUAL_RAYS, SPP_U0, assert_incidence_recorded, random_interior_rational
 
@@ -118,7 +117,8 @@ class TestKernelProperties:
         for _ in range(300):
             n = rng.randint(1, 5)
             rows = self.random_rows(rng, n)
-            rays, lin = _rays_from_inequalities(rows, n)
+            pairs, lin = _dd_pass(rows, n)
+            rays = [r for r, _ in pairs]
             normals = [r for r in rows if not ex.is_zero_vec(r)]
             assert all(ex.dot(a, b) == 0 for a in normals for b in lin)
             assert len(lin) == n - (ex.rank(normals) if normals else 0)
@@ -152,12 +152,12 @@ class TestKernelProperties:
 
 
 def fraction_setup_rays(normals, n):
-    """_rays_from_inequalities with the Fraction setup it had before the
-    integer one: rref picks the start normals, a rational inverse of the Gram
-    matrix gives the start rays, and nullspace runs on every normal."""
+    """`_dd_pass` with the Fraction setup it had before the integer one:
+    rref picks the start normals, a rational inverse of the Gram matrix
+    gives the start rays, and nullspace runs on every normal."""
     rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
     if not rows:
-        return (), tuple(ex.primitive(b) for b in ex.identity(n))
+        return [], tuple(ex.primitive(b) for b in ex.identity(n))
     lin = ex.nullspace(rows)
     start = ex.rref(ex.transpose(rows))[1]
     t = len(start)
@@ -190,7 +190,7 @@ def fraction_setup_rays(normals, n):
                 g = math.gcd(*w)
                 new.append((tuple(c // g for c in w), shared | bit))
         rays = new
-    return tuple(sorted(r for r, _ in rays)), tuple(ex.primitive(b) for b in lin)
+    return sorted(rays), tuple(ex.primitive(b) for b in lin)
 
 
 class TestIntegerSetup:
@@ -219,8 +219,8 @@ class TestIntegerSetup:
         for _ in range(600):
             n = rng.randint(1, 6)
             rows = self.seeded_system(rng, n)
-            rays, lin = _rays_from_inequalities(rows, n)
-            assert (rays, lin) == fraction_setup_rays(rows, n), rows
+            pairs, lin = _dd_pass(rows, n)
+            assert (pairs, lin) == fraction_setup_rays(rows, n), rows
             rank = ex.rank(rows)
             seen["full" if rank == n else "deficient"] += 1
             seen["lineality"] += bool(lin)
@@ -299,7 +299,7 @@ class TestIntegerSetup:
 
 class TestVertexEnumeration:
     def test_triangle(self):
-        p = vertex_enumeration(HRep([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2))
+        p = vertex_enumeration([((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], 2)
         assert set(p.compact_vertices) == {(0, 0), (1, 0), (0, 1)}
         assert p.tail.rays == ()
 
@@ -312,26 +312,48 @@ class TestVertexEnumeration:
             ((-1, 2, 0), 1),
             ((0, 2, -2), 0),
         ]
-        p = vertex_enumeration(HRep(rows, 3))
+        p = vertex_enumeration(rows, 3)
         assert set(p.compact_vertices) == {(0, 0, 0), (1, 0, 0)}
         assert p.tail.is_equivalent(VCone(DK_SIGMA_RAYS))
 
     def test_halfline(self):
-        p = vertex_enumeration(HRep([((1,), 0)], 1))
+        p = vertex_enumeration([((1,), 0)], 1)
         assert p.compact_vertices == ((Fraction(0),),)
         assert p.tail.rays == ((1,),)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleSystem):
-            vertex_enumeration(HRep([((1,), 0), ((-1,), -1)], 1))
+            vertex_enumeration([((1,), 0), ((-1,), -1)], 1)
 
     def test_infeasible_checked_before_line(self):
         with pytest.raises(InfeasibleSystem):
-            vertex_enumeration(HRep([((1, 0), 0), ((-1, 0), -1)], 2))
+            vertex_enumeration([((1, 0), 0), ((-1, 0), -1)], 2)
 
     def test_line_not_pointed(self):
         with pytest.raises(NotPointed):
-            vertex_enumeration(HRep([((1, 0), 0)], 2))
+            vertex_enumeration([((1, 0), 0)], 2)
+
+    def test_zero_normal_rows(self):
+        # 0 + c >= 0 holds for c >= 0 and adds nothing; for c < 0 no x solves it
+        triangle = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]
+        p = vertex_enumeration(triangle, 2)
+        for c in (0, 1, Fraction(1, 2)):
+            assert vertex_enumeration(triangle + [((0, 0), c)], 2) == p
+            assert vertex_enumeration([((0, 0), c)] + triangle, 2) == p
+        for c in (-1, Fraction(-1, 3)):
+            with pytest.raises(InfeasibleSystem):
+                vertex_enumeration(triangle + [((0, 0), c)], 2)
+            with pytest.raises(InfeasibleSystem):
+                vertex_enumeration([((0, 0), c), ((1, 0), 0)], 2)  # also before the line
+
+    def test_scaled_duplicate_rows(self):
+        triangle = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)]
+        scaled = [((3, 0), 0), ((Fraction(-1, 2), Fraction(-1, 2)), Fraction(1, 2)), ((0, "2/3"), 0)]
+        assert vertex_enumeration(triangle + scaled, 2) == vertex_enumeration(triangle, 2)
+
+    def test_row_of_wrong_dimension(self):
+        with pytest.raises(ValueError, match="inequality dimension mismatch"):
+            vertex_enumeration([((1, 0), 0), ((1, 0, 0), 0)], 2)
 
 
 def truncated_volume(pieces, xi):
@@ -511,6 +533,16 @@ class TestKernelCalls:
             ((0, 1), (2, -1)),
             ((3, 3),),
         ]
+
+    def test_polyhedron_reads_its_vertices(self, calls):
+        # one pass on the homogenized cone drops repeated and inner points
+        sigma = VCone([(1, 0), (0, 1)])
+        half = Fraction(1, 2)
+        p = Polyhedron([(1, 1), (0, 2), (2, 0), (0, 2), (1, half), (half, 3)], sigma)
+        assert calls[0] == 1
+        assert p.compact_vertices == ((0, 2), (1, half), (2, 0))
+        assert p.translate((1, -half)).compact_vertices == ((1, Fraction(3, 2)), (2, 0), (3, -half))
+        assert calls[0] == 1
 
     def test_divisor_empty_coefficient_infeasible(self):
         with pytest.raises(InfeasibleSystem):

@@ -173,7 +173,7 @@ def test_normalized_direction_lands_on_slice(rng):
 
 def test_minimizer_direction_ignores_u0_scale(spp):
     res1 = minimize(spp)
-    scaled = ToricData(spp.sigma, spp.sigma_dual, tuple(3 * x for x in spp.u0))
+    scaled = ToricData(spp.sigma_dual, tuple(3 * x for x in spp.u0))
     res2 = minimize(scaled)
     d1 = np.asarray(res1.xi_star.xi) / res1.xi_star.xi[0]
     d2 = np.asarray(res2.xi_star.xi) / res2.xi_star.xi[0]

@@ -47,7 +47,7 @@ class TestRandomToricCones:
             if not sigma_dual.is_full_dimensional() or not sigma.is_full_dimensional():
                 continue
             u0 = tuple(sum(col) for col in zip(*sigma_dual.extreme_rays()))
-            t = ToricData(sigma, sigma_dual, u0)
+            t = ToricData(sigma_dual, u0)
             res = minimize(t, tolerance=1e-8, max_iter=200)
             assert res.converged, (sigma_dual.rays, res)
             assert res.barycenter_residual <= 1e-8
@@ -76,7 +76,7 @@ class TestRandomToricCones:
             if not sigma_dual.is_full_dimensional() or not sigma.is_full_dimensional():
                 continue
             u0 = tuple(sum(col) for col in zip(*sigma_dual.extreme_rays()))
-            res = minimize(ToricData(sigma, sigma_dual, u0), tolerance=1e-8, max_iter=200)
+            res = minimize(ToricData(sigma_dual, u0), tolerance=1e-8, max_iter=200)
             assert res.iterations <= 30, (sigma_dual.rays, res)
             assert res.barycenter_residual <= 1e-8, (sigma_dual.rays, res)
             solved += 1

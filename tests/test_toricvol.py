@@ -79,16 +79,12 @@ class TestVolXi:
 
 
 class TestDualPair:
-    def test_mismatched_pair_raises(self):
-        sigma = VCone([(1, 0), (0, 1)])
-        with pytest.raises(ValueError, match="not the dual of sigma"):
-            ToricData(sigma, VCone([(1, 0), (1, 1)]), (1, 1))
-
-    def test_equal_pair_passed_directly_is_accepted(self):
-        # a fresh cone equal to sigma's dual, not the object dual_cone cached
-        sigma = VCone([(0, 1), (2, -1)])
-        t = ToricData(sigma, VCone([(1, 2), (1, 0)]), (1, 1))
-        assert t.sigma_dual is not sigma._dual
+    def test_weight_cone_given_directly_keeps_its_ray_order(self):
+        # sigma is the cone the pass paired with the given weight cone
+        sigma_dual = VCone([(1, 2), (1, 0)])
+        t = ToricData(sigma_dual, (1, 1))
+        assert t.sigma_dual is sigma_dual and t.sigma_dual.rays == ((1, 2), (1, 0))
+        assert t.sigma is sigma_dual._dual and set(t.sigma.rays) == {(0, 1), (2, -1)}
 
     def test_constructors_skip_the_self_comparison(self, monkeypatch):
         # from_cone and from_dual_cone record each cone as the other's dual
