@@ -1,7 +1,10 @@
 """Exact rational and integer linear algebra used by the polyhedral kernel.
 
 Vectors are tuples, matrices are tuples of row tuples.  Entries are ints or
-`fractions.Fraction`; nothing in here touches floating point.
+`fractions.Fraction`; nothing in here touches floating point.  Every rational
+question (rank, independent rows, nullspace, solve, adjugate, determinant)
+is read off one fraction-free elimination over integer rows (`_eliminate`);
+the lattice questions are read off one row Hermite reduction (`hermite`).
 """
 
 from fractions import Fraction
@@ -35,10 +38,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v):
@@ -85,90 +84,89 @@ def identity(n):
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def rref(m):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [list(fracvec(r)) for r in m]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+def _eliminate(a, reduce_above=False):
+    """Fraction-free (Bareiss 1968) elimination of the integer rows a, in
+    place.  Returns (pivots, sign, d): the pivot columns, the parity of the
+    row swaps (+1 or -1) and the last pivot (1 when there is none).
+
+    Row k ends with pivot k and every entry is a minor of the input, so each
+    division by the previous pivot is exact and d is the determinant of the
+    rows' pivot block.  Without `reduce_above` the rows stop at echelon form
+    and only the columns after each pivot are updated.  With it the rows
+    above each pivot are cleared too, so pivot row k ends as d times row k of
+    the reduced row echelon form.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
     pivots = []
-    r = 0
+    sign = 1
+    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        pv = a[r][c]
+        if reduce_above:
+            for i in range(nrows):
+                if i != r:
+                    f = a[i][c]
+                    a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        else:
+            for i in range(r + 1, nrows):
+                f = a[i][c]
+                a[i][c + 1 :] = [(pv * x - f * y) // prev for x, y in zip(a[i][c + 1 :], a[r][c + 1 :])]
+        pivots.append(c)
+        prev = pv
+    return pivots, sign, prev
 
 
 def rank(m):
-    if not m:
-        return 0
-    rows = [_integral(r) for r in m]
-    return len(independent_rows(rows, len(rows[0])))
+    return len(_eliminate([list(_integral(r)) for r in m])[0])
 
 
-def independent_rows(rows, limit):
-    """Indices of the integer rows independent of the rows before them, at
-    most `limit` of them: the pivot columns of rref(transpose(rows)).
-
-    Fraction-free (Bareiss 1968) echelon: each kept row is reduced by the
-    kept rows before it, dividing exactly by the previous pivot, so every
-    entry is a minor of the input and nothing leaves the integers.
-    """
-    basis = []  # (pivot column, reduced row)
-    kept = []
-    for i, row in enumerate(rows):
-        v = row
-        prev = 1
-        for c, b in basis:
-            v = [(b[c] * x - v[c] * y) // prev for x, y in zip(v, b)]
-            prev = b[c]
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is not None:
-            basis.append((c, v))
-            kept.append(i)
-            if len(kept) == limit:
-                break
-    return kept
+def independent_rows(rows):
+    """Indices of the integer rows independent of the rows before them: the
+    pivot columns of their transpose."""
+    return _eliminate([list(col) for col in zip(*rows)])[0]
 
 
 def nullspace(m):
-    """Rational basis of {x : m x = 0}; empty matrix means the full space."""
+    """Rational basis of {x : m x = 0}, one vector per free column of the
+    reduced row echelon form; empty matrix means the full space."""
     if not m:
         raise ValueError("nullspace needs the ambient dimension; pass a row of zeros")
     ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    a = [list(_integral(r)) for r in m]
+    pivots, _, d = _eliminate(a, reduce_above=True)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = Fraction(-a[r][fc], d)
+            basis.append(tuple(v))
     return tuple(basis)
 
 
 def solve(m, b):
-    """One solution of m x = b, or None if inconsistent."""
-    aug = [list(fracvec(row)) + [frac(bb)] for row, bb in zip(m, b)]
-    red, pivots = rref(aug)
+    """The solution of m x = b whose free variables are 0, or None if the
+    system is inconsistent.  Each row [m_i | b_i] is cleared of denominators
+    first, which leaves the solution set as it is."""
     ncols = len(m[0])
+    a = [list(_integral(list(row) + [bb])) for row, bb in zip(m, b)]
+    pivots, _, d = _eliminate(a, reduce_above=True)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = Fraction(a[r][ncols], d)
     return tuple(x)
 
 
@@ -176,57 +174,27 @@ def adjugate(m):
     """Integer adjugate of a nonsingular square integer matrix:
     adj(m) m = m adj(m) = det(m) I.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on [m | I]: after the last
-    step the left block is +/- det(m) I and the right block +/- adj(m).
+    Reduces [m | I]: the left block ends as d I with d = +/- det(m), and the
+    right block as d m^-1 = +/- adj(m).
     """
     n = len(m)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise ValueError("singular matrix")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pv = a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pv * x - f * y) // prev for x, y in zip(a[i], a[k])]
-        prev = pv
+    pivots, sign, _ = _eliminate(a, reduce_above=True)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
     return tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def int_det(m):
-    """Determinant of a square integer matrix.
-
-    Fraction-free Gaussian elimination (Bareiss 1968): after step k every
-    entry below row k is a (k+1)-minor of m, so the division by the previous
-    pivot is exact and the last pivot is +/- det(m).
-    """
+    """Determinant of a square integer matrix: +/- the last pivot of its
+    echelon form, or 0 when a column has no pivot."""
     a = [list(row) for row in m]
     if not all(type(x) is int for row in a for x in row):
         if not all(frac(x).denominator == 1 for row in a for x in row):
             raise ValueError("matrix is not integral")
         a = [[int(x) for x in row] for row in a]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        pv = a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k]
-            a[i][k + 1 :] = [(pv * x - f * y) // prev for x, y in zip(a[i][k + 1 :], a[k][k + 1 :])]
-        prev = pv
-    return sign * prev
+    pivots, sign, d = _eliminate(a)
+    return sign * d if len(pivots) == len(a) else 0
 
 
 def hermite(m):

@@ -207,15 +207,9 @@ def induced_reeb(F: WeightMatrix, ambient_weight) -> ReebVector:
         raise ValueError("ambient weight has the wrong length")
     exact = all(isinstance(x, (int, Fraction, str)) for x in w)
     if exact:
-        wq = [ex.frac(x) for x in w]
-        _red, pivots = ex.rref(ex.transpose(F.rows))
-        rows = list(pivots)
-        sol = ex.solve([F.rows[i] for i in rows], [wq[i] for i in rows])
+        sol = ex.solve(F.rows, w)
         if sol is None:
-            raise Inconsistent("weight rows are inconsistent")
-        for i in range(F.N):
-            if ex.dot(F.rows[i], sol) != wq[i]:
-                raise Inconsistent(f"row {i}: <F_i, xi> != w_i")
+            raise Inconsistent("weight not in the row space (no exact solution)")
         return ReebVector.rational(sol)
     a = np.asarray(F.rows, dtype=float)
     wf = np.asarray([float(x) for x in w])

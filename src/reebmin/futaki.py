@@ -20,7 +20,7 @@ from .cxonevol import PolyhedralDivisor
 from .toricvol import ToricData
 
 SCAN_DISCLAIMER = (
-    "nonnegative along all tested directions; no statement about untested degenerations"
+    "covers the tested directions only; no statement about untested degenerations"
 )
 
 

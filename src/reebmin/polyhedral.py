@@ -14,10 +14,10 @@ homogenized cone, and once per vertex enumeration, on the homogenized rows.
 The kernel's own polyhedra (`vertex_enumeration`, `translate`) skip the
 constructor's pass.  A search that adds normals one at a time, as the
 complexity-one cell refinement does, extends a `_Pass` started from a
-cone's recorded dual.  The start works in integers too: a fraction-free
-echelon picks the start normals and integer cofactors give the start rays,
-so `Fraction` row reduction runs only for the lineality basis of a
-rank-deficient system.
+cone's recorded dual.  The start works in integers too: the start normals,
+the integer cofactors that give the start rays and the lineality basis of a
+rank-deficient system are all read off the one fraction-free elimination
+of `_exact`, so no `Fraction` row reduction runs here.
 
 A cone and its dual are recorded as each other's `_dual` together with the
 pass's incidence, one bitmask per ray over the other cone's rays
@@ -105,9 +105,6 @@ class VCone:
             self.contains(r) for r in other.rays
         )
 
-    def span_rank(self):
-        return ex.rank(self.rays) if self.rays else 0
-
     def is_full_dimensional(self):
         """Whether no generator of the dual pairs to 0 with every ray."""
         return _spans(self._tight)
@@ -184,15 +181,15 @@ def _dd_start(rows, n):
     """(rays, start, lineality_basis): the start of double description over
     nonzero primitive integer rows in R^n.
 
-    A fraction-free echelon picks the first t independent rows, t the rank,
-    indexed by `start`; call them B.  Start ray k is column k of
-    B^T adj(B B^T), which pairs positively with row k of B and to 0 with the
-    others, so its mask holds the bits of the other start rows.  The
+    The fraction-free elimination of `_exact` picks the first t independent
+    rows, t the rank, indexed by `start`; call them B.  Start ray k is column
+    k of B^T adj(B B^T), which pairs positively with row k of B and to 0 with
+    the others, so its mask holds the bits of the other start rows.  The
     lineality basis is the nullspace of B, needed only when t < n; B and all
     the rows have the same reduced row echelon form, so it is the nullspace
     of all of them.
     """
-    start = ex.independent_rows(rows, n)
+    start = ex.independent_rows(rows)
     basis = [rows[i] for i in start]
     lin = ex.nullspace(basis) if len(start) < n else ()
     adj = ex.adjugate([[ex.dot(a, b) for b in basis] for a in basis])  # symmetric

@@ -83,7 +83,7 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20]])
     def test_non_positive_truncation_exit_2(self, tmp_path, m_list):
-        doc = json.loads(open(SPECS["c_n.json"]).read())
+        doc = json.loads(Path(SPECS["c_n.json"]).read_text())
         doc["m_list"] = m_list
         spec = tmp_path / "bad_m.json"
         spec.write_text(json.dumps(doc))
@@ -207,7 +207,7 @@ class TestStdoutTables:
             "min_fut                  -0.75\n"
             "all_nonnegative          False\n"
             "tolerance                1e-09\n"
-            "note                     nonnegative along all tested directions;"
+            "note                     covers the tested directions only;"
             " no statement about untested degenerations\n"
             "provenance               closed_form\n"
         )
@@ -224,7 +224,7 @@ class TestThreadsAndOutputs:
         import math as _math
 
         alpha = (-3 + _math.sqrt(33)) / 4
-        doc = json.loads(open(SPECS["dk_4dim.json"]).read())
+        doc = json.loads(Path(SPECS["dk_4dim.json"]).read_text())
         doc["xi0"] = [1.0, 1.0, alpha]
         doc["etas"] = [[1, 0, 0], [0, 0, 1]]
         spec = tmp_path / "dk_fut.json"
@@ -271,7 +271,7 @@ class TestCliContract:
 
     @pytest.mark.parametrize("name, xi", [("c_n.json", ["1"]), ("dk_4dim.json", ["1", "1", "1/3", "1"])])
     def test_oracle_xi_of_wrong_length_exit_1(self, tmp_path, name, xi):
-        doc = json.loads(open(SPECS[name]).read())
+        doc = json.loads(Path(SPECS[name]).read_text())
         doc["xi"] = xi
         spec = tmp_path / "bad_xi.json"
         spec.write_text(json.dumps(doc))
@@ -300,7 +300,7 @@ class TestCliContract:
         assert "1/0" in err["error"]["message"]
 
     def test_weight_matrix_of_wrong_width_exit_2(self, tmp_path):
-        doc = json.loads(open(SPECS["dk_4dim.json"]).read())
+        doc = json.loads(Path(SPECS["dk_4dim.json"]).read_text())
         doc["F"] = [row[:2] for row in doc["F"]]
         spec = tmp_path / "narrow_F.json"
         spec.write_text(json.dumps(doc))
@@ -317,7 +317,7 @@ class TestCliContract:
     ])
     def test_malformed_integer_field_exit_2(self, tmp_path, command, field, value):
         if command == "oracle":
-            doc = json.loads(open(SPECS["c_n.json"]).read())
+            doc = json.loads(Path(SPECS["c_n.json"]).read_text())
         else:
             doc = {"schema": "reebmin/1", "kind": "approx", "target": ["1.414"], "signs": [1], "mode": "signed"}
         doc[field] = value

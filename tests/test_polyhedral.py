@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,7 +89,7 @@ def brute_force_rays(rows, n):
     for subset in itertools.combinations(rows, max(n - len(lin) - 1, 0)):
         null = ex.nullspace(lin + list(subset) + [(0,) * n])
         if len(null) == 1:
-            for w in (null[0], ex.vec_scale(-1, null[0])):
+            for w in (null[0], tuple(-x for x in null[0])):
                 if all(ex.dot(a, w) >= 0 for a in rows):
                     found.add(ex.primitive(w))
     return sorted(found)
@@ -143,27 +144,34 @@ class TestKernelProperties:
             dual = dual_cone(cone)
             assert_incidence_recorded(cone)
             assert VCone(dual.rays, n).rays == dual.rays
-            full = cone.span_rank() == n
+            full = ex.rank(cone.rays) == n
             assert cone.is_full_dimensional() == full
-            assert cone.is_pointed() == (dual.span_rank() == n)
+            assert cone.is_pointed() == (ex.rank(dual.rays) == n)
             seen["full" if full else "not_full"] += 1
             seen["pointed" if cone.is_pointed() else "with_line"] += 1
         assert min(seen.values()) >= 40, seen
 
 
+def sympy_rref(m):
+    """(rows, pivot_columns) of the reduced row echelon form, by sympy: a
+    reference independent of `_exact`."""
+    red, pivots = sympy.Matrix(m).rref()
+    return [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(red.rows)], pivots
+
+
 def fraction_setup_rays(normals, n):
     """`_dd_pass` with the Fraction setup it had before the integer one:
-    rref picks the start normals, a rational inverse of the Gram matrix
+    sympy's rref picks the start normals, a rational inverse of the Gram matrix
     gives the start rays, and nullspace runs on every normal."""
     rows = [ex.primitive(a) for a in normals if not ex.is_zero_vec(a)]
     if not rows:
         return [], tuple(ex.primitive(b) for b in ex.identity(n))
     lin = ex.nullspace(rows)
-    start = ex.rref(ex.transpose(rows))[1]
+    start = sympy_rref(ex.transpose(rows))[1]
     t = len(start)
     basis_t = ex.transpose([rows[i] for i in start])
     gram = ex.mat_mul(ex.transpose(basis_t), basis_t)
-    red, _ = ex.rref([list(row) + list(e) for row, e in zip(gram, ex.identity(t))])
+    red, _ = sympy_rref([list(row) + list(e) for row, e in zip(gram, ex.identity(t))])
     g_inv = [row[t:] for row in red]
     rays = []
     for k in range(t):
@@ -233,15 +241,15 @@ class TestIntegerSetup:
         assert ex.rank([(half, 1, Fraction(3, 2)), (1, 2, 3), (0, 0, 0)]) == 1
         assert ex.rank([(0, 0), (0, 0)]) == 0
         assert ex.rank([(half, 0, 1), (0, Fraction(1, 3), 1), (half, Fraction(1, 3), 2)]) == 2
-        assert VCone([(1, 0, 0), (0, 1, 0), (1, 1, 0)]).span_rank() == 2
-        assert VCone([(1, -1, 0, 2), (-2, 2, 0, -4)], 4).span_rank() == 1
+        assert ex.rank(VCone([(1, 0, 0), (0, 1, 0), (1, 1, 0)]).rays) == 2
+        assert ex.rank(VCone([(1, -1, 0, 2), (-2, 2, 0, -4)], 4).rays) == 1
         rng = random.Random(7)
         for _ in range(200):
             n, k = rng.randint(1, 6), rng.randint(1, 6)
             m = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)] for _ in range(k)]
             m += [[sum(c * row[j] for c, row in zip((1, -2), m)) for j in range(n)]]
             ints = [[int(x * 2) for x in row] for row in m]
-            assert ex.rank(m) == ex.rank(ints) == len(ex.rref(m)[1]) <= k
+            assert ex.rank(m) == ex.rank(ints) == len(sympy_rref(m)[1]) <= k
 
     def test_primitive(self):
         assert ex.primitive((-4, 6, -2)) == (-2, 3, -1)
@@ -295,6 +303,87 @@ class TestIntegerSetup:
         assert ex.int_det([(Fraction(4, 2), 1), (1, 1)]) == 1
         with pytest.raises(ValueError, match="not integral"):
             ex.int_det([(Fraction(1, 2), 0), (0, 2)])
+
+
+def sympy_fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestEliminationAgainstSympy:
+    """Each read of `_exact`'s one fraction-free elimination gives sympy's
+    canonical answer: rank, the first independent rows, the reduced row
+    echelon nullspace basis, the solution with free parameters 0 (or None),
+    the adjugate and the determinant."""
+
+    @staticmethod
+    def entry(rng, kind):
+        if kind == "small":
+            return rng.randint(-3, 3)
+        if kind == "fraction":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        return rng.choice((-1, 1)) * rng.randint(10**6 - 100, 10**6 + 100)
+
+    def system(self, rng):
+        n = rng.randint(1, 5)
+        k = n if rng.random() < 0.4 else rng.randint(1, 5)
+        kind = rng.choice(("small", "fraction", "near_1e6"))
+        m = []
+        for _ in range(k):
+            roll = rng.random()
+            if roll < 0.1:
+                m.append([0] * n)
+            elif m and roll < 0.35:  # a combination of the rows so far
+                co = [rng.randint(-2, 2) for _ in m]
+                m.append([sum(c * row[j] for c, row in zip(co, m)) for j in range(n)])
+            else:
+                m.append([self.entry(rng, kind) if rng.random() < 0.8 else 0 for _ in range(n)])
+        return m, kind
+
+    def test_reads_match_sympy(self):
+        rng = random.Random(1968)
+        seen = dict.fromkeys(("deficient", "zero_row", "inconsistent", "consistent", "singular", "nonsingular"), 0)
+        for _ in range(1000):
+            m, kind = self.system(rng)
+            k, n = len(m), len(m[0])
+            ref = sympy.Matrix(m)
+            rank = ex.rank(m)
+            assert type(rank) is int and rank == ref.rank(), m
+            seen["deficient"] += rank < min(k, n)
+            seen["zero_row"] += [0] * n in m
+
+            scale = math.lcm(*(Fraction(x).denominator for row in m for x in row))
+            ints = [[int(x * scale) for x in row] for row in m]
+            assert ex.independent_rows(ints) == list(sympy.Matrix(ints).T.rref()[1]), m
+
+            null = tuple(tuple(sympy_fraction(x) for x in v) for v in ref.nullspace())
+            assert ex.nullspace(m) == null, m
+
+            if rng.random() < 0.5:  # a right side in the column space
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                b = [sum(a * y for a, y in zip(row, x)) for row in m]
+            else:
+                b = [self.entry(rng, kind) for _ in range(k)]
+            try:
+                sol, params = ref.gauss_jordan_solve(sympy.Matrix(b))
+            except ValueError:
+                expected = None
+            else:
+                expected = tuple(sympy_fraction(x) for x in sol.subs({p: 0 for p in params}))
+            assert ex.solve(m, b) == expected, (m, b)
+            seen["inconsistent" if expected is None else "consistent"] += 1
+
+            if k == n:
+                ref_ints = sympy.Matrix(ints)
+                det = ex.int_det(ints)
+                assert type(det) is int and det == ref_ints.det(), ints
+                if det:
+                    adj = tuple(tuple(int(x) for x in ref_ints.adjugate().row(i)) for i in range(n))
+                    assert ex.adjugate(ints) == adj, ints
+                else:
+                    with pytest.raises(ValueError, match="singular"):
+                        ex.adjugate(ints)
+                seen["singular" if det == 0 else "nonsingular"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestVertexEnumeration:
@@ -555,6 +644,21 @@ class TestKernelCalls:
             PolyhedralDivisor(sigma, [("0", other)])
         same = Polyhedron([(0, 0)], VCone([(0, 1), (1, 0)]))
         assert PolyhedralDivisor(sigma, [("0", same)]).points[0][1].tail is sigma
+
+    def test_divisor_accepts_a_tail_with_a_redundant_ray(self):
+        sigma = VCone([(1, 0), (0, 1)])
+        redundant = Polyhedron([(0, 0)], VCone([(1, 0), (1, 1), (0, 1)]))
+        assert PolyhedralDivisor(sigma, [("0", redundant)]).points[0][1].tail is sigma
+
+    def test_divisor_rejects_a_larger_tail(self):
+        # the tail holds every ray of sigma and one outside it
+        sigma = VCone([(1, 0), (0, 1)])
+        larger = Polyhedron([(0, 0)], VCone([(1, 0), (0, 1), (-1, 2)]))
+        with pytest.raises(ValueError, match="different tail cone"):
+            PolyhedralDivisor(sigma, [("0", larger)])
+        other_dim = Polyhedron([(0, 0, 0)], VCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        with pytest.raises(ValueError, match="different tail cone"):
+            PolyhedralDivisor(sigma, [("0", other_dim)])
 
     def test_divisor_from_vertex_lists_compares_no_tails(self, monkeypatch):
         # every coefficient of from_vertex_lists has sigma itself as its tail

@@ -8,12 +8,18 @@ from fractions import Fraction
 import pytest
 
 from reebmin import (
+    DowngradeData,
+    Inconsistent,
+    NotStrictlyConvex,
     PolyhedralDivisor,
     ToricData,
     VCone,
+    WeightMatrix,
     certify_barycenter,
+    downgrade_coefficient,
     dual_cone,
     futaki_invariant,
+    induced_reeb,
     minimize,
     minimize_c1,
     nvol,
@@ -21,6 +27,8 @@ from reebmin import (
     vol_xi_c1,
 )
 from reebmin import _exact as ex
+
+from conftest import DK_F, DK_P, DK_S
 
 
 def random_pointed_cone(rng, dim, nrays, low=-3, high=4):
@@ -140,6 +148,55 @@ class TestRandomDivisors:
         res = minimize_c1(d, (0, 2), tolerance=1e-6, max_iter=80)
         assert not res.converged
         assert res.grad_norm > 1e-6
+
+
+class TestTypedInputErrors:
+    """Inputs outside the theory raise a typed error with a fixed message."""
+
+    def test_weight_cone_in_a_proper_subspace(self):
+        with pytest.raises(NotStrictlyConvex, match="^weight cone spans a proper subspace$"):
+            ToricData(VCone([(1, 0, 0), (0, 1, 0)], 3), (1, 1, 1))
+
+    def test_weight_cone_with_a_line(self):
+        with pytest.raises(NotStrictlyConvex, match="^weight cone contains a line$"):
+            ToricData(VCone([(1, 0), (-1, 0), (0, 1)]), (0, 1))
+
+    def test_u0_off_the_interior(self):
+        with pytest.raises(ValueError, match="^u0 does not lie in the interior of the weight cone$"):
+            ToricData(VCone([(1, 0), (0, 1)]), (1, 0))
+
+    def test_lower_dimensional_tail(self):
+        with pytest.raises(NotStrictlyConvex, match="^tail cone must be full dimensional$"):
+            PolyhedralDivisor.from_vertex_lists([(1, 0, 0), (0, 1, 0)], [("0", [(0, 0, 0)])])
+
+    def test_u0_not_positive_on_a_tail_ray(self):
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(0, 0)])])
+        with pytest.raises(ValueError, match="^u0 must pair positively with the tail cone$"):
+            minimize_c1(d, (1, 0))
+
+    def test_p_f_not_zero(self):
+        p = ((1, 0, 0, 0, 0), DK_P[1])
+        with pytest.raises(ValueError, match="^P F != 0$"):
+            DowngradeData(WeightMatrix(DK_F), p, DK_S)
+
+    def test_s_f_not_identity(self):
+        s = (DK_S[0], DK_S[1], (0, 0, 0, 0, 1))
+        with pytest.raises(ValueError, match="^s F != id$"):
+            DowngradeData(WeightMatrix(DK_F), DK_P, s)
+
+    def test_fibre_point_of_the_wrong_length(self):
+        d = DowngradeData(WeightMatrix(DK_F), DK_P, DK_S)
+        with pytest.raises(ValueError, match="^fiber point has the wrong dimension$"):
+            downgrade_coefficient(d, (1,))
+
+    def test_ambient_weight_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^ambient weight has the wrong length$"):
+            induced_reeb(WeightMatrix(DK_F), (1, 1))
+
+    def test_inconsistent_float_weight(self):
+        f = WeightMatrix([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -2)])
+        with pytest.raises(Inconsistent, match=r"^weight not in the row space \(residual 2\)$"):
+            induced_reeb(f, (1.0, 1.0, 1.0, 7.0))
 
 
 class TestConcurrency:
