@@ -62,10 +62,9 @@ class PolyhedralDivisor:
 
     def __init__(self, sigma, points):
         _check_tail(sigma)
-        extreme = set(sigma.extreme_rays())
         canon = []
         for label, poly in points:
-            if poly.tail is not sigma and not _is_tail(poly.tail, sigma, extreme):
+            if poly.tail is not sigma and not poly.tail.is_equivalent(sigma):
                 raise ValueError(f"coefficient at {label!r} has a different tail cone")
             if not poly.compact_vertices:
                 raise InfeasibleSystem(f"coefficient at {label!r} is empty")
@@ -94,18 +93,6 @@ class PolyhedralDivisor:
     @cached_property
     def _cellsum(self):
         return CellSum(self.sigma_dual.rays, self.cells().cells, self.r)
-
-
-def _is_tail(tail, sigma, extreme):
-    """Whether the cone `tail` equals the pointed cone sigma with these
-    extreme rays: every generating set of sigma holds each extreme ray, so
-    tail's rays must contain them and lie in sigma.  Reads sigma's recorded
-    dual and makes no pass over tail."""
-    return (
-        tail.ambient_dim == sigma.ambient_dim
-        and extreme <= set(tail.rays)
-        and all(map(sigma.contains, tail.rays))
-    )
 
 
 def _check_tail(sigma):

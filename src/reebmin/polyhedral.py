@@ -21,7 +21,8 @@ of `_exact`, so no `Fraction` row reduction runs here.
 
 A cone and its dual are recorded as each other's `_dual` together with the
 pass's incidence, one bitmask per ray over the other cone's rays
-(`VCone._tight`).  Containment reads the dual's generators; full dimension,
+(`VCone._tight`).  Containment reads the dual's generators, and equality
+with a pointed cone that cone's extreme rays too; full dimension,
 pointedness, extreme rays and the pulling triangulation read the bitmasks.
 Everything here is exact: no floating point enters this module.
 """
@@ -98,11 +99,14 @@ class VCone:
         return all(ex.dot(y, v) >= 0 for y in self._dual.rays)
 
     def is_equivalent(self, other):
-        """Set equality of the generated cones (mutual ray containment)."""
-        if self.ambient_dim != other.ambient_dim:
-            return False
-        return all(other.contains(r) for r in self.rays) and all(
-            self.contains(r) for r in other.rays
+        """Set equality with the pointed cone `other`.  Every generating set
+        of a pointed cone holds each of its extreme rays (primitive, as the
+        rays here are), so self's rays must contain them and lie in other.
+        Reads other's dual only: no pass runs over self."""
+        return (
+            self.ambient_dim == other.ambient_dim
+            and set(other.extreme_rays()) <= set(self.rays)
+            and all(map(other.contains, self.rays))
         )
 
     def is_full_dimensional(self):

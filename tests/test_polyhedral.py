@@ -80,6 +80,15 @@ class TestConeQueries:
         with pytest.raises(NotPointed):
             VCone([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)]).extreme_rays()
 
+    def test_equivalent_cones(self):
+        quadrant = VCone([(1, 0), (0, 1)])
+        assert VCone([(0, 3), (1, 1), (2, 0)]).is_equivalent(quadrant)  # scaled, redundant
+        assert not VCone([(1, 0), (1, 1)]).is_equivalent(quadrant)  # a proper subcone
+        assert not VCone([(1, 0), (0, 1), (-1, 1)]).is_equivalent(quadrant)  # a larger cone
+        assert not VCone([(1, 0, 0), (0, 1, 0)]).is_equivalent(quadrant)
+        with pytest.raises(NotPointed):
+            quadrant.is_equivalent(VCone(self.HALF_PLANE))
+
 
 def brute_force_rays(rows, n):
     """Independent oracle: every extreme ray spans the kernel of the lineality
