@@ -307,9 +307,7 @@ def cone_rational_approx(v, epsilon, q_max=DEFAULT_QMAX) -> ConeApprox:
         if not full_rank:  # affine combination pins the dependent coordinates too
             matrix.append([Fraction(1)] * size)
             rhs = point + [Fraction(1)]
-        if ex.rank(matrix) < size:
-            continue
-        coeffs = ex.solve(matrix, rhs)
+        coeffs = ex.solve(matrix, rhs)  # a free variable is 0, so dependent columns fail too
         if coeffs is None or any(a <= 0 for a in coeffs):
             continue
         out = ConeApprox(

@@ -174,10 +174,18 @@ def vol_xi_c1(d: PolyhedralDivisor, xi):
     return d._cellsum.evaluate(xi)[0]
 
 
-def nvol_c1(d: PolyhedralDivisor, u0, xi):
-    """Normalized volume <u0, xi>^n vol(xi); rescaling invariant."""
+def _checked_u0(d: PolyhedralDivisor, u0):
+    """u0 as Fractions, of d's dimension and positive on every ray of the tail cone."""
     u0 = ex.fracvec(u0)
     check_length("u0", u0, d.r)
+    if any(ex.dot(u0, ray) <= 0 for ray in d.sigma.rays):
+        raise ValueError("u0 must pair positively with the tail cone")
+    return u0
+
+
+def nvol_c1(d: PolyhedralDivisor, u0, xi):
+    """Normalized volume <u0, xi>^n vol(xi); rescaling invariant."""
+    u0 = _checked_u0(d, u0)
     check_length("Reeb vector", xi, d.r)
     a = sum(x * y for x, y in zip(u0, xi))
     return a**d.n * vol_xi_c1(d, xi)
@@ -194,9 +202,5 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200) -> Minim
     vol = 0 and grad vol = 0: it stops at once with stop_reason
     "zero_volume", a NaN residual and converged=False.
     """
-    u0 = ex.fracvec(u0)
-    check_length("u0", u0, d.r)
-    for ray in d.sigma.rays:
-        if ex.dot(u0, ray) <= 0:
-            raise ValueError("u0 must pair positively with the tail cone")
+    u0 = _checked_u0(d, u0)
     return _newton.minimize(d._cellsum, u0, d.sigma.rays, d.n, tolerance, max_iter)

@@ -5,10 +5,11 @@ closed-form volume and gradient of the cell-sum kernel,
 
     Fut(xi0; eta) = n A(xi0)^(n-1) A(-eta) vol(xi0) + A(xi0)^n <grad vol(xi0), -eta>,
 
-exact when xi0 and eta are rational.  A scan over supplied directions
-evaluates the kernel once, at xi0, and reads every direction's invariant off
-that volume and gradient.  It reports per-direction signs only: it certifies
-nothing beyond the tested degenerations.
+exact when xi0 and eta are rational.  A scan checks u0, xi0 and every
+direction first; then, if there is a direction, it evaluates the kernel once,
+at xi0, and forms each direction's invariant and normalized direction in one
+loop.  It reports per-direction signs only: it certifies nothing beyond the
+tested degenerations.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from . import _exact as ex
 from ._cellsum import check_length
-from .cxonevol import PolyhedralDivisor
+from .cxonevol import PolyhedralDivisor, _checked_u0
 from .toricvol import ToricData
 
 SCAN_DISCLAIMER = (
@@ -35,7 +36,7 @@ class FutakiReport:
 
 def _weight(data, u0):
     """The functional u0 of the data: toric data carry their own, which a
-    given u0 must equal; a divisor needs it given."""
+    given u0 must equal; a divisor needs it given, checked against it."""
     if isinstance(data, ToricData):
         if u0 is not None and tuple(u0) != data.u0:
             shown = ", ".join(map(str, data.u0))
@@ -44,29 +45,22 @@ def _weight(data, u0):
     if isinstance(data, PolyhedralDivisor):
         if u0 is None:
             raise ValueError("u0 is required for complexity-one data")
-        return ex.fracvec(u0)
+        return _checked_u0(data, u0)
     raise TypeError(f"unsupported data object {type(data).__name__}")
 
 
 def futaki_invariant(data, xi0, eta, u0=None):
     """Derivative of the normalized volume at xi0 in direction -eta."""
-    u0 = _weight(data, u0)
-    pair = _pairing(u0)
-    eta = tuple(eta)
-    return next(_invariants(data, u0, pair, xi0, [(eta, pair(eta))]))
+    return semistable_scan(data, xi0, [eta], u0=u0).entries[0][1]
 
 
 def _pairing(u0):
     """v -> A(v) = <u0, v> for a rational u0, with A's value and type as
-    term-by-term arithmetic gives them: one Fraction for an int v; for a
-    float v each term float(u0_k) * v_k, as Fraction * float computes it,
-    from floats formed once; term by term otherwise."""
+    term-by-term arithmetic gives them: one Fraction over u0's cleared
+    denominator for an int v, term by term otherwise."""
     us, e = ex.cleared(u0)
-    uf = [float(x) for x in u0]
 
     def pair(v):
-        if all(type(x) is float for x in v):
-            return sum([a * b for a, b in zip(uf, v)])
         if all(type(x) is int for x in v):
             return Fraction(sum([a * b for a, b in zip(us, v)]), e)
         return sum(x * y for x, y in zip(u0, v))
@@ -74,71 +68,53 @@ def _pairing(u0):
     return pair
 
 
-def _invariants(data, u0, pair, xi0, paired):
-    """Fut(xi0; eta) for each (eta, A(eta)) in turn, from one evaluation of
-    vol and grad vol at xi0, made when the first eta has passed its length
-    check.
-
-    A float A(xi0) meets each exact A(eta) as its float, which is what
-    Fraction * float computes."""
-    xi = tuple(xi0)
-    n, dim = data.n, data._cellsum.dim
-    check_length("u0", u0, dim)
-    check_length("Reeb vector", xi, dim)
-    grad = None
-    for eta, a_eta in paired:
-        check_length("eta", eta, dim)
-        if grad is None:
-            a = pair(xi)
-            vol, grad = data._cellsum.evaluate(xi, 1)
-            lead, a_n = n * a ** (n - 1), a**n
-        if type(lead) is float and type(a_eta) is Fraction:
-            a_eta = float(a_eta)
-        d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
-        yield lead * (-a_eta) * vol + a_n * d_vol
+def _slice(pair, xi):
+    """(A(xi0), f) with f(eta, A(eta)) = (A(xi0) eta - A(eta) xi0) / A(xi0)^2,
+    the projection onto the slice {A = 0}; A(xi0) must be positive."""
+    a = pair(xi)
+    if not a > 0:
+        raise ValueError("A(xi0) must be positive")
+    inv = 1 / (a * a)
+    return a, lambda eta, a_eta: tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))
 
 
 def normalized_direction(u0, xi0, eta):
     """Projection (A(xi0) eta - A(eta) xi0) / A(xi0)^2 onto the slice {A = 0}."""
-    u0 = ex.fracvec(u0)
-    xi = tuple(xi0)
-    eta = tuple(eta)
+    u0, xi, eta = ex.fracvec(u0), tuple(xi0), tuple(eta)
     check_length("Reeb vector", xi, len(u0))
     check_length("eta", eta, len(u0))
     pair = _pairing(u0)
-    return next(_directions(pair, xi, [(eta, pair(eta))]))
-
-
-def _directions(pair, xi, paired):
-    """normalized_direction for each (eta, A(eta)) in turn, with A(xi0)
-    formed once; xi and each eta tuples of u0's length.  At a float xi0
-    each A(eta) enters as its float, which is what Fraction * float
-    computes."""
-    a0 = pair(xi)
-    if not a0 > 0:
-        raise ValueError("A(xi0) must be positive")
-    inv = 1 / (a0 * a0)
-    floats = all(type(x) is float for x in xi)
-    for eta, ae in paired:
-        if floats and type(ae) is Fraction:
-            ae = float(ae)
-        yield tuple((a0 * e - ae * x) * inv for e, x in zip(eta, xi))
+    return _slice(pair, xi)[1](eta, pair(eta))
 
 
 def semistable_scan(data, xi0, etas, tolerance=1e-9, u0=None) -> FutakiReport:
     """Evaluate the Futaki invariant along each direction and report signs.
 
-    The verdict covers only the supplied directions.  The default sign
-    tolerance is 1e-9 for both kinds of data, whose invariants are closed
-    forms.
+    u0, xi0 and every eta are checked before anything is evaluated.  With at
+    least one direction the kernel runs once, at xi0, and A(xi0) must be
+    positive; one loop then forms each eta's A(eta), invariant and
+    normalized direction.  At a float xi0 an exact A(eta) enters as its
+    float, which is what Fraction * float computes.  The verdict covers only
+    the supplied directions.  The default sign tolerance is 1e-9 for both
+    kinds of data, whose invariants are closed forms.
     """
-    weight = _weight(data, u0)
-    pair = _pairing(weight)
-    xi = tuple(xi0)
-    etas = [tuple(eta) for eta in etas]
-    paired = [(eta, pair(eta)) for eta in etas]  # each A(eta) formed once, for both generators
-    futs = _invariants(data, weight, pair, xi, paired)
-    entries = list(zip(etas, futs, _directions(pair, xi, paired)))
+    u0, xi, etas = _weight(data, u0), tuple(xi0), [tuple(eta) for eta in etas]
+    check_length("Reeb vector", xi, len(u0))
+    for eta in etas:
+        check_length("eta", eta, len(u0))
+    entries = []
+    if etas:
+        vol, grad = data._cellsum.evaluate(xi, 1)
+        pair = _pairing(u0)
+        a, direction = _slice(pair, xi)
+        n, floats = data.n, all(type(x) is float for x in xi)
+        lead, a_n = n * a ** (n - 1), a**n
+        for eta in etas:
+            a_eta = pair(eta)
+            if floats and type(a_eta) is Fraction:
+                a_eta = float(a_eta)
+            d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
+            entries.append((eta, lead * (-a_eta) * vol + a_n * d_vol, direction(eta, a_eta)))
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

@@ -15,6 +15,7 @@ from reebmin import (
     verify_cone,
     verify_signed,
 )
+from reebmin import _exact as ex
 from reebmin.approx import _affine_relations
 
 mpmath.mp.dps = 45
@@ -117,6 +118,22 @@ class TestConeApprox:
         for j in range(2):
             combo = sum(a * vec[j] for a, (vec, _) in zip(ca.hull_coefficients, ca.vectors))
             assert TAIL[j].lo <= combo <= TAIL[j].hi
+
+    def test_dependent_and_negative_subsets_are_skipped(self, monkeypatch):
+        # of the five subsets tried, the first has dependent columns (rank 2,
+        # no solution) and the next three a negative hull coefficient
+        ranks = []
+        solve = ex.solve
+        monkeypatch.setattr(ex, "solve", lambda m, b: ranks.append(ex.rank(m)) or solve(m, b))
+        v = [Enclosure.from_decimal(s) for s in ("3.0809048171880", "1.5562473897636", "2.3507946681839")]
+        ca = cone_rational_approx(v, Fraction(1, 2), 10**4)
+        assert ranks == [2, 3, 3, 3, 3]
+        assert ca.vectors == (
+            ((Fraction(105, 34), Fraction(53, 34), Fraction(40, 17)), 34),
+            ((Fraction(71, 23), Fraction(36, 23), Fraction(54, 23)), 23),
+            ((Fraction(499, 162), Fraction(14, 9), Fraction(127, 54)), 162),
+        )
+        assert verify_cone(ca)
 
 
 class TestVerifierLengths:

@@ -234,7 +234,7 @@ class TestScanFromOneGradient:
                 monkeypatch.setattr(futaki, "_pairing", counting)
                 pairings.clear()
                 scan = semistable_scan(data, xi, etas, u0=u0)
-                assert len(pairings) == len(etas) + 2  # and A(xi) once per generator
+                assert len(pairings) == len(etas) + 1  # and A(xi) once per scan
                 monkeypatch.undo()
                 for eta, (_, fut, direction) in zip(etas, scan.entries):
                     assert bitwise(fut, futaki_invariant(data, xi, eta, u0=u0))

@@ -269,6 +269,18 @@ class TestCliContract:
         assert err["error"]["type"] == "ValueError"
         assert "4 entries" in err["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["eval", "futaki"])
+    def test_u0_not_positive_on_the_tail_exit_1(self, tmp_path, command):
+        doc = json.loads(Path(SPECS["dk_4dim.json"]).read_text())
+        doc.update(u0=[0, -3, 1], xi=["1", "1", "1/3"], xi0=["1", "1", "1/3"], etas=[[1, 0, 0]])
+        spec = tmp_path / "negative_u0.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(command, str(spec))
+        assert proc.returncode == 1, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "ValueError"
+        assert err["error"]["message"] == "u0 must pair positively with the tail cone"
+
     @pytest.mark.parametrize("name, xi", [("c_n.json", ["1"]), ("dk_4dim.json", ["1", "1", "1/3", "1"])])
     def test_oracle_xi_of_wrong_length_exit_1(self, tmp_path, name, xi):
         doc = json.loads(Path(SPECS[name]).read_text())

@@ -86,6 +86,15 @@ class TestLengthChecks:
             with pytest.raises(ValueError, match=f"eta has {len(eta)} entries .* dimension 3"):
                 f()
 
+    def test_xi_of_wrong_length_without_directions(self):
+        with pytest.raises(ValueError, match="Reeb vector has 3 entries .* dimension 2"):
+            semistable_scan(ToricData.smooth_point(2), (1, 2, 3), [])
+
+    def test_every_eta_is_checked_before_the_kernel_runs(self, c2):
+        # xi0 lies outside the Reeb cone, which the kernel would report first
+        with pytest.raises(ValueError, match="eta has 3 entries .* dimension 2"):
+            semistable_scan(c2, (1, -2), [(1, 0), (1, 0, 0)])
+
     def test_normalized_direction_xi_of_wrong_length(self):
         with pytest.raises(ValueError, match="Reeb vector has 3 entries .* dimension 2"):
             normalized_direction((1, 1), (1, 1, 5), (1, 0))

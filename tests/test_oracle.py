@@ -159,6 +159,14 @@ class TestCountToric:
         for m in TRUNCATIONS:
             assert count_toric(t, xi, m) == brute_count(t, xi, m, box=box_of(t, xi, m))
 
+    def test_ray_with_zero_z_bounds_y_from_above(self):
+        # sigma's ray (1, -1, 0) has no z and a negative y coefficient, so it
+        # caps y in each slab instead of entering the z range
+        t = ToricData.from_cone([(1, -1, 0), (0, 1, 0), (0, 0, 1)], (2, 1, 1))
+        xi = (2, 1.5, 1)
+        counts = [count_toric(t, xi, m) for m in (5, 7.5, 12)]
+        assert counts == [11, 27, 78] == [brute_count(t, xi, m, box=box_of(t, xi, m)) for m in (5, 7.5, 12)]
+
     @pytest.mark.parametrize("name, ms, counts", PINNED_COUNTS)
     def test_bundled_counts_pinned(self, name, ms, counts):
         doc = json.loads(Path(bundled_spec(name)).read_text())
@@ -185,6 +193,12 @@ class TestCountToric:
     def test_budget(self, spp):
         with pytest.raises(TooLarge):
             count_toric(spp, XI0_SPP, 200, budget=1000)
+
+    def test_budget_charged_after_the_block_precheck(self):
+        # the smooth surface at m = 50 holds 1275 points; a block of slabs
+        # passes the width pre-check, and then its own charge passes the budget
+        with pytest.raises(TooLarge, match="exceeded the 100 cell budget"):
+            count_toric(ToricData.smooth_point(2), (1.0, 1.0), 50, budget=100)
 
     def test_convergence_to_closed_form(self, spp):
         c = count_toric(spp, XI0_SPP, 200)

@@ -23,6 +23,8 @@ from reebmin import (
     minimize,
     minimize_c1,
     nvol,
+    nvol_c1,
+    semistable_scan,
     vol_xi,
     vol_xi_c1,
 )
@@ -173,6 +175,16 @@ class TestTypedInputErrors:
         d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(0, 0)])])
         with pytest.raises(ValueError, match="^u0 must pair positively with the tail cone$"):
             minimize_c1(d, (1, 0))
+
+    def test_u0_not_positive_on_a_tail_ray_of_dk(self, dk_divisor):
+        # every function that takes a divisor's u0 checks it: at this xi
+        # nvol_c1 used to return 2048/9 and futaki_invariant 0
+        xi, u0 = (1, 1, Fraction(1, 3)), (0, -3, 1)
+        for f in (lambda: minimize_c1(dk_divisor, u0), lambda: nvol_c1(dk_divisor, u0, xi),
+                  lambda: futaki_invariant(dk_divisor, xi, (1, 0, 0), u0=u0),
+                  lambda: semistable_scan(dk_divisor, xi, [], u0=u0)):
+            with pytest.raises(ValueError, match="^u0 must pair positively with the tail cone$"):
+                f()
 
     def test_p_f_not_zero(self):
         p = ((1, 0, 0, 0, 0), DK_P[1])

@@ -18,6 +18,7 @@ from reebmin import (
     nvol,
     vol_xi,
 )
+from reebmin import polyhedral
 from reebmin.polyhedral import VCone
 
 from conftest import random_interior_reeb
@@ -87,13 +88,15 @@ class TestDualPair:
         assert t.sigma is sigma_dual._dual and set(t.sigma.rays) == {(0, 1), (2, -1)}
 
     def test_constructors_skip_the_self_comparison(self, monkeypatch):
-        # from_cone and from_dual_cone record each cone as the other's dual
-        def compared(self, other):
-            raise AssertionError("compared a cone with its own dual")
-
-        monkeypatch.setattr(VCone, "is_equivalent", compared)
+        # from_cone and from_dual_cone record each cone as the other's dual:
+        # one double-description pass each, none to compare them
+        passes = []
+        dd_pass = polyhedral._dd_pass
+        monkeypatch.setattr(polyhedral, "_dd_pass", lambda *args: passes.append(args) or dd_pass(*args))
         ToricData.from_dual_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -2)], (1, 1, -1))
+        assert len(passes) == 1
         ToricData.from_cone([(0, 1), (2, -1)], (1, 1))
+        assert len(passes) == 2
 
 
 class TestNvol:
