@@ -171,16 +171,13 @@ class TestTypedInputErrors:
         with pytest.raises(NotStrictlyConvex, match="^tail cone must be full dimensional$"):
             PolyhedralDivisor.from_vertex_lists([(1, 0, 0), (0, 1, 0)], [("0", [(0, 0, 0)])])
 
-    def test_u0_not_positive_on_a_tail_ray(self):
+    def test_u0_not_positive_on_a_tail_ray(self, dk_divisor):
+        # every function that takes a divisor's u0 checks it: on dk at this
+        # xi nvol_c1 used to return 2048/9 and futaki_invariant 0
         d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(0, 0)])])
-        with pytest.raises(ValueError, match="^u0 must pair positively with the tail cone$"):
-            minimize_c1(d, (1, 0))
-
-    def test_u0_not_positive_on_a_tail_ray_of_dk(self, dk_divisor):
-        # every function that takes a divisor's u0 checks it: at this xi
-        # nvol_c1 used to return 2048/9 and futaki_invariant 0
         xi, u0 = (1, 1, Fraction(1, 3)), (0, -3, 1)
-        for f in (lambda: minimize_c1(dk_divisor, u0), lambda: nvol_c1(dk_divisor, u0, xi),
+        for f in (lambda: minimize_c1(d, (1, 0)), lambda: minimize_c1(dk_divisor, u0),
+                  lambda: nvol_c1(dk_divisor, u0, xi),
                   lambda: futaki_invariant(dk_divisor, xi, (1, 0, 0), u0=u0),
                   lambda: semistable_scan(dk_divisor, xi, [], u0=u0)):
             with pytest.raises(ValueError, match="^u0 must pair positively with the tail cone$"):
