@@ -14,22 +14,37 @@ R = sum a_ci u_i u_i^T / p_i^3 (sums over the rays of the cell),
     hess vol =  sum_c t_c [w_c (s s^T + W) + s q^T + q s^T + 2 R].
 
 Each call computes only the order it is asked for; toric cells skip the
-weight terms.  A rational xi (ints and Fractions) takes an integer path:
-xi's denominators are cleared once, every cell's terms are integers over
-powers of the product of its pairings, and each entry of the result is one
-Fraction.  Float, mpf and mpi values take the generic path, plain Python
-arithmetic on u_i / p_i, which carries any ordered field and stays the
-tests' reference for the integer path on Fractions.  There a rational weight
-a_ci enters through its numerator and denominator, because a Fraction meets
-an mpf only as a * (1 / p) (Fraction / mpf raises TypeError) and an mpi not
-at all.  `first_order` reads the one first-order certificate (the gradient
-projected off u0, and the sine between -grad vol and u0) off one order-1
-evaluation, for Newton's answer and for the exact tests alike.
+weight terms.  `evaluate` picks one of three paths by the type of xi:
+
+- rational xi (ints and Fractions): the integer path.  xi's denominators
+  are cleared once, every cell's terms are integers over powers of the
+  product of its pairings, and each entry of the result is one Fraction.
+- all-float xi: the array path, which Newton also calls directly on
+  ndarrays.  The ray matrix, the cells' ray indices, |det| and the weights
+  (rounded once) are gathered into numpy arrays when the sum is built; a
+  call forms the pairings p = R xi once, each summed left to right as the
+  generic path sums it, and every other sum as an array reduction in
+  another order, so the two paths agree to a few ulps of each result's
+  largest entry, not bitwise.
+- everything else (mpf, mpi, mixed input, and Fractions when the tests ask
+  for it): the generic path, plain Python arithmetic on u_i / p_i, which
+  carries any ordered field and stays the tests' reference for the other
+  two.  There a rational weight a_ci enters through its numerator and
+  denominator, because a Fraction meets an mpf only as a * (1 / p)
+  (Fraction / mpf raises TypeError) and an mpi not at all.
+
+`first_order` reads the one first-order certificate (the gradient projected
+off u0, and the sine between -grad vol and u0) off one order-1 evaluation;
+at a rational point its integers are `_rational_certificate`'s, which
+Newton's answer reads too.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from . import _exact as ex
 from .errors import NotInReebCone
@@ -100,20 +115,26 @@ def _zero_sums(n, order):
 
 
 def _rational_certificate(g, u0):
-    """(proj, sine) of first_order in integers: with g = G / D and u0 = U / E,
-    proj = (G <U, U> - <G, U> U) / (D <U, U>) and sine^2 = 1 - <G, U>^2 /
-    (<G, G> <U, U>), one Fraction per entry.  The quotient of two ints rounds
-    correctly, as float of a Fraction does."""
+    """The integers of the first-order certificate at rational g and u0:
+    with g = G / D and u0 = U / E, (G, D, U, <U, U>, <G, U>, <G, G>).  Then
+    proj = (G <U, U> - <G, U> U) / (D <U, U>), |proj|^2 = (<G, G> <U, U> -
+    <G, U>^2) / (D^2 <U, U>) and sine^2 = 1 - <G, U>^2 / (<G, G> <U, U>)."""
     nums, den = ex.cleared(g)
     us, _ = ex.cleared(u0)
     uu = sum([x * x for x in us])
     gu = sum([x * y for x, y in zip(nums, us)])
     gg = sum([x * x for x in nums])
-    proj = tuple(Fraction(x * uu - gu * y, den * uu) for x, y in zip(nums, us))
+    return nums, den, us, uu, gu, gg
+
+
+def _rational_sine(uu, gu, gg):
+    """The sine between -grad vol and u0 from `_rational_certificate`'s
+    pairings, NaN when grad vol = 0.  The quotient of two ints rounds
+    correctly, as float of a Fraction does."""
     if gg == 0:
-        return proj, float("nan")
+        return float("nan")
     rest = gg * uu - gu * gu
-    return proj, 0.0 if rest == 0 else math.sqrt(rest / (gg * uu))
+    return 0.0 if rest == 0 else math.sqrt(rest / (gg * uu))
 
 
 class CellSum:
@@ -151,6 +172,20 @@ class CellSum:
             us = tuple(self.rays[i] for i in idx)
             uus = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in us)
             self._int_cells.append((idx, us, uus, det) + ints)
+        # the array path's tables: rays R (one per row), each cell's rays
+        # R[idx] (cells x dim x dim), ray indices, |det| and, when any cell is
+        # weighted, the weights a_ci (0 in a toric cell's row), with 1 where a
+        # toric cell's w_c = 1 must enter
+        ncells = len(self.cells)
+        flat = chain.from_iterable
+        self._ray_matrix = np.fromiter(flat(self.rays), float, len(self.rays) * dim).reshape(-1, dim)
+        self._cell_index = np.fromiter(flat(idx for idx, _, _ in self.cells), np.intp, ncells * dim).reshape(-1, dim)
+        self._cell_rays = self._ray_matrix[self._cell_index]
+        self._det = np.array([det for _, det, _ in self.cells], dtype=float)
+        self._weights = None
+        if any(a is not None for _, _, a in self.cells):
+            self._weights = np.array([[0.0] * dim if a is None else [float(x) for x in a] for _, _, a in self.cells])
+            self._toric = np.array([float(a is None) for _, _, a in self.cells])
 
     def pairings(self, xi):
         """<u_i, xi> for every ray of the table; raises off the Reeb cone.
@@ -172,7 +207,73 @@ class CellSum:
         xi = tuple(xi)
         if _is_rational(xi):
             return self._evaluate_rational(xi, order)
-        return self._evaluate_generic(xi, order)
+        if not all(isinstance(x, float) for x in xi):
+            return self._evaluate_generic(xi, order)
+        check_length("Reeb vector", xi, self.dim)
+        out = self._evaluate_array(np.array(xi), order)
+        if not self.cells:
+            return _zero_sums(self.dim, order)
+        if not order:
+            return (float(out[0]),)
+        if order == 1:
+            return float(out[0]), tuple(out[1].tolist())
+        h = (out[2] + out[2].T) * 0.5
+        return float(out[0]), tuple(out[1].tolist()), tuple(map(tuple, h.tolist()))
+
+    def _pairings_array(self, x):
+        """p = R x for a float ndarray x of the right length; raises off
+        the Reeb cone, naming the first ray whose pairing is not positive.
+
+        Each p_i is summed left to right, as the generic path sums it: a
+        pairing can cancel, and then 1/p_i carries its rounding into every
+        term, so the two paths round the pairings alike (`R @ x` sums in
+        another order, which put the paths up to 344 ulps apart on seeded
+        6-dim cones)."""
+        p = (self._ray_matrix * x).cumsum(axis=1)[:, -1]
+        if not p.min() > 0:
+            i = int(np.flatnonzero(~(p > 0))[0])
+            raise NotInReebCone(f"<{self.rays[i]}, xi> = {float(p[i])} is not positive")
+        return p
+
+    def _evaluate_array(self, x, order):
+        """The sums at a float ndarray x as array reductions: vol a numpy
+        float, grad an n-vector, hess an n x n matrix, symmetric up to the
+        rounding of its two triangles (Newton's eigh reads one of them).
+
+        With P the cells' pairings and V the cells' rays over them (cells x
+        dim x dim), s = sum_i V_i; the Hessian's u u^T terms are one product
+        of V's rows, weighted per row by t_c w_c (plus 2 t_c a_ci / p_i for
+        a weighted cell), and its s s^T and s q^T terms one product of the
+        cells' s and q each.
+        """
+        p = self._pairings_array(x)
+        pc = p[self._cell_index]
+        t = self._det / pc.prod(axis=1)
+        if self._weights is None:
+            tw = t
+        else:
+            b = self._weights / pc  # a_ci / p_i
+            tw = t * (b.sum(axis=1) + self._toric)
+        vol = tw.sum()
+        if not order:
+            return (vol,)
+        v = self._cell_rays / pc[:, :, None]  # u_i / p_i
+        s = v.sum(axis=1)
+        grad = -(tw @ s)
+        if self._weights is not None:
+            q = (b[:, :, None] * v).sum(axis=1)
+            grad -= t @ q
+        if order < 2:
+            return vol, grad
+        rows = v.reshape(-1, self.dim)
+        row_weights = np.repeat(tw, self.dim)
+        h = (s.T * tw) @ s
+        if self._weights is not None:
+            row_weights += 2 * (t[:, None] * b).ravel()
+            sq = (s.T * t) @ q
+            h += sq + sq.T
+        h += (rows.T * row_weights) @ rows
+        return vol, grad, h
 
     def _evaluate_rational(self, xi, order):
         """The sums at rational xi in Python integers, one Fraction per entry.
@@ -310,7 +411,9 @@ class CellSum:
         """
         vol, g = self.evaluate(xi, 1)
         if _is_rational(g) and _is_rational(u0):
-            return vol, g, *_rational_certificate(g, u0)
+            nums, den, us, uu, gu, gg = _rational_certificate(g, u0)
+            proj = tuple(Fraction(x * uu - gu * y, den * uu) for x, y in zip(nums, us))
+            return vol, g, proj, _rational_sine(uu, gu, gg)
         # float, mpf or mpi values
         uu = sum(x * x for x in u0)
         gu = sum(x * y for x, y in zip(g, u0))
@@ -319,7 +422,10 @@ class CellSum:
         gg = sum(x * x for x in g)
         if gg == 0:
             return vol, g, proj, float("nan")
-        ratio = 1 - (gu * gu) / (gg * uu)
+        # sine^2 = |proj|^2 / |grad|^2, which rounds to a few ulps; the equal
+        # 1 - <grad, u0>^2 / (|grad|^2 |u0|^2) cancels near a minimizer and
+        # resolves the sine only to sqrt(ulp(1)) = 1.5e-8
+        ratio = sum(x * x for x in proj) / gg
         return vol, g, proj, math.sqrt(max(float(ratio), 0.0))
 
     def is_rational_minimizer(self, xi, u0):

@@ -132,7 +132,12 @@ def rank(m):
 
 def independent_rows(rows):
     """Indices of the integer rows independent of the rows before them: the
-    pivot columns of their transpose."""
+    pivot columns of their transpose.  When the first n rows (n the row
+    length) are independent they span the space and are the answer, so the
+    rows after them are eliminated only when those are dependent."""
+    head = rows[: len(rows[0])] if rows else rows
+    if len(head) < len(rows) and len(_eliminate([list(r) for r in head])[0]) == len(head):
+        return list(range(len(head)))
     return _eliminate([list(col) for col in zip(*rows)])[0]
 
 

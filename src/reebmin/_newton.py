@@ -6,10 +6,13 @@ stops on the gradient test, or at the rounding floor of f: once the squared
 Newton decrement (twice the predicted decrease) is a few ulps of f, f no
 longer resolves the decrease, so the last Newton step is taken without a
 line search and no further iteration can improve the point.  Newton runs in
-float64.  Its certificate is exact: every float64 point is rational, so the
-kernel evaluates vol and grad vol at Newton's point on its integer path, and
-the projected gradient, the sine and the normalized volume are read off that
-one evaluation.
+float64 on ndarray points, through the kernel's array path, and steps by one
+symmetric eigendecomposition of the projected Hessian.  Its certificate is
+exact: every float64 point is rational, so the kernel evaluates vol and
+grad vol at Newton's point on its integer path, and the projected
+gradient's norm, the sine and the normalized volume are read off that one
+evaluation's cleared integers, each a quotient of two ints rounded once.
+The start point is formed from cleared integers too.
 """
 
 import math
@@ -18,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._cellsum import ReebVector
+from . import _exact as ex
+from ._cellsum import ReebVector, _rational_certificate, _rational_sine
 from .errors import NotInReebCone
 
 ARMIJO = 1e-4
@@ -50,7 +54,8 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     """Global minimizer of <u0, xi>^n vol(xi) over the Reeb cone, rescaled so
     that <u0, xi> = n.
 
-    Starts at the sum of the Reeb cone's rays on the slice.  The certificate
+    Starts at the sum of the Reeb cone's rays on the slice, each entry one
+    correctly rounded quotient of ints.  The certificate
     is one exact evaluation at Newton's float point xi_hat, taken as a
     rational point: nvol_star is A^n vol there, grad_norm the norm of the
     gradient's projection off u0, and barycenter_residual the sine between
@@ -64,10 +69,12 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     certificates.
     """
     total = [sum(col) for col in zip(*sigma_rays)]
-    a0 = sum(a * b for a, b in zip(u0, total))
-    x0 = np.asarray([float(x / a0) for x in total])
+    us, e = ex.cleared(u0)
+    a0 = sum([a * b for a, b in zip(us, total)])  # e <u0, total>
+    x0 = np.array([x * e / a0 for x in total])
+    u0f = np.array([x / e for x in us])
     if not cs.cells:
-        a = float(sum(x * y for x, y in zip(u0, x0)))
+        a = float(sum(x * y for x, y in zip(u0f, x0)))
         return MinimizeResult(
             xi_star=ReebVector.real(x0 * (n / a)),
             nvol_star=0.0,
@@ -77,16 +84,19 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
             converged=False,
             stop_reason="zero_volume",
         )
-    u0f = np.asarray([float(x) for x in u0])
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
-    xq = tuple(Fraction(float(x)) for x in xi_hat)
-    vol, _, proj, residual = cs.first_order(xq, u0)
-    grad_norm = math.sqrt(sum(x * x for x in proj))
-    a = float(sum(x * y for x, y in zip(u0, xi_hat)))
+    xq = tuple(Fraction(x) for x in xi_hat.tolist())
+    vol, g = cs.evaluate(xq, 1)
+    _, den, _, uu, gu, gg = _rational_certificate(g, u0)
+    grad_norm = math.sqrt((gg * uu - gu * gu) / (den * den * uu))
+    residual = _rational_sine(uu, gu, gg)
+    xs, dx = ex.cleared(xq)
+    a_num, a_den = sum([a * b for a, b in zip(us, xs)]), e * dx  # <u0, xq> = a_num / a_den
+    a = float(sum(x * y for x, y in zip(u0f, xi_hat.tolist())))
     return MinimizeResult(
-        xi_star=ReebVector.real(np.asarray(xi_hat) * (n / a)),
-        nvol_star=float(sum(x * y for x, y in zip(u0, xq)) ** n * vol),
+        xi_star=ReebVector.real(xi_hat * (n / a)),
+        nvol_star=a_num**n * vol.numerator / (a_den**n * vol.denominator),
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,
@@ -98,45 +108,42 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
 def _newton(cs, u0, x0, tol, max_iter):
     """Damped Newton in an orthonormal basis of the slice, staying in the open cone.
 
-    Each iteration makes one order-2 kernel call, plus one volume call per
-    line-search step.  With the Newton step s, lam2 = -<grad, s> is the
-    squared Newton decrement; when it is at most ROUNDING_FLOOR ulps of f,
-    Armijo cannot judge the step, so it is taken once without a line search,
-    kept only if it stays in the open cone, and Newton stops.  Returns
-    (xi, iterations, stop_reason).
+    Points are float ndarrays, on the kernel's array path.  Each iteration
+    makes one order-2 kernel call, plus one volume call per line-search
+    step.  The projected Hessian's eigendecomposition gives both its
+    condition number and the Newton step.  With the Newton step s, lam2 =
+    -<grad, s> is the squared Newton decrement; when it is at most
+    ROUNDING_FLOOR ulps of f, Armijo cannot judge the step, so it is taken
+    once without a line search, kept only if it stays in the open cone, and
+    Newton stops.  Returns (xi, iterations, stop_reason).
     """
     v = slice_basis(u0)
     xi = np.asarray(x0, dtype=float)
     for it in range(1, max_iter + 1):
-        f0, g, h = cs.evaluate(tuple(float(x) for x in xi), 2)
-        gp = v.T @ np.asarray(g, dtype=float)
-        if float(np.linalg.norm(gp)) <= tol:
+        f0, g, h = cs._evaluate_array(xi, 2)
+        gp = v.T @ g
+        if math.sqrt(gp @ gp) <= tol:  # np.linalg.norm's value, without its overhead
             return xi, it - 1, "gradient"
-        hp = v.T @ np.asarray(h, dtype=float) @ v
-        step = None
-        try:
-            if np.linalg.cond(hp) <= ILL_CONDITIONED:
-                step = np.linalg.solve(hp, -gp)
-        except np.linalg.LinAlgError:
-            step = None
-        newton = step is not None and gp @ step < 0
+        step = _newton_step(v.T @ h @ v, gp)
+        slope = None if step is None else float(gp @ step)
+        newton = slope is not None and slope < 0
         if not newton:
             step = -gp
-        slope = float(gp @ step)
+            slope = float(gp @ step)
         f0 = float(f0)
-        if newton and -slope <= ROUNDING_FLOOR * np.spacing(abs(f0)):
+        if newton and -slope <= ROUNDING_FLOOR * math.ulp(f0):
             cand = xi + v @ step
             try:
-                cs.pairings(tuple(float(x) for x in cand))
+                cs._pairings_array(cand)
                 xi = cand
             except NotInReebCone:
                 pass
             return xi, it, "rounding_floor"
-        alpha = 1.0
+        alpha, d = 1.0, v @ step
         for _ in range(MAX_BACKTRACK):
-            cand = xi + alpha * (v @ step)
+            cand = xi + alpha * d
             try:
-                fc = float(cs.evaluate(tuple(float(x) for x in cand))[0])
+                fc = float(cs._evaluate_array(cand, 0)[0])
             except NotInReebCone:
                 fc = None
             if fc is not None and fc <= f0 + ARMIJO * alpha * slope:
@@ -146,3 +153,17 @@ def _newton(cs, u0, x0, tol, max_iter):
             return xi, it, "line_search"
         xi = cand
     return xi, max_iter, "max_iter"
+
+
+def _newton_step(hp, gp):
+    """-hp^-1 gp from one symmetric eigendecomposition of hp, or None when
+    hp's condition number |lambda|_max / |lambda|_min exceeds ILL_CONDITIONED
+    or the decomposition fails."""
+    try:
+        w, q = np.linalg.eigh(hp)
+    except np.linalg.LinAlgError:
+        return None
+    mags = [abs(x) for x in w.tolist()]
+    if not min(mags) > 0 or not max(mags) <= ILL_CONDITIONED * min(mags):
+        return None
+    return -(q @ ((q.T @ gp) / w))

@@ -48,8 +48,9 @@ class ToricData:
         sigma = sigma_dual._dual  # the cone the pass paired with sigma_dual
         if not sigma.is_full_dimensional():
             raise NotStrictlyConvex("weight cone contains a line")
+        us, _ = ex.cleared(u0)
         for r in sigma.rays:
-            if ex.dot(u0, r) <= 0:
+            if sum([a * b for a, b in zip(us, r)]) <= 0:
                 raise ValueError("u0 does not lie in the interior of the weight cone")
         pieces = tuple(triangulate_cone(sigma_dual))
         object.__setattr__(self, "n", n)

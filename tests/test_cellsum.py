@@ -1,7 +1,8 @@
 """The cell-sum kernel's integer path for rational Reeb vectors, checked
-against the generic path on Fractions: equal values of equal types.  The
-first-order certificate Newton reports is checked against the same
-reference at Newton's point."""
+against the generic path on Fractions: equal values of equal types.  Its
+array path for float Reeb vectors is checked against the generic path on
+floats, to a few ulps.  The first-order certificate Newton reports is
+checked against the same reference at Newton's point."""
 
 import ast
 import math
@@ -9,6 +10,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reebmin import (
@@ -179,6 +181,104 @@ def test_wrong_length_same_message(xi, dk_divisor):
     assert str(rational.value) == str(generic.value)
 
 
+ULPS = 16  # array path against generic path, in ulps of a result's largest entry
+
+
+def assert_close_to_generic(cs, xi):
+    """The array path's vol, grad and Hessian at float xi against the
+    generic path's: the same nesting of Python floats, every entry within
+    ULPS ulps of the largest entry of its vector or matrix, and an exactly
+    symmetric Hessian."""
+    for order in (0, 1, 2):
+        fast, ref = cs.evaluate(xi, order), cs._evaluate_generic(xi, order)
+        assert types(fast) == types(ref)
+        for a, b in zip(fast, ref):
+            a, b = np.array(a), np.array(b)
+            tol = ULPS * math.ulp(float(np.abs(b).max()))
+            assert float(np.abs(a - b).max()) <= tol, (xi, order, a, b)
+    assert fast[2] == tuple(zip(*fast[2]))
+
+
+def types(a):
+    """The types of a's entries, nested as a is."""
+    return tuple(types(x) for x in a) if isinstance(a, tuple) else type(a)
+
+
+def float_points(rng, cone):
+    """`points` rounded to float, which the kernel then takes as exact."""
+    for xi in points(rng, cone):
+        yield tuple(float(x) for x in xi)
+
+
+class TestArrayPath:
+    """The array path on float Reeb vectors against the generic path."""
+
+    def test_toric_cones_dims_3_to_6(self):
+        rng = random.Random(71)
+        for dim, k, box in CONES:
+            for _ in range(4):
+                t = lattice_cone(rng, dim, k, box)
+                for xi in float_points(rng, t.sigma):
+                    assert_close_to_generic(t._cellsum, xi)
+
+    def test_polygons_with_1e4_coordinates(self):
+        rng = random.Random(72)
+        for k in POLYGONS:
+            for _ in range(3):
+                t = lattice_cone(rng, 3, k, 10**4)
+                for xi in float_points(rng, t.sigma):
+                    assert_close_to_generic(t._cellsum, xi)
+
+    def test_divisors(self, dk_divisor):
+        rng = random.Random(73)
+        checked = 0
+        for k in range(32):
+            d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            checked += bool(d._cellsum.cells)
+            for xi in float_points(rng, d.sigma):
+                assert_close_to_generic(d._cellsum, xi)
+        for xi in float_points(rng, dk_divisor.sigma):
+            assert_close_to_generic(dk_divisor._cellsum, xi)
+        assert checked >= 20
+
+    def test_cell_less_sum_returns_int_zeros(self):
+        cs = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])._cellsum
+        for order in (0, 1, 2):
+            assert same(cs.evaluate((1.0, 2.0), order), cs._evaluate_generic((1.0, 2.0), order))
+
+    @pytest.mark.parametrize("xi", [(-1.0, 2.0, 1.0), (-1.5, 0.125, 1.0), (0.0, 0.0, 1.0),
+                                    (1.0, -1 / 3, -2.0), (float("nan"), 1.0, 1.0)])
+    def test_outside_the_reeb_cone_names_the_same_ray(self, xi, spp, dk_divisor):
+        for cs in (spp._cellsum, dk_divisor._cellsum):
+            with pytest.raises(NotInReebCone) as generic:
+                cs._evaluate_generic(xi, 1)
+            with pytest.raises(NotInReebCone) as fast:
+                cs.evaluate(xi, 1)
+            assert str(fast.value).split(", xi>")[0] == str(generic.value).split(", xi>")[0]
+
+    def test_wrong_length_same_message(self, dk_divisor):
+        cs = dk_divisor._cellsum
+        for xi in ((1.0, 1.0), (0.5, 1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError) as generic:
+                cs._evaluate_generic(xi, 0)
+            with pytest.raises(ValueError) as fast:
+                cs.evaluate(xi, 0)
+            assert str(fast.value) == str(generic.value)
+
+    def test_newton_and_float_scans_skip_the_generic_path(self, spp, dk_divisor, monkeypatch):
+        calls = []
+        generic = _cellsum.CellSum._evaluate_generic
+        monkeypatch.setattr(_cellsum.CellSum, "_evaluate_generic",
+                            lambda *args: calls.append(args) or generic(*args))
+        res = minimize(spp)
+        semistable_scan(spp, res.xi_star, list(spp.sigma.rays))
+        res = minimize_c1(dk_divisor, DK_U0)
+        semistable_scan(dk_divisor, res.xi_star, list(dk_divisor.sigma.rays), u0=DK_U0)
+        assert calls == []
+        spp._cellsum.evaluate((2.0, 2.0, 1), 0)  # mixed input still takes the generic path
+        assert len(calls) == 1
+
+
 def bitwise(a, b):
     """`same`, with floats compared by float.hex, through nested tuples."""
     if isinstance(a, tuple) or isinstance(b, tuple):
@@ -331,7 +431,7 @@ def term_by_term_first_order(cs, xi, u0):
     gg = sum(x * x for x in g)
     if gg == 0:
         return vol, g, proj, float("nan")
-    ratio = 1 - (gu * gu) / (gg * uu)
+    ratio = sum(x * x for x in proj) / gg
     if isinstance(ratio, Fraction):
         return vol, g, proj, 0.0 if ratio == 0 else math.sqrt(float(ratio))
     return vol, g, proj, math.sqrt(max(float(ratio), 0.0))

@@ -82,7 +82,7 @@ def test_gradient_step_fallback(monkeypatch):
     monkeypatch.setattr(_newton, "ILL_CONDITIONED", 0)
     t = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
     fs = []
-    evaluate = t._cellsum.evaluate
+    evaluate = t._cellsum._evaluate_array  # Newton's kernel calls
 
     def recording(xi, order=0):
         out = evaluate(xi, order)
@@ -90,7 +90,7 @@ def test_gradient_step_fallback(monkeypatch):
             fs.append(float(out[0]))
         return out
 
-    monkeypatch.setattr(t._cellsum, "evaluate", recording)
+    monkeypatch.setattr(t._cellsum, "_evaluate_array", recording)
     res = minimize(t, max_iter=40)
     assert res.stop_reason in ("gradient", "rounding_floor", "line_search", "max_iter", "zero_volume")
     assert len(fs) > 4  # Newton steps reach the gradient test in 4 iterations

@@ -394,6 +394,32 @@ class TestEliminationAgainstSympy:
                 seen["singular" if det == 0 else "nonsingular"] += 1
         assert min(seen.values()) >= 100, seen
 
+    def test_independent_rows_reads_an_independent_head_alone(self, monkeypatch):
+        # more rows than columns: an independent head of n rows spans the
+        # space, so only it is eliminated; a dependent head sends every row
+        # through the elimination, which sympy checks
+        rng = random.Random(1969)
+        sizes, seen = [], {"independent": 0, "dependent": 0}
+        eliminate = ex._eliminate
+        monkeypatch.setattr(ex, "_eliminate", lambda a, *args: sizes.append(len(a)) or eliminate(a, *args))
+        for _ in range(300):
+            n, k = rng.randint(2, 5), rng.randint(6, 12)
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            if rng.random() < 0.5:  # a head row that is a combination of the others
+                j = rng.randrange(1, n)
+                co = [rng.randint(-2, 2) for _ in range(j)]
+                rows[j] = [sum(a * row[c] for a, row in zip(co, rows)) for c in range(n)]
+            sizes.clear()
+            got = ex.independent_rows(rows)
+            assert got == list(sympy.Matrix(rows).T.rref()[1]), rows
+            if got == list(range(n)):
+                assert sizes == [n]  # one n x n elimination
+                seen["independent"] += 1
+            else:
+                assert sizes == [n, n]  # the head, then the n x k transpose
+                seen["dependent"] += 1
+        assert min(seen.values()) >= 100, seen
+
 
 class TestVertexEnumeration:
     def test_triangle(self):
