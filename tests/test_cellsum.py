@@ -161,8 +161,11 @@ def test_cell_less_sum_returns_int_zeros():
         assert not cs.is_rational_minimizer(xi, (1, 1))
 
 
-@pytest.mark.parametrize("xi", [(-1, 2, 1), (Fraction(-3, 2), Fraction(1, 7), 1), (0, 0, 1), (1, -Fraction(1, 3), -2)])
+@pytest.mark.parametrize("xi", [(-1, 2, 1), (Fraction(-3, 2), Fraction(1, 7), 1), (0, 0, 1), (1, -Fraction(1, 3), -2),
+                                (-1.0, 2.0, 1.0), (-1.5, 0.125, 1.0), (0.0, 0.0, 1.0), (1.0, -1 / 3, -2.0),
+                                (float("nan"), 1.0, 1.0)])
 def test_first_nonpositive_ray_names_the_same_pairing(xi, spp):
+    # rational points take the integer path, float points the array path
     cs = spp._cellsum
     with pytest.raises(NotInReebCone) as generic:
         cs._evaluate_generic(xi, 1)
@@ -171,7 +174,7 @@ def test_first_nonpositive_ray_names_the_same_pairing(xi, spp):
     assert str(rational.value) == str(generic.value)
 
 
-@pytest.mark.parametrize("xi", [(1, 1), (Fraction(1, 2), 1, 1, 1), ()])
+@pytest.mark.parametrize("xi", [(1, 1), (Fraction(1, 2), 1, 1, 1), (), (1.0, 1.0), (0.5, 1.0, 1.0, 1.0)])
 def test_wrong_length_same_message(xi, dk_divisor):
     cs = dk_divisor._cellsum
     with pytest.raises(ValueError) as generic:
@@ -245,25 +248,6 @@ class TestArrayPath:
         cs = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])._cellsum
         for order in (0, 1, 2):
             assert same(cs.evaluate((1.0, 2.0), order), cs._evaluate_generic((1.0, 2.0), order))
-
-    @pytest.mark.parametrize("xi", [(-1.0, 2.0, 1.0), (-1.5, 0.125, 1.0), (0.0, 0.0, 1.0),
-                                    (1.0, -1 / 3, -2.0), (float("nan"), 1.0, 1.0)])
-    def test_outside_the_reeb_cone_names_the_same_ray(self, xi, spp, dk_divisor):
-        for cs in (spp._cellsum, dk_divisor._cellsum):
-            with pytest.raises(NotInReebCone) as generic:
-                cs._evaluate_generic(xi, 1)
-            with pytest.raises(NotInReebCone) as fast:
-                cs.evaluate(xi, 1)
-            assert str(fast.value).split(", xi>")[0] == str(generic.value).split(", xi>")[0]
-
-    def test_wrong_length_same_message(self, dk_divisor):
-        cs = dk_divisor._cellsum
-        for xi in ((1.0, 1.0), (0.5, 1.0, 1.0, 1.0)):
-            with pytest.raises(ValueError) as generic:
-                cs._evaluate_generic(xi, 0)
-            with pytest.raises(ValueError) as fast:
-                cs.evaluate(xi, 0)
-            assert str(fast.value) == str(generic.value)
 
     def test_newton_and_float_scans_skip_the_generic_path(self, spp, dk_divisor, monkeypatch):
         calls = []
