@@ -50,7 +50,7 @@ class ToricData:
             raise NotStrictlyConvex("weight cone contains a line")
         us, _ = ex.cleared(u0)
         for r in sigma.rays:
-            if sum([a * b for a, b in zip(us, r)]) <= 0:
+            if ex.dot(us, r) <= 0:
                 raise ValueError("u0 does not lie in the interior of the weight cone")
         pieces = tuple(triangulate_cone(sigma_dual))
         object.__setattr__(self, "n", n)
