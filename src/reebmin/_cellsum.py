@@ -14,29 +14,33 @@ R = sum a_ci u_i u_i^T / p_i^3 (sums over the rays of the cell),
     hess vol =  sum_c t_c [w_c (s s^T + W) + s q^T + q s^T + 2 R].
 
 Each call computes only the order it is asked for; toric cells skip the
-weight terms.  `evaluate` picks one of three paths by the type of xi:
+weight terms.  All three paths read one cell table of (ray indices, |det|,
+A, e), with weights a_ci = A_i / e (A None for a toric cell).  `evaluate`
+picks a path by the type of xi:
 
 - rational xi (ints and Fractions): the integer path.  xi's denominators
   are cleared once, every cell's terms are integers over powers of the
-  product of its pairings, and each entry of the result is one Fraction.
+  product of its pairings, and `_integer_sums` sums each order's
+  numerators over one denominator; `evaluate` makes each entry one
+  Fraction, and Newton's certificate reads the integers themselves.
 - all-float xi: the array path, which Newton also calls directly on
   ndarrays.  The ray matrix, the cells' ray indices, |det| and the weights
-  (rounded once) are gathered into numpy arrays when the sum is built; a
-  call forms the pairings p = R xi once, each summed left to right as the
-  generic path sums it, and every other sum as an array reduction in
-  another order, so the two paths agree to a few ulps of each result's
-  largest entry, not bitwise.
+  A_i / e (rounded once) are gathered into numpy arrays when the sum is
+  built; a call forms the pairings p = R xi once, each summed left to
+  right as the generic path sums it, and every other sum as an array
+  reduction in another order, so the two paths agree to a few ulps of each
+  result's largest entry, not bitwise.
 - everything else (mpf, mpi, mixed input, and Fractions when the tests ask
   for it): the generic path, plain Python arithmetic on u_i / p_i, which
   carries any ordered field and stays the tests' reference for the other
-  two.  There a rational weight a_ci enters through its numerator and
-  denominator, because a Fraction meets an mpf only as a * (1 / p)
+  two.  There a weight enters as A_i * (1 / p_i) / e, ints and the field's
+  own 1 / p_i: a Fraction weight would meet an mpf only as a * (1 / p)
   (Fraction / mpf raises TypeError) and an mpi not at all.
 
 `first_order` reads the one first-order certificate (the gradient projected
 off u0, and the sine between -grad vol and u0) off one order-1 evaluation;
 at a rational point its integers are `_rational_certificate`'s, which
-Newton's answer reads too.
+Newton's answer reads off `_integer_sums` too.
 """
 
 import math
@@ -80,29 +84,20 @@ def check_length(name, v, dim):
         raise ValueError(f"{name} has {len(v)} entries but the weight cone lies in dimension {dim}")
 
 
-def _integer_weights(cleared_ell, rays):
-    """(A, e) with <ell, u_i> = A_i / e and e the lcm of the weights'
-    denominators, from ell = L / e0 given as cleared_ell = (L, e0)."""
-    big, e0 = cleared_ell
-    dots = [sum([a * b for a, b in zip(big, u)]) for u in rays]
-    g = math.gcd(e0, *dots)
-    return tuple(x // g for x in dots), e0 // g
-
-
 def _combination(coeffs, vectors):
     """sum_i coeffs[i] * vectors[i], entrywise."""
     return [sum(col) for col in zip(*[[a * x for x in v] for a, v in zip(coeffs, vectors)])]
 
 
 def _combine(terms, scale):
-    """sum over terms (den, f, nums) of f nums / den, times scale, one
-    Fraction per entry over the lcm of the denominators."""
+    """sum over terms (den, f, nums) of f nums / den, times scale: the
+    numerators over the lcm of the denominators, and that lcm."""
     lcm = math.lcm(*(d for d, _, _ in terms))
     acc = None
     for d, f, nums in terms:
         m = f * (lcm // d)
         acc = [m * x for x in nums] if acc is None else [a + m * x for a, x in zip(acc, nums)]
-    return [Fraction(a * scale, lcm) for a in acc]
+    return [a * scale for a in acc], lcm
 
 
 def _is_rational(v):
@@ -114,17 +109,16 @@ def _zero_sums(n, order):
     return ((0,), (0, (0,) * n), (0, (0,) * n, ((0,) * n,) * n))[order]
 
 
-def _rational_certificate(g, u0):
-    """The integers of the first-order certificate at rational g and u0:
-    with g = G / D and u0 = U / E, (G, D, U, <U, U>, <G, U>, <G, G>).  Then
-    proj = (G <U, U> - <G, U> U) / (D <U, U>), |proj|^2 = (<G, G> <U, U> -
-    <G, U>^2) / (D^2 <U, U>) and sine^2 = 1 - <G, U>^2 / (<G, G> <U, U>)."""
-    nums, den = ex.cleared(g)
+def _rational_certificate(nums, u0):
+    """The integers of the first-order certificate at g = G / D (nums = G)
+    and rational u0 = U / E: (U, <U, U>, <G, U>, <G, G>).  Then proj = (G
+    <U, U> - <G, U> U) / (D <U, U>), |proj|^2 = (<G, G> <U, U> - <G, U>^2) /
+    (D^2 <U, U>) and sine^2 = 1 - <G, U>^2 / (<G, G> <U, U>)."""
     us, _ = ex.cleared(u0)
     uu = sum([x * x for x in us])
     gu = sum([x * y for x, y in zip(nums, us)])
     gg = sum([x * x for x in nums])
-    return nums, den, us, uu, gu, gg
+    return us, uu, gu, gg
 
 
 def _rational_sine(uu, gu, gg):
@@ -138,69 +132,49 @@ def _rational_sine(uu, gu, gg):
 
 
 class CellSum:
-    """Ray table plus simplicial cells (ray indices, |det|, weights a_ci or None)."""
+    """Ray table plus one table of simplicial cells (ray indices, |det|, A, e):
+    the weights a_ci are A_i / e, and A is None (e = 1) for a toric cell."""
 
     def __init__(self, weight_rays, cells, dim):
         """weight_rays: the weight cone's rays; cells: (SimplicialPiece, ell)
-        pairs, ell None for a toric cell.  Cell rays that are not weight-cone
-        rays are appended to the ray table."""
+        pairs, ell None for every cell of a toric cone and a vector for every
+        cell of a divisor.  Cell rays that are not weight-cone rays are
+        appended to the ray table."""
         rays = list(weight_rays)
         index = {u: i for i, u in enumerate(rays)}
         table = []
-        int_weights = []  # per cell: (A, e) with weights A_i / e, or (None, 1)
         cleared = {}  # ell -> (L, e0) with ell = L / e0: the cells of a region share ell
         for piece, ell in cells:
             for u in piece.rays:
                 if u not in index:
                     index[u] = len(rays)
                     rays.append(u)
-            weights, ints = None, (None, 1)
-            if ell is not None:
+            a, e = None, 1
+            if ell is not None:  # <ell, u_i> = A_i / e, e the lcm of their denominators
                 if ell not in cleared:
                     cleared[ell] = ex.cleared(ell)
-                ints = _integer_weights(cleared[ell], piece.rays)
-                weights = tuple(Fraction(x, ints[1]) for x in ints[0])
-            table.append((tuple(index[u] for u in piece.rays), piece.det_abs, weights))
-            int_weights.append(ints)
+                big, e = cleared[ell]
+                a = [sum([x * y for x, y in zip(big, u)]) for u in piece.rays]
+                g = math.gcd(e, *a)
+                a, e = tuple(x // g for x in a), e // g
+            table.append((tuple(index[u] for u in piece.rays), piece.det_abs, a, e))
         self.rays = tuple(rays)
         self.cells = tuple(table)
         self.dim = dim
         self._pairs = tuple((k, l) for k in range(dim) for l in range(k, dim))
-        # per cell: ray indices, rays, upper triangles of u u^T, |det|, A, e
-        self._int_cells = []
-        for (idx, det, _), ints in zip(self.cells, int_weights):
-            us = tuple(self.rays[i] for i in idx)
-            uus = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in us)
-            self._int_cells.append((idx, us, uus, det) + ints)
+        self._squares = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in self.rays)  # per ray: u u^T, upper triangle
         # the array path's tables: rays R (one per row), each cell's rays
-        # R[idx] (cells x dim x dim), ray indices, |det| and, when any cell is
-        # weighted, the weights a_ci (0 in a toric cell's row), with 1 where a
-        # toric cell's w_c = 1 must enter
+        # R[idx] (cells x dim x dim), ray indices, |det| and, for a divisor,
+        # the weights A_i / e, each rounded once
         ncells = len(self.cells)
         flat = chain.from_iterable
         self._ray_matrix = np.fromiter(flat(self.rays), float, len(self.rays) * dim).reshape(-1, dim)
-        self._cell_index = np.fromiter(flat(idx for idx, _, _ in self.cells), np.intp, ncells * dim).reshape(-1, dim)
+        self._cell_index = np.fromiter(flat(cell[0] for cell in self.cells), np.intp, ncells * dim).reshape(-1, dim)
         self._cell_rays = self._ray_matrix[self._cell_index]
-        self._det = np.array([det for _, det, _ in self.cells], dtype=float)
+        self._det = np.array([cell[1] for cell in self.cells], dtype=float)
         self._weights = None
-        if any(a is not None for _, _, a in self.cells):
-            self._weights = np.array([[0.0] * dim if a is None else [float(x) for x in a] for _, _, a in self.cells])
-            self._toric = np.array([float(a is None) for _, _, a in self.cells])
-
-    def pairings(self, xi):
-        """<u_i, xi> for every ray of the table; raises off the Reeb cone.
-
-        The test is `not p > 0`: an mpi that straddles 0 compares as None
-        either way, and such a box is not inside the open cone."""
-        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in xi)
-        check_length("Reeb vector", vals, self.dim)
-        out = []
-        for u in self.rays:
-            p = sum(a * b for a, b in zip(u, vals))
-            if not p > 0:
-                raise NotInReebCone(f"<{u}, xi> = {p} is not positive")
-            out.append(p)
-        return out
+        if any(a is not None for _, _, a, _ in self.cells):
+            self._weights = np.array([[x / e for x in a] for _, _, a, e in self.cells])
 
     def evaluate(self, xi, order=0):
         """(vol,), (vol, grad) or (vol, grad, hess) at xi, for order 0, 1 or 2."""
@@ -243,7 +217,7 @@ class CellSum:
         With P the cells' pairings and V the cells' rays over them (cells x
         dim x dim), s = sum_i V_i; the Hessian's u u^T terms are one product
         of V's rows, weighted per row by t_c w_c (plus 2 t_c a_ci / p_i for
-        a weighted cell), and its s s^T and s q^T terms one product of the
+        a divisor's cell), and its s s^T and s q^T terms one product of the
         cells' s and q each.
         """
         p = self._pairings_array(x)
@@ -253,7 +227,7 @@ class CellSum:
             tw = t
         else:
             b = self._weights / pc  # a_ci / p_i
-            tw = t * (b.sum(axis=1) + self._toric)
+            tw = t * b.sum(axis=1)
         vol = tw.sum()
         if not order:
             return (vol,)
@@ -275,14 +249,17 @@ class CellSum:
         h += (rows.T * row_weights) @ rows
         return vol, grad, h
 
-    def _evaluate_rational(self, xi, order):
-        """The sums at rational xi in Python integers, one Fraction per entry.
+    def _integer_sums(self, xi, order):
+        """The sums at rational xi in Python integers: ((X, D), sums) with
+        xi = X / D and, per order k <= order, sums[k] = (unreduced numerators
+        of vol, grad or the Hessian's upper triangle by rows, their one
+        denominator); sums is () without cells.
 
-        With X = D xi integral, P_i = <u_i, X> and, per cell, Pi_c = prod P_i
-        and c_i = Pi_c / P_i, every term is an integer over a power of Pi_c
-        (times the cell's weight denominator e_c): with S = sum c_i u_i,
-        C = sum c_i^2 u_i u_i^T and, for weights a_ci = A_i / e_c,
-        W = sum A_i c_i, Q = sum A_i c_i^2 u_i, R = sum A_i c_i^3 u_i u_i^T,
+        With P_i = <u_i, X> and, per cell, Pi_c = prod P_i and c_i = Pi_c /
+        P_i, every term is an integer over a power of Pi_c (times the cell's
+        weight denominator e_c): with S = sum c_i u_i, C = sum c_i^2 u_i u_i^T
+        and, for weights a_ci = A_i / e_c, W = sum A_i c_i, Q = sum A_i c_i^2
+        u_i, R = sum A_i c_i^3 u_i u_i^T,
 
             toric:  vol det / Pi,           grad -det S / Pi^2,
                     hess det (S S^T + C) / Pi^3;
@@ -291,7 +268,7 @@ class CellSum:
 
         Homogeneity puts D back: order k scales by D^(dim + k), a weighted
         cell by one more D.  The cells are summed over the lcm of their
-        denominators, so each entry costs one reduction.
+        denominators.
         """
         check_length("Reeb vector", xi, self.dim)
         big, den = ex.cleared(xi)
@@ -302,10 +279,10 @@ class CellSum:
                 raise NotInReebCone(f"<{u}, xi> = {Fraction(p, den)} is not positive")
             pair.append(p)
         if not self.cells:
-            return _zero_sums(self.dim, order)
-        pairs = self._pairs
+            return (big, den), ()
+        rays, pairs = self.rays, self._pairs
         terms = [[] for _ in range(order + 1)]  # per order: (denominator, scale, numerators)
-        for idx, us, uus, det, weights, e in self._int_cells:
+        for idx, det, weights, e in self.cells:
             ps = [pair[i] for i in idx]
             prod = math.prod(ps)
             c = [prod // p for p in ps]
@@ -319,6 +296,7 @@ class CellSum:
             if not order:
                 continue
             d *= prod
+            us = [rays[i] for i in idx]
             s = _combination(c, us)
             if weights is None:
                 terms[1].append((d, -f, s))
@@ -329,27 +307,43 @@ class CellSum:
             if order < 2:
                 continue
             d *= prod
+            uus = [self._squares[i] for i in idx]
             h = [s[k] * s[l] + x for x, (k, l) in zip(_combination([ci * ci for ci in c], uus), pairs)]
             if weights is not None:
                 r = _combination([b * ci for b, ci in zip(ac2, c)], uus)
                 h = [w * hk + s[k] * q[l] + q[k] * s[l] + 2 * rk for hk, rk, (k, l) in zip(h, r, pairs)]
             terms[2].append((d, f, h))
-        out = [_combine(t, den ** (self.dim + k)) for k, t in enumerate(terms)]
+        return (big, den), [_combine(t, den ** (self.dim + k)) for k, t in enumerate(terms)]
+
+    def _evaluate_rational(self, xi, order):
+        """`_integer_sums` at rational xi, one Fraction per entry."""
+        _, sums = self._integer_sums(xi, order)
+        if not sums:
+            return _zero_sums(self.dim, order)
+        out = [[Fraction(x, d) for x in nums] for nums, d in sums]
         if not order:
             return (out[0][0],)
         if order == 1:
             return out[0][0], tuple(out[1])
         n = self.dim
         hess = [[None] * n for _ in range(n)]
-        for (k, l), x in zip(pairs, out[2]):
+        for (k, l), x in zip(self._pairs, out[2]):
             hess[k][l] = hess[l][k] = x
         return out[0][0], tuple(out[1]), tuple(tuple(row) for row in hess)
 
     def _evaluate_generic(self, xi, order):
         """The sums in plain Python arithmetic on u_i / p_i: float, mpf, mpi
         and any ordered field.  On Fractions it is the tests' reference for
-        the integer path."""
-        p = self.pairings(xi)
+        the integer path.
+
+        A pairing is tested as `not p > 0`: an mpi that straddles 0 compares
+        as None either way, and such a box is not inside the open cone."""
+        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in xi)
+        check_length("Reeb vector", vals, self.dim)
+        p = [sum(a * b for a, b in zip(u, vals)) for u in self.rays]
+        for u, pi in zip(self.rays, p):
+            if not pi > 0:
+                raise NotInReebCone(f"<{u}, xi> = {pi} is not positive")
         n = self.dim
         if order:
             v = [[x / pi for x in u] for u, pi in zip(self.rays, p)]  # u_i / p_i
@@ -357,7 +351,7 @@ class CellSum:
         if order == 2:
             h = [[0] * n for _ in range(n)]
         vol = 0
-        for idx, det, a in self.cells:
+        for idx, det, a, e in self.cells:
             prod = 1
             for i in idx:
                 prod = prod * p[i]
@@ -365,7 +359,7 @@ class CellSum:
             if a is None:
                 vol = vol + t
             else:
-                b = [ai.numerator * (1 / p[i]) / ai.denominator for ai, i in zip(a, idx)]  # a_ci / p_i
+                b = [ai * (1 / p[i]) / e for ai, i in zip(a, idx)]  # a_ci / p_i
                 w = sum(b)
                 vol = vol + t * w
             if not order:
@@ -411,7 +405,8 @@ class CellSum:
         """
         vol, g = self.evaluate(xi, 1)
         if _is_rational(g) and _is_rational(u0):
-            nums, den, us, uu, gu, gg = _rational_certificate(g, u0)
+            nums, den = ex.cleared(g)
+            us, uu, gu, gg = _rational_certificate(nums, u0)
             proj = tuple(Fraction(x * uu - gu * y, den * uu) for x, y in zip(nums, us))
             return vol, g, proj, _rational_sine(uu, gu, gg)
         # float, mpf or mpi values

@@ -8,11 +8,11 @@ longer resolves the decrease, so the last Newton step is taken without a
 line search and no further iteration can improve the point.  Newton runs in
 float64 on ndarray points, through the kernel's array path, and steps by one
 symmetric eigendecomposition of the projected Hessian.  Its certificate is
-exact: every float64 point is rational, so the kernel evaluates vol and
-grad vol at Newton's point on its integer path, and the projected
-gradient's norm, the sine and the normalized volume are read off that one
-evaluation's cleared integers, each a quotient of two ints rounded once.
-The start point is formed from cleared integers too.
+exact: every float64 point is rational, so the kernel sums vol and grad vol
+at Newton's point on its integer path, and the projected gradient's norm,
+the sine and the normalized volume are read off those integer sums (no
+Fraction formed), each a quotient of two ints rounded once.  The start
+point is formed from cleared integers too.
 """
 
 import math
@@ -87,16 +87,15 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
     xq = tuple(Fraction(x) for x in xi_hat.tolist())
-    vol, g = cs.evaluate(xq, 1)
-    _, den, _, uu, gu, gg = _rational_certificate(g, u0)
-    grad_norm = math.sqrt((gg * uu - gu * gu) / (den * den * uu))
+    (xs, dx), (((vol,), vden), (g, gden)) = cs._integer_sums(xq, 1)  # vol / vden and grad g / gden at xq
+    _, uu, gu, gg = _rational_certificate(g, u0)
+    grad_norm = math.sqrt((gg * uu - gu * gu) / (gden * gden * uu))
     residual = _rational_sine(uu, gu, gg)
-    xs, dx = ex.cleared(xq)
     a_num, a_den = sum([a * b for a, b in zip(us, xs)]), e * dx  # <u0, xq> = a_num / a_den
     a = float(sum(x * y for x, y in zip(u0f, xi_hat.tolist())))
     return MinimizeResult(
         xi_star=ReebVector.real(xi_hat * (n / a)),
-        nvol_star=a_num**n * vol.numerator / (a_den**n * vol.denominator),
+        nvol_star=a_num**n * vol / (a_den**n * vden),
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,

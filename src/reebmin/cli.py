@@ -90,6 +90,21 @@ def _real(x):
         raise SpecError(f"bad real {x!r}: {e}") from None
 
 
+def _field(doc, name, depth=1):
+    """doc[name], nested `depth` lists deep (any value at depth 0); a
+    SpecError names a missing or misshapen field."""
+    if not isinstance(doc, dict) or name not in doc:
+        raise SpecError(f'spec needs "{name}"')
+    value = doc[name]
+    if not _nested(value, depth):
+        raise SpecError(f'"{name}" must be {("a value", "a list", "a list of lists")[depth]}, got {value!r}')
+    return value
+
+
+def _nested(value, depth):
+    return depth == 0 or isinstance(value, list) and all(_nested(x, depth - 1) for x in value)
+
+
 def _load_spec(path):
     try:
         with open(path) as fh:
@@ -98,6 +113,8 @@ def _load_spec(path):
         raise SpecError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"invalid JSON in {path}: {e}") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"spec {path} is not a JSON object")
     if doc.get("schema") != SCHEMA:
         raise SpecError(f'spec must declare "schema": "{SCHEMA}"')
     if "kind" not in doc:
@@ -106,19 +123,20 @@ def _load_spec(path):
 
 
 def _toric_from_spec(doc):
-    u0 = [_rat(x) for x in doc["u0"]]
+    u0 = [_rat(x) for x in _field(doc, "u0")]
     if "sigma_dual_rays" in doc:
-        return ToricData.from_dual_cone([[_rat(x) for x in r] for r in doc["sigma_dual_rays"]], u0)
+        return ToricData.from_dual_cone([[_rat(x) for x in r] for r in _field(doc, "sigma_dual_rays", 2)], u0)
     if "sigma_rays" in doc:
-        return ToricData.from_cone([[_rat(x) for x in r] for r in doc["sigma_rays"]], u0)
+        return ToricData.from_cone([[_rat(x) for x in r] for r in _field(doc, "sigma_rays", 2)], u0)
     raise SpecError("toric spec needs sigma_dual_rays or sigma_rays")
 
 
 def _divisor_from_spec(doc):
-    tail = [[_rat(x) for x in r] for r in doc["tail_rays"]]
+    tail = [[_rat(x) for x in r] for r in _field(doc, "tail_rays", 2)]
     pts = []
-    for entry in doc["points"]:
-        pts.append((entry.get("label", str(len(pts))), [[_rat(x) for x in v] for v in entry["vertices"]]))
+    for entry in _field(doc, "points"):
+        vertices = [[_rat(x) for x in v] for v in _field(entry, "vertices", 2)]
+        pts.append((entry.get("label", str(len(pts))), vertices))
     return PolyhedralDivisor.from_vertex_lists(tail, pts)
 
 
@@ -129,18 +147,16 @@ def _data_from_spec(doc):
         t = _toric_from_spec(doc)
         return "toric", t, t.u0
     if kind == "binomial":
-        t = binomial_to_toric(BinomialHypersurface(doc["a"], doc["b"]))
+        t = binomial_to_toric(BinomialHypersurface(_field(doc, "a"), _field(doc, "b")))
         return "toric", t, t.u0
     if kind == "complexity_one":
         d = _divisor_from_spec(doc)
-        return "complexity_one", d, tuple(_rat(x) for x in doc["u0"])
+        return "complexity_one", d, tuple(_rat(x) for x in _field(doc, "u0"))
     raise SpecError(f"command does not accept kind {kind!r}")
 
 
 def _xi_from(doc, name="xi"):
-    if name not in doc:
-        raise SpecError(f'spec needs "{name}"')
-    vals = doc[name]
+    vals = _field(doc, name)
     if all(isinstance(x, (int, str)) and ("/" in x if isinstance(x, str) else True) for x in vals):
         try:
             return ReebVector.rational([_rat(x) for x in vals])
@@ -160,7 +176,7 @@ def run(command, doc, options):
     """Dispatch one command on a parsed spec; returns the report dict."""
     if command == "minimize":
         kind, data, u0 = _data_from_spec(doc)
-        F = WeightMatrix(doc["F"]) if kind == "complexity_one" and "F" in doc else None
+        F = WeightMatrix(_field(doc, "F", 2)) if kind == "complexity_one" and "F" in doc else None
         if F is not None and F.r != data.r:
             raise SpecError(f"F has {F.r} columns but the divisor lives in dimension {data.r}")
         if kind == "toric":
@@ -203,7 +219,7 @@ def run(command, doc, options):
     if command == "futaki":
         kind, data, u0 = _data_from_spec(doc)
         xi0 = _xi_from(doc, "xi0")
-        etas = [[_real(x) for x in e] for e in doc.get("etas", [])]
+        etas = [[_real(x) for x in e] for e in (_field(doc, "etas", 2) if "etas" in doc else [])]
         report = semistable_scan(data, xi0, etas, tolerance=options.tol, u0=u0)
         return {
             "entries": [
@@ -219,17 +235,16 @@ def run(command, doc, options):
     if command == "downgrade":
         if doc["kind"] != "downgrade":
             raise SpecError("downgrade command needs a downgrade spec")
-        F = WeightMatrix([[int(x) for x in row] for row in doc["F"]])
+        F = WeightMatrix([[int(x) for x in row] for row in _field(doc, "F", 2)])
         if "P" in doc and "s" in doc:
-            data = DowngradeData(F, doc["P"], doc["s"])
+            data = DowngradeData(F, _field(doc, "P", 2), _field(doc, "s", 2))
         else:
             data = complete_sequence(F)
         sigma, sigma_dual = downgrade_sigma(data)
-        fibers = doc.get("fiber_points", [])
-        labels = doc.get("labels", [str(p) for p in fibers])
-        coeffs = {}
-        for label, p in zip(labels, fibers):
-            coeffs[label] = _poly_json(downgrade_coefficient(data, [int(x) for x in p]))
+        fibers = _field(doc, "fiber_points", 2) if "fiber_points" in doc else []
+        labels = _field(doc, "labels") if "labels" in doc else [str(p) for p in fibers]
+        coeffs = {label: _poly_json(downgrade_coefficient(data, [int(x) for x in p]))
+                  for label, p in zip(labels, fibers)}
         return {
             "P": [list(r) for r in data.P],
             "s": [list(r) for r in data.s],
@@ -241,7 +256,7 @@ def run(command, doc, options):
     if command == "binom2toric":
         if doc["kind"] != "binomial":
             raise SpecError("binom2toric needs a binomial spec")
-        t = binomial_to_toric(BinomialHypersurface(doc["a"], doc["b"]))
+        t = binomial_to_toric(BinomialHypersurface(_field(doc, "a"), _field(doc, "b")))
         return {
             "n": t.n,
             "sigma_rays": [list(r) for r in t.sigma.rays],
@@ -252,10 +267,8 @@ def run(command, doc, options):
     if command == "oracle":
         kind, data, u0 = _data_from_spec(doc)
         xi = _xi_from(doc)
-        ms = doc.get("m_list")
-        if not ms:
-            raise SpecError('oracle needs "m_list"')
-        if not all(isinstance(m, (int, float)) and 0 < m < math.inf for m in ms):
+        ms = _field(doc, "m_list")
+        if not ms or not all(isinstance(m, (int, float)) and 0 < m < math.inf for m in ms):
             raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
         budget = _int(doc.get("budget", DEFAULT_BUDGET))
         counter = count_toric if kind == "toric" else count_cxone
@@ -275,16 +288,14 @@ def run(command, doc, options):
     if command == "approx":
         if doc["kind"] != "approx":
             raise SpecError("approx command needs an approx spec")
-        targets = []
-        for entry in doc["target"]:
-            if isinstance(entry, dict):
-                targets.append(Enclosure.from_decimal(entry["value"], entry.get("radius")))
-            else:
-                targets.append(entry)
+        targets = [
+            Enclosure.from_decimal(_field(e, "value", 0), e.get("radius")) if isinstance(e, dict) else e
+            for e in _field(doc, "target")
+        ]
         epsilon = _rat(doc.get("epsilon", "1/2"))
         q_max = _int(doc.get("q_max", DEFAULT_QMAX))
         if doc.get("mode", "signed") == "signed":
-            signs = [_int(s) for s in doc["signs"]]
+            signs = [_int(s) for s in _field(doc, "signs")]
             sa = dirichlet_signed(targets, signs, epsilon, q_max)
             return {
                 "p": list(sa.p),
@@ -333,11 +344,6 @@ def main(argv=None):
 
     try:
         doc = _load_spec(args.spec)
-    except SpecError as e:
-        print(json.dumps({"error": {"type": "SpecError", "message": str(e)}}), file=sys.stderr)
-        return 2
-
-    try:
         results = run(args.command, doc, args)
     except SpecError as e:
         print(json.dumps({"error": {"type": "SpecError", "message": str(e)}}), file=sys.stderr)

@@ -101,23 +101,23 @@ def _offsets(lens):
     return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
 
 
-def _columns(block, rays, xf, top, box_lo, box_hi, top_verts, pad):
+def _columns(block, rays, xf, top, box_lo, box_hi, verts, pad):
     """Columns of the slabs of {sigma pairings >= 0, <u, xi> < top} for a block of heads.
 
     Slab k fixes the first d-2 coordinates to block[k]; its y (coordinate
-    d-2) runs over the box range, cut by the shadow of top_verts' hull (which
-    holds every candidate point) above the last head coordinate and by the
-    rays that do not involve z, and each of its columns gets exact integer z
-    bounds from the cone and the float truncation bound.  Returns the head
-    array and, per column, its slab, y, zlo, zhi (empty when zhi < zlo) and
-    rest = top - <(head, y), xi>.
+    d-2) runs over the box range, cut by the shadow of verts' hull (the
+    truncated cone at m: a candidate past it fails the exact recheck) above
+    the last head coordinate and by the rays that do not involve z, and each
+    of its columns gets exact integer z bounds from the cone and the float
+    truncation bound top.  Returns the head array and, per column, its slab,
+    y, zlo, zhi (empty when zhi < zlo) and rest = top - <(head, y), xi>.
     """
     h = len(box_lo) - 2
     heads = np.array(block, dtype=np.int64).reshape(len(block), h)
     ylo = np.full(len(block), box_lo[h], dtype=np.int64)
     yhi = np.full(len(block), box_hi[h], dtype=np.int64)
     if h:
-        shadow_lo, shadow_hi = _shadow_range(top_verts, h, heads[:, -1], pad)
+        shadow_lo, shadow_hi = _shadow_range(verts, h, heads[:, -1], pad)
         np.maximum(ylo, shadow_lo, out=ylo)
         np.minimum(yhi, shadow_hi, out=yhi)
     zrays = []
@@ -317,8 +317,6 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     pad = 1e-9 * (1.0 + abs(mf))
     delta = _REL_MARGIN * (1.0 + abs(mf))
     verts, box_lo, box_hi = _box_from_cone(dual_rays, x, m, pad)
-    # candidate points have float pairing below m + delta, so true pairing below m + 2 delta
-    top_verts = _box_from_cone(dual_rays, x, mf + 2 * delta, pad)[0]
     rays = [tuple(int(c) for c in r) for r in sigma_rays]
     sure = _sure_everywhere(dual_rays, coeffs)
     if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
@@ -356,7 +354,7 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         if cells + len(block) * width > budget:  # each slab is charged at least width
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
         heads, slab, y, zlo, zhi, rest = _columns(
-            block, rays, xf, mf + delta, box_lo, box_hi, top_verts, pad
+            block, rays, xf, mf + delta, box_lo, box_hi, verts, pad
         )
         lens = np.maximum(zhi - zlo + 1, 0)
         charge = np.bincount(slab, weights=lens, minlength=len(block)).astype(np.int64)

@@ -106,21 +106,22 @@ class TestComplexityOne:
         for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cs = d._cellsum
-            denominators |= {a.denominator for _, _, weights in cs.cells for a in weights}
+            denominators |= {Fraction(a, e).denominator for _, _, weights, e in cs.cells for a in weights}
             for xi in points(rng, d.sigma):
                 assert_paths_agree(cs, xi)
         assert any(e % 2 == 0 for e in denominators) and any(e % 3 == 0 for e in denominators)
 
     def test_weights_are_the_pairings_with_ell(self):
-        # ell is cleared once per region: the weights stay the Fractions
-        # <ell, u_i>, and the integer path's (A, e) their cleared form
+        # ell is cleared once per region: the weights A_i / e stay the
+        # Fractions <ell, u_i>, and the table's (A, e) their cleared form
         rng = random.Random(68)
         for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cs = d._cellsum
-            for (piece, ell), (_, _, weights), cell in zip(d.cells().cells, cs.cells, cs._int_cells):
+            for (piece, ell), (_, _, a, e) in zip(d.cells().cells, cs.cells):
+                weights = tuple(Fraction(x, e) for x in a)
                 assert same(weights, tuple(ex.dot(ell, u) for u in piece.rays))
-                assert cell[4:] == ex.cleared(weights)
+                assert (a, e) == ex.cleared(weights)
 
     def test_dk_divisor(self, dk_divisor):
         rng = random.Random(64)
@@ -341,18 +342,19 @@ def reference_certificate(cs, u0, n, xi):
 
 class TestNewtonCertificate:
     """nvol_star, grad_norm and barycenter_residual are exact at the float
-    point Newton returns, from one kernel call on Fractions after Newton."""
+    point Newton returns, from one integer-path call on Fractions after
+    Newton."""
 
     def check(self, monkeypatch, cs, u0, n, run):
         calls, newton_points = [], []
-        evaluate, newton = cs.evaluate, _newton._newton
+        integer_sums, newton = cs._integer_sums, _newton._newton
 
         def spy(*args):
             out = newton(*args)
             newton_points.append((out[0], len(calls)))
             return out
 
-        monkeypatch.setattr(cs, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+        monkeypatch.setattr(cs, "_integer_sums", lambda *args: calls.append(args) or integer_sums(*args))
         monkeypatch.setattr(_newton, "_newton", spy)
         res = run()
         monkeypatch.undo()

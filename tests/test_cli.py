@@ -245,6 +245,13 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "SpecError"
 
+    def test_non_object_spec_exit_2(self, tmp_path):
+        spec = tmp_path / "list.json"
+        spec.write_text("[1, 2]")
+        proc = run_cli("minimize", str(spec))
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == "SpecError"
+
     def test_module_error_exit_1(self, tmp_path):
         spec = tmp_path / "bad_cone.json"
         spec.write_text(json.dumps({
@@ -340,6 +347,31 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "SpecError"
         assert "bad integer" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, name, field, edit", [
+        ("minimize", "spp.json", "u0", lambda doc: doc.pop("u0")),
+        ("minimize", "spp.json", "u0", lambda doc: doc.update(u0=5)),
+        ("downgrade", "dk_downgrade.json", "F", lambda doc: doc.pop("F")),
+        ("minimize", "dk_4dim.json", "vertices", lambda doc: doc["points"][0].pop("vertices")),
+        ("approx", None, "value", lambda doc: doc.update(target=[{"radius": "1e-3"}])),
+        ("binom2toric", None, "b", lambda doc: doc.pop("b")),
+    ], ids=["no_u0", "int_u0", "no_F", "no_vertices", "no_value", "no_b"])
+    def test_missing_or_misshapen_field_exit_2(self, tmp_path, command, name, field, edit):
+        if name:
+            doc = json.loads(Path(SPECS[name]).read_text())
+        elif command == "approx":
+            doc = {"schema": "reebmin/1", "kind": "approx", "target": ["1.414"], "signs": [1], "mode": "signed"}
+        else:
+            doc = {"schema": "reebmin/1", "kind": "binomial", "a": [1, 1, 0, 0], "b": [0, 0, 1, 1]}
+        edit(doc)
+        spec = tmp_path / "bad_field.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(command, str(spec))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"]["type"] == "SpecError"
+        assert f'"{field}"' in err["error"]["message"]
 
     def test_deterministic_output(self):
         a = run_cli("minimize", SPECS["a1.json"], "--json-only")

@@ -18,6 +18,7 @@ from reebmin import (
     cli,
     count_cxone,
     count_toric,
+    minimize,
     polyhedron_min,
     vol_estimate,
     vol_xi,
@@ -118,9 +119,14 @@ class TestCountToric:
         rays = [(1, 0, -1, 1), (0, 1, 1, 1), (-1, 1, 0, 1), (1, 1, 1, 2), (0, -1, 1, 1)]
         t = ToricData.from_dual_cone(rays, [sum(c) for c in zip(*rays)])
         xi = tuple(sum(r[k] for r in t.sigma.rays) for k in range(4))
+        # and Newton's float minimizer, the kind of point oracle_check counts
+        # at, times 8 (exactly, in float); the reference counts at the
+        # rational it stores
+        xf = tuple(8 * x for x in minimize(t).xi_star.xi)
         # the truncated cone's vertices m u / <u, xi> lie in [-8, 8]^4 for m <= 24
         for m in (24, Fraction(47, 2), 21.3):
             assert count_toric(t, xi, m) == brute_count(t, xi, m, box=8)
+            assert count_toric(t, xf, m) == brute_count(t, tuple(map(Fraction, xf)), m, box=8)
 
     def test_skewed_four_dim_orthant_counts_binomial(self):
         # the orthant of Z^4 in a skewed basis u -> U u: its truncated cone is a
@@ -207,7 +213,7 @@ class TestCountToric:
         assert abs(est - closed) / closed < 0.05
 
     def test_conifold_five_percent_at_m200(self):
-        from reebmin import BinomialHypersurface, binomial_to_toric, minimize
+        from reebmin import BinomialHypersurface, binomial_to_toric
 
         t = binomial_to_toric(BinomialHypersurface((1, 1, 0, 0), (0, 0, 1, 1)))
         res = minimize(t)
