@@ -22,7 +22,7 @@ picks a path by the type of xi:
   are cleared once, every cell's terms are integers over powers of the
   product of its pairings, and `_integer_sums` sums each order's
   numerators over one denominator; `evaluate` makes each entry one
-  Fraction, and Newton's certificate reads the integers themselves.
+  Fraction, and `certificate` reads the integers themselves.
 - all-float xi: the array path, which Newton also calls directly on
   ndarrays.  The ray matrix, the cells' ray indices, |det| and the weights
   A_i / e (rounded once) are gathered into numpy arrays when the sum is
@@ -37,10 +37,9 @@ picks a path by the type of xi:
   own 1 / p_i: a Fraction weight would meet an mpf only as a * (1 / p)
   (Fraction / mpf raises TypeError) and an mpi not at all.
 
-`first_order` reads the one first-order certificate (the gradient projected
-off u0, and the sine between -grad vol and u0) off one order-1 evaluation;
-at a rational point its integers are `_rational_certificate`'s, which
-Newton's answer reads off `_integer_sums` too.
+`certificate` is the one exact first-order certificate at a rational
+point, read off the integer sums; Newton's answer, `sine` at rational
+points and `is_rational_minimizer` all read it.
 """
 
 import math
@@ -107,28 +106,6 @@ def _is_rational(v):
 def _zero_sums(n, order):
     """The sums over no cells: int 0 entries, as the generic path leaves them."""
     return ((0,), (0, (0,) * n), (0, (0,) * n, ((0,) * n,) * n))[order]
-
-
-def _rational_certificate(nums, u0):
-    """The integers of the first-order certificate at g = G / D (nums = G)
-    and rational u0 = U / E: (U, <U, U>, <G, U>, <G, G>).  Then proj = (G
-    <U, U> - <G, U> U) / (D <U, U>), |proj|^2 = (<G, G> <U, U> - <G, U>^2) /
-    (D^2 <U, U>) and sine^2 = 1 - <G, U>^2 / (<G, G> <U, U>)."""
-    us, _ = ex.cleared(u0)
-    uu = sum([x * x for x in us])
-    gu = sum([x * y for x, y in zip(nums, us)])
-    gg = sum([x * x for x in nums])
-    return us, uu, gu, gg
-
-
-def _rational_sine(uu, gu, gg):
-    """The sine between -grad vol and u0 from `_rational_certificate`'s
-    pairings, NaN when grad vol = 0.  The quotient of two ints rounds
-    correctly, as float of a Fraction does."""
-    if gg == 0:
-        return float("nan")
-    rest = gg * uu - gu * gu
-    return 0.0 if rest == 0 else math.sqrt(rest / (gg * uu))
 
 
 class CellSum:
@@ -392,40 +369,49 @@ class CellSum:
                 h[l][k] = h[k][l]
         return vol, tuple(grad), tuple(tuple(row) for row in h)
 
-    def first_order(self, xi, u0):
-        """(vol, grad, proj, sine) at xi, in xi's own arithmetic, from one
-        order-1 evaluation.
+    def certificate(self, xi, u0, n):
+        """(nvol, grad_norm, sine, minimizer) at rational xi and u0 from one
+        order-1 `_integer_sums` call, no Fraction formed.  With grad vol = G /
+        D and u0 = U / E: nvol = <u0, xi>^n vol, grad_norm^2 = |proj|^2 =
+        (<G, G> <U, U> - <G, U>^2) / (D^2 <U, U>) for proj grad vol projected
+        off u0, and the sine between -grad vol and u0 has sine^2 = 1 - <G,
+        U>^2 / (<G, G> <U, U>), NaN when G = 0; each is one quotient of two
+        ints, rounded once.  minimizer (proj = 0 and <G, U> < 0: by strict
+        convexity, xi is on the minimizer's ray) is, by Cauchy-Schwarz, <G,
+        G> <U, U> = <G, U>^2 and <G, U> < 0."""
+        (xs, dx), sums = self._integer_sums(xi, 1)
+        if not sums:  # vol = 0 and grad vol = 0
+            return 0.0, 0.0, float("nan"), False
+        ((vol,), vden), (g, gden) = sums
+        us, e = ex.cleared(u0)
+        uu = sum([x * x for x in us])
+        gu = sum([x * y for x, y in zip(g, us)])
+        gg = sum([x * x for x in g])
+        rest = gg * uu - gu * gu
+        a = sum([x * y for x, y in zip(us, xs)])  # <u0, xi> = a / (e dx)
+        nvol = a**n * vol / ((e * dx) ** n * vden)
+        grad_norm = math.sqrt(rest / (gden * gden * uu))
+        sine = float("nan") if gg == 0 else math.sqrt(rest / (gg * uu))
+        return nvol, grad_norm, sine, rest == 0 and gu < 0
 
-        proj is grad vol minus its component along u0, and sine the sine of
-        the angle between -grad vol and u0, NaN when grad vol = 0.  By strict
-        convexity on the slice, xi lies on the minimizer's ray exactly when
-        proj = 0 and <grad vol, u0> < 0; sine = 0 says the same up to the
-        sign.  At a rational xi (with rational u0) both are exact, the sine
-        up to its final square root, and formed in integers.
-        """
-        vol, g = self.evaluate(xi, 1)
-        if _is_rational(g) and _is_rational(u0):
-            nums, den = ex.cleared(g)
-            us, uu, gu, gg = _rational_certificate(nums, u0)
-            proj = tuple(Fraction(x * uu - gu * y, den * uu) for x, y in zip(nums, us))
-            return vol, g, proj, _rational_sine(uu, gu, gg)
-        # float, mpf or mpi values
-        uu = sum(x * x for x in u0)
-        gu = sum(x * y for x, y in zip(g, u0))
-        c = gu / uu
-        proj = tuple(x - c * y for x, y in zip(g, u0))
+    def sine(self, xi, u0):
+        """The sine between -grad vol and u0 at xi, NaN when grad vol = 0: the
+        certificate's at a rational xi, else |proj| / |grad vol| in xi's own
+        arithmetic (float, mpf or mpi)."""
+        xi = tuple(xi)
+        if _is_rational(xi):
+            return self.certificate(xi, u0, self.dim)[2]
+        _, g = self.evaluate(xi, 1)
+        c = sum(x * y for x, y in zip(g, u0)) / sum(x * x for x in u0)
+        proj = [x - c * y for x, y in zip(g, u0)]
         gg = sum(x * x for x in g)
         if gg == 0:
-            return vol, g, proj, float("nan")
+            return float("nan")
         # sine^2 = |proj|^2 / |grad|^2, which rounds to a few ulps; the equal
         # 1 - <grad, u0>^2 / (|grad|^2 |u0|^2) cancels near a minimizer and
         # resolves the sine only to sqrt(ulp(1)) = 1.5e-8
-        ratio = sum(x * x for x in proj) / gg
-        return vol, g, proj, math.sqrt(max(float(ratio), 0.0))
+        return math.sqrt(max(float(sum(x * x for x in proj) / gg), 0.0))
 
     def is_rational_minimizer(self, xi, u0):
-        """Exact first-order test at a rational xi: grad vol(xi) is a
-        negative multiple of u0."""
-        u0 = ex.fracvec(u0)
-        _, g, proj, _ = self.first_order(ex.fracvec(xi), u0)
-        return not any(proj) and sum(x * y for x, y in zip(g, u0)) < 0
+        """Exact test at a rational xi: grad vol(xi) is a negative multiple of u0."""
+        return self.certificate(ex.fracvec(xi), ex.fracvec(u0), self.dim)[3]

@@ -8,11 +8,11 @@ longer resolves the decrease, so the last Newton step is taken without a
 line search and no further iteration can improve the point.  Newton runs in
 float64 on ndarray points, through the kernel's array path, and steps by one
 symmetric eigendecomposition of the projected Hessian.  Its certificate is
-exact: every float64 point is rational, so the kernel sums vol and grad vol
-at Newton's point on its integer path, and the projected gradient's norm,
-the sine and the normalized volume are read off those integer sums (no
-Fraction formed), each a quotient of two ints rounded once.  The start
-point is formed from cleared integers too.
+exact: every float64 point is rational, so `CellSum.certificate` sums vol
+and grad vol at Newton's point on the kernel's integer path and reads the
+normalized volume, the projected gradient's norm and the sine off those
+integer sums (no Fraction formed), each a quotient of two ints rounded
+once.  The start point is formed from cleared integers too.
 """
 
 import math
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _exact as ex
-from ._cellsum import ReebVector, _rational_certificate, _rational_sine
+from ._cellsum import ReebVector
 from .errors import NotInReebCone
 
 ARMIJO = 1e-4
@@ -55,18 +55,17 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     that <u0, xi> = n.
 
     Starts at the sum of the Reeb cone's rays on the slice, each entry one
-    correctly rounded quotient of ints.  The certificate
-    is one exact evaluation at Newton's float point xi_hat, taken as a
-    rational point: nvol_star is A^n vol there, grad_norm the norm of the
-    gradient's projection off u0, and barycenter_residual the sine between
-    -grad vol and u0 (NaN when grad vol = 0), each exact up to the final
-    rounding to float.  It is converged when Newton stopped on the gradient
-    test or at the rounding floor of f and both grad_norm and the sine are
-    at most the tolerance.  xi_star is xi_hat rescaled in float so that
-    <u0, xi_star> = n.  `stop_reason` says why Newton stopped.
-    Without cells vol = 0 and grad vol = 0 everywhere: it returns the start
-    at once, with stop_reason "zero_volume", and runs neither Newton nor the
-    certificates.
+    correctly rounded quotient of ints.  nvol_star, grad_norm and
+    barycenter_residual are `CellSum.certificate` at Newton's float point
+    xi_hat, taken as a rational point: A^n vol, the norm of the gradient's
+    projection off u0 and the sine between -grad vol and u0 (NaN when grad
+    vol = 0), each exact up to its rounding to float.  It is converged when
+    Newton stopped on the gradient test or at the rounding floor of f and
+    both grad_norm and the sine are at most the tolerance.  xi_star is
+    xi_hat rescaled in float so that <u0, xi_star> = n.  `stop_reason` says
+    why Newton stopped.  Without cells vol = 0 and grad vol = 0 everywhere:
+    it returns the start at once, with stop_reason "zero_volume", and runs
+    neither Newton nor the certificates.
     """
     total = [sum(col) for col in zip(*sigma_rays)]
     us, e = ex.cleared(u0)
@@ -86,16 +85,11 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
         )
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
 
-    xq = tuple(Fraction(x) for x in xi_hat.tolist())
-    (xs, dx), (((vol,), vden), (g, gden)) = cs._integer_sums(xq, 1)  # vol / vden and grad g / gden at xq
-    _, uu, gu, gg = _rational_certificate(g, u0)
-    grad_norm = math.sqrt((gg * uu - gu * gu) / (gden * gden * uu))
-    residual = _rational_sine(uu, gu, gg)
-    a_num, a_den = sum([a * b for a, b in zip(us, xs)]), e * dx  # <u0, xq> = a_num / a_den
+    nvol_star, grad_norm, residual, _ = cs.certificate(tuple(Fraction(x) for x in xi_hat.tolist()), u0, n)
     a = float(sum(x * y for x, y in zip(u0f, xi_hat.tolist())))
     return MinimizeResult(
         xi_star=ReebVector.real(xi_hat * (n / a)),
-        nvol_star=a_num**n * vol / (a_den**n * vden),
+        nvol_star=nvol_star,
         grad_norm=grad_norm,
         barycenter_residual=residual,
         iterations=iters,

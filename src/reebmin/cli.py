@@ -65,6 +65,8 @@ def fmt_vec(v):
 
 
 def _rat(x):
+    if isinstance(x, bool):  # a bool is not a number
+        raise SpecError(f"bad rational {x!r}")
     try:
         return ex.frac(x) if not isinstance(x, float) else Fraction(x)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
@@ -103,6 +105,24 @@ def _field(doc, name, depth=1):
 
 def _nested(value, depth):
     return depth == 0 or isinstance(value, list) and all(_nested(x, depth - 1) for x in value)
+
+
+def _int_matrix(doc, name):
+    return [[_int(x) for x in row] for row in _field(doc, name, 2)]
+
+
+def _number(name, x):
+    if isinstance(x, bool) or not isinstance(x, (int, float, str)):  # a bool is not a number
+        raise SpecError(f'"{name}" takes numbers and strings, got {x!r}')
+    return x
+
+
+def _target(e):
+    """A number or a string, or {"value": number or decimal, "radius": rational}."""
+    if not isinstance(e, dict):
+        return _number("target", e)
+    radius = None if e.get("radius") is None else _rat(_number("radius", e["radius"]))
+    return Enclosure.from_decimal(_number("value", _field(e, "value", 0)), radius)
 
 
 def _load_spec(path):
@@ -147,7 +167,7 @@ def _data_from_spec(doc):
         t = _toric_from_spec(doc)
         return "toric", t, t.u0
     if kind == "binomial":
-        t = binomial_to_toric(BinomialHypersurface(_field(doc, "a"), _field(doc, "b")))
+        t = binomial_to_toric(BinomialHypersurface(*([_int(x) for x in _field(doc, k)] for k in "ab")))
         return "toric", t, t.u0
     if kind == "complexity_one":
         d = _divisor_from_spec(doc)
@@ -176,7 +196,7 @@ def run(command, doc, options):
     """Dispatch one command on a parsed spec; returns the report dict."""
     if command == "minimize":
         kind, data, u0 = _data_from_spec(doc)
-        F = WeightMatrix(_field(doc, "F", 2)) if kind == "complexity_one" and "F" in doc else None
+        F = WeightMatrix(_int_matrix(doc, "F")) if kind == "complexity_one" and "F" in doc else None
         if F is not None and F.r != data.r:
             raise SpecError(f"F has {F.r} columns but the divisor lives in dimension {data.r}")
         if kind == "toric":
@@ -235,15 +255,15 @@ def run(command, doc, options):
     if command == "downgrade":
         if doc["kind"] != "downgrade":
             raise SpecError("downgrade command needs a downgrade spec")
-        F = WeightMatrix([[int(x) for x in row] for row in _field(doc, "F", 2)])
+        F = WeightMatrix(_int_matrix(doc, "F"))
         if "P" in doc and "s" in doc:
-            data = DowngradeData(F, _field(doc, "P", 2), _field(doc, "s", 2))
+            data = DowngradeData(F, _int_matrix(doc, "P"), _int_matrix(doc, "s"))
         else:
             data = complete_sequence(F)
         sigma, sigma_dual = downgrade_sigma(data)
         fibers = _field(doc, "fiber_points", 2) if "fiber_points" in doc else []
         labels = _field(doc, "labels") if "labels" in doc else [str(p) for p in fibers]
-        coeffs = {label: _poly_json(downgrade_coefficient(data, [int(x) for x in p]))
+        coeffs = {label: _poly_json(downgrade_coefficient(data, [_rat(x) for x in p]))
                   for label, p in zip(labels, fibers)}
         return {
             "P": [list(r) for r in data.P],
@@ -256,7 +276,7 @@ def run(command, doc, options):
     if command == "binom2toric":
         if doc["kind"] != "binomial":
             raise SpecError("binom2toric needs a binomial spec")
-        t = binomial_to_toric(BinomialHypersurface(_field(doc, "a"), _field(doc, "b")))
+        _, t, _ = _data_from_spec(doc)
         return {
             "n": t.n,
             "sigma_rays": [list(r) for r in t.sigma.rays],
@@ -288,10 +308,7 @@ def run(command, doc, options):
     if command == "approx":
         if doc["kind"] != "approx":
             raise SpecError("approx command needs an approx spec")
-        targets = [
-            Enclosure.from_decimal(_field(e, "value", 0), e.get("radius")) if isinstance(e, dict) else e
-            for e in _field(doc, "target")
-        ]
+        targets = [_target(e) for e in _field(doc, "target")]
         epsilon = _rat(doc.get("epsilon", "1/2"))
         q_max = _int(doc.get("q_max", DEFAULT_QMAX))
         if doc.get("mode", "signed") == "signed":

@@ -357,7 +357,8 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
             block, rays, xf, mf + delta, box_lo, box_hi, verts, pad
         )
         lens = np.maximum(zhi - zlo + 1, 0)
-        charge = np.bincount(slab, weights=lens, minlength=len(block)).astype(np.int64)
+        # float64: int64 wraps near the cone's boundary; exact below 2^53 >> budget
+        charge = np.bincount(slab, weights=lens, minlength=len(block))
         cells += int(np.maximum(charge, width).sum())
         if cells > budget:
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")

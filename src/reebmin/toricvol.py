@@ -110,7 +110,7 @@ def certify_barycenter(t: ToricData, xi):
     zero exactly at a minimizer on its ray, computed exactly when xi is
     rational.
     """
-    return t._cellsum.first_order(xi, t.u0)[3]
+    return t._cellsum.sine(xi, t.u0)
 
 
 def minimize(t: ToricData, tolerance=1e-9, max_iter=100) -> MinimizeResult:

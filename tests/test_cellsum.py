@@ -407,8 +407,10 @@ def test_certificate_modules_import_no_mpmath(module):
 
 
 def term_by_term_first_order(cs, xi, u0):
-    """first_order as plain arithmetic on the order-1 values, in xi's own
-    arithmetic: the reference for its integer form at rational xi."""
+    """(vol, grad, proj, sine) as plain arithmetic on the order-1 values, in
+    xi's own arithmetic: proj is grad vol projected off u0, and sine the sine
+    between -grad vol and u0.  The reference for `CellSum.sine` and, at
+    rational xi, for the certificate's integer form."""
     vol, g = cs.evaluate(xi, 1)
     uu = sum(x * x for x in u0)
     gu = sum(x * y for x, y in zip(g, u0))
@@ -461,7 +463,11 @@ class TestSameBitsAsTermByTerm:
         for data, u0, xf, rational in self.cases():
             cs = data._cellsum
             for xi in [tuple(Fraction(x) for x in xf), xf] + rational:
-                assert bitwise(cs.first_order(xi, u0), term_by_term_first_order(cs, xi, u0)), xi
+                _, _, proj, sine = term_by_term_first_order(cs, xi, u0)
+                assert bitwise(cs.sine(xi, u0), sine), xi
+                if xi is not xf:  # rational: |proj| is the certificate's grad_norm
+                    norm = math.sqrt(sum(x * x for x in proj))
+                    assert bitwise(cs.certificate(xi, u0, data.n)[1], norm), xi
 
     def test_scan_and_invariants(self):
         for data, u0, xf, rational in self.cases():

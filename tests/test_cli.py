@@ -3,15 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import reebmin
-from reebmin import bundled_spec
+from reebmin import DowngradeData, WeightMatrix, bundled_spec, downgrade_coefficient
 
 SPECS = {name: str(bundled_spec(name)) for name in
          ("c_n.json", "a1.json", "spp.json", "dk_4dim.json", "dk_downgrade.json")}
+DK_F = [[1, 0, 0], [-1, 2, 0], [0, 1, 0], [0, 0, 1], [0, 2, -2]]  # F of both dk specs
 
 
 # The CLI subprocess imports the same reebmin as the tests, installed or not.
@@ -70,6 +72,20 @@ class TestDowngradeCommand:
         assert sorted(map(tuple, coeffs["0"]["vertices"])) == [("0", "0", "0"), ("0", "0", "1/2")]
         assert sorted(map(tuple, coeffs["1"]["vertices"])) == [("0", "1/2", "0")]
         assert sorted(map(tuple, coeffs["inf"]["vertices"])) == [("0", "0", "0"), ("1", "0", "0")]
+
+    def test_rational_fiber_points_are_exact(self, tmp_path):
+        # fiber points are exact rationals, "p/q" strings or floats; none is truncated
+        doc = json.loads(Path(SPECS["dk_downgrade.json"]).read_text())
+        doc.update(fiber_points=[["1/2", 0], [0.5, 0], [1, 0]], labels=["half", "float_half", "one"])
+        spec = tmp_path / "half.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("downgrade", str(spec), "--json-only")
+        assert proc.returncode == 0, proc.stderr
+        coeffs = json.loads(proc.stdout)["results"]["coefficients"]
+        data = DowngradeData(WeightMatrix(doc["F"]), doc["P"], doc["s"])
+        half = downgrade_coefficient(data, [Fraction(1, 2), 0])
+        assert coeffs["half"] == coeffs["float_half"] != coeffs["one"]
+        assert coeffs["half"]["vertices"] == [[str(x) for x in v] for v in half.compact_vertices]
 
 
 class TestOracleCommand:
@@ -333,12 +349,25 @@ class TestCliContract:
         ("oracle", "budget", "lots"),
         ("approx", "q_max", "many"),
         ("approx", "signs", ["plus"]),
+        # a non-integer is refused, not truncated
+        ("downgrade", "F", [[1.5, 0, 0]] + DK_F[1:]),
+        ("downgrade", "P", [[-1, -1, 0, 2, "1/2"], [-1, -1, 2, 0, 0]]),
+        ("downgrade", "s", [[1, 0, 0, 0, 0.5], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0]]),
+        ("downgrade", "fiber_points", [[1, 0], [0, "half"], [-1, -1]]),
+        ("minimize", "F", [[1.5, 0, 0]] + DK_F[1:]),
+        ("binom2toric", "a", [1.5, 1, 0, 0]),
+        ("binom2toric", "b", [0, 0, 1, "1/2"]),
+        ("approx", "signs", [True]),
     ])
     def test_malformed_integer_field_exit_2(self, tmp_path, command, field, value):
         if command == "oracle":
             doc = json.loads(Path(SPECS["c_n.json"]).read_text())
-        else:
+        elif command == "approx":
             doc = {"schema": "reebmin/1", "kind": "approx", "target": ["1.414"], "signs": [1], "mode": "signed"}
+        elif command == "binom2toric":
+            doc = {"schema": "reebmin/1", "kind": "binomial", "a": [1, 1, 0, 0], "b": [0, 0, 1, 1]}
+        else:
+            doc = json.loads(Path(SPECS["dk_downgrade.json" if command == "downgrade" else "dk_4dim.json"]).read_text())
         doc[field] = value
         spec = tmp_path / "bad_integer.json"
         spec.write_text(json.dumps(doc))
@@ -346,7 +375,8 @@ class TestCliContract:
         assert proc.returncode == 2, proc.stderr
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "SpecError"
-        assert "bad integer" in err["error"]["message"]
+        # fiber points are exact rationals
+        assert ("bad rational" if field == "fiber_points" else "bad integer") in err["error"]["message"]
 
     @pytest.mark.parametrize("command, name, field, edit", [
         ("minimize", "spp.json", "u0", lambda doc: doc.pop("u0")),
@@ -355,7 +385,13 @@ class TestCliContract:
         ("minimize", "dk_4dim.json", "vertices", lambda doc: doc["points"][0].pop("vertices")),
         ("approx", None, "value", lambda doc: doc.update(target=[{"radius": "1e-3"}])),
         ("binom2toric", None, "b", lambda doc: doc.pop("b")),
-    ], ids=["no_u0", "int_u0", "no_F", "no_vertices", "no_value", "no_b"])
+        ("approx", None, "target", lambda doc: doc.update(target=[[1]])),
+        ("approx", None, "target", lambda doc: doc.update(target=[None])),
+        ("approx", None, "target", lambda doc: doc.update(target=[True])),  # a bool is not a number
+        ("approx", None, "value", lambda doc: doc.update(target=[{"value": ["1.414"]}])),
+        ("approx", None, "radius", lambda doc: doc.update(target=[{"value": "1.414", "radius": [1]}])),
+    ], ids=["no_u0", "int_u0", "no_F", "no_vertices", "no_value", "no_b",
+            "list_target", "null_target", "bool_target", "list_value", "list_radius"])
     def test_missing_or_misshapen_field_exit_2(self, tmp_path, command, name, field, edit):
         if name:
             doc = json.loads(Path(SPECS[name]).read_text())

@@ -205,6 +205,16 @@ class TestCountToric:
         # passes the width pre-check, and then its own charge passes the budget
         with pytest.raises(TooLarge, match="exceeded the 100 cell budget"):
             count_toric(ToricData.smooth_point(2), (1.0, 1.0), 50, budget=100)
+        # 1e-18 off a wall of the Reeb cone, a block's charge passes 2^63: it
+        # must still count against the budget rather than wrap negative
+        xi = (1.9753475433857417, 2.024652456614258, 1.439939549104333e-18)
+        d = PolyhedralDivisor.from_vertex_lists(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [("0", [(0, 0, 0)]), ("1", [(1, 0, 0), (0, 1, 0)]), ("inf", [(-1, 0, -1)])]
+        )
+        for count in (lambda: count_toric(ToricData.smooth_point(3), xi, 5, budget=2 * 10**6),
+                      lambda: count_cxone(d, xi, 5, budget=2 * 10**6)):
+            with pytest.raises(TooLarge, match="exceeded the 2000000 cell budget"):
+                count()
 
     def test_convergence_to_closed_form(self, spp):
         c = count_toric(spp, XI0_SPP, 200)
