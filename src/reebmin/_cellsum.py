@@ -397,10 +397,15 @@ class CellSum:
     def sine(self, xi, u0):
         """The sine between -grad vol and u0 at xi, NaN when grad vol = 0: the
         certificate's at a rational xi, else |proj| / |grad vol| in xi's own
-        arithmetic (float, mpf or mpi)."""
+        arithmetic (float or mpf).  An interval entry (one with an `_mpi_`
+        pair, such as an mpmath mpi) raises TypeError before the kernel
+        runs: u0's Fractions cannot multiply it."""
         xi = tuple(xi)
         if _is_rational(xi):
             return self.certificate(xi, u0, self.dim)[2]
+        for x in xi:
+            if hasattr(x, "_mpi_"):
+                raise TypeError(f"the sine takes rational, float or mpf points, not {type(x).__name__}")
         _, g = self.evaluate(xi, 1)
         c = sum(x * y for x, y in zip(g, u0)) / sum(x * x for x in u0)
         proj = [x - c * y for x, y in zip(g, u0)]

@@ -176,7 +176,7 @@ def _data_from_spec(doc):
 
 
 def _xi_from(doc, name="xi"):
-    vals = _field(doc, name)
+    vals = [_number(name, x) for x in _field(doc, name)]
     if all(isinstance(x, (int, str)) and ("/" in x if isinstance(x, str) else True) for x in vals):
         try:
             return ReebVector.rational([_rat(x) for x in vals])
@@ -239,7 +239,7 @@ def run(command, doc, options):
     if command == "futaki":
         kind, data, u0 = _data_from_spec(doc)
         xi0 = _xi_from(doc, "xi0")
-        etas = [[_real(x) for x in e] for e in (_field(doc, "etas", 2) if "etas" in doc else [])]
+        etas = [[_real(_number("etas", x)) for x in e] for e in (_field(doc, "etas", 2) if "etas" in doc else [])]
         report = semistable_scan(data, xi0, etas, tolerance=options.tol, u0=u0)
         return {
             "entries": [
@@ -288,7 +288,7 @@ def run(command, doc, options):
         kind, data, u0 = _data_from_spec(doc)
         xi = _xi_from(doc)
         ms = _field(doc, "m_list")
-        if not ms or not all(isinstance(m, (int, float)) and 0 < m < math.inf for m in ms):
+        if not ms or not all(isinstance(m, (int, float)) and not isinstance(m, bool) and 0 < m < math.inf for m in ms):
             raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
         budget = _int(doc.get("budget", DEFAULT_BUDGET))
         counter = count_toric if kind == "toric" else count_cxone

@@ -1,16 +1,17 @@
 """Futaki invariants as directional derivatives of the normalized volume.
 
-For toric and complexity-one data alike the derivative is assembled from the
-closed-form volume and gradient of the cell-sum kernel,
+On the torus the Futaki invariant is the derivative of the normalized
+volume F(xi) = A(xi)^n vol(xi) (Martelli-Sparks-Yau), for toric and
+complexity-one data alike.  A scan forms its gradient at xi0 once,
 
-    Fut(xi0; eta) = n A(xi0)^(n-1) A(-eta) vol(xi0) + A(xi0)^n <grad vol(xi0), -eta>,
+    grad F(xi0) = n A(xi0)^(n-1) vol(xi0) u0 + A(xi0)^n grad vol(xi0),
 
-exact when xi0 and eta are rational.  A scan checks u0, xi0 and every
-direction first; then, if there is a direction, it evaluates the kernel once,
-at xi0, and forms each direction's invariant and normalized direction in one
-loop; at a rational xi0 a rational direction's are read off integers that
-the scan clears once, one Fraction per entry.  It reports per-direction
-signs only: it certifies nothing beyond the tested degenerations.
+from one kernel call, and then gives each direction eta one dot product,
+Fut(xi0; eta) = -<grad F(xi0), eta>, and its normalized direction.  At a
+rational xi0 grad F is read off the kernel's integer sums; an entry is
+exact iff xi0 and eta are both rational, and float otherwise.  A scan
+checks u0, xi0 and every direction first.  It reports per-direction signs
+only: it certifies nothing beyond the tested degenerations.
 """
 
 from dataclasses import dataclass
@@ -55,65 +56,69 @@ def futaki_invariant(data, xi0, eta, u0=None):
     return semistable_scan(data, xi0, [eta], u0=u0).entries[0][1]
 
 
-def _pairing(u0):
-    """v -> A(v) = <u0, v> for a rational u0, with A's value and type as
-    term-by-term arithmetic gives them: one Fraction from cleared integers
-    for a rational v (u0's alone for an int v), term by term otherwise."""
-    us, e = ex.cleared(u0)
-
-    def pair(v):
-        if all(type(x) is int for x in v):
-            return Fraction(sum([a * b for a, b in zip(us, v)]), e)
-        if _is_rational(v):
-            hs, k = ex.cleared(v)
-            return Fraction(sum([a * b for a, b in zip(us, hs)]), e * k)
-        return sum(x * y for x, y in zip(u0, v))
-
-    return pair
-
-
-def _slice(pair, xi):
-    """(A(xi0), f) with f(eta, A(eta)) = (A(xi0) eta - A(eta) xi0) / A(xi0)^2,
-    the projection onto the slice {A = 0}; A(xi0) must be positive."""
-    a = pair(xi)
-    if not a > 0:
-        raise ValueError("A(xi0) must be positive")
-    inv = 1 / (a * a)
-    return a, lambda eta, a_eta: tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))
-
-
 def normalized_direction(u0, xi0, eta):
     """Projection (A(xi0) eta - A(eta) xi0) / A(xi0)^2 onto the slice {A = 0}."""
     u0, xi, eta = ex.fracvec(u0), tuple(xi0), tuple(eta)
     check_length("Reeb vector", xi, len(u0))
     check_length("eta", eta, len(u0))
-    pair = _pairing(u0)
-    return _slice(pair, xi)[1](eta, pair(eta))
+    return _entries(None, u0, xi)(eta)[1]
 
 
-def _exact_entries(n, vol, grad, a_xi, xi):
-    """eta, A(eta) -> (Fut, normalized eta) at a rational xi0 for a rational
-    eta, from integers cleared once per scan: one Fraction per entry.
+def _positive(a):
+    if not a > 0:
+        raise ValueError("A(xi0) must be positive")
 
-    With vol = V / W, grad = G / D, A(xi0) = a / b, xi0 = X / F, eta = H / K
-    and A(eta) = c / d,
 
-        Fut = -a^(n-1) (n V b D K c + a W d <G, H>) / (b^n W D K d),
-        normalized eta_k = b (a F d H_k - c b K X_k) / (a^2 F K d).
+def _real_entries(u0, xi, a, inv, grad):
+    """eta -> (-<grad, eta>, (a eta - A(eta) xi) inv) in the arithmetic of
+    the given values.  The sum starts at int 0, so it is never -0.0."""
+
+    def entry(eta):
+        a_eta = sum([u * e for u, e in zip(u0, eta)])
+        direction = tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))
+        return sum([-g * e for g, e in zip(grad, eta)]), direction
+
+    return entry
+
+
+def _entries(data, u0, xi):
+    """eta -> (Fut, normalized eta) at xi0, from grad F formed once; data
+    None stands for vol = 0 and grad vol = 0, which leaves the directions.
+
+    Rational xi0: one order-1 `_integer_sums` call.  With xi0 = X / F, u0 =
+    U / E, A(xi0) = a / b (b = E F), vol = V / W and grad vol = G / D, grad F
+    = N / M with N = a^(n-1) (n b V D U + a W E G) and M = b^n W D E; a
+    rational eta = H / K gets Fut = -<N, H> / (M K) and the direction b (a H
+    - <U, H> X) / (K a^2), and a float eta the floats N_k / M, a / b, X_k / F
+    and U_k / E, each one correctly rounded int division.  Any other xi0:
+    one `evaluate` call (the array path for an all-float xi0, with u0 in
+    floats) and grad F in xi0's arithmetic.
     """
-    vv, ww = vol.numerator, vol.denominator
-    gs, dd = ex.cleared(grad)
-    xs, f = ex.cleared(xi)
-    a, b = a_xi.numerator, a_xi.denominator
-    scale, lead, mixed, den = -(a ** (n - 1)), n * vv * b * dd, a * ww, b**n * ww * dd
+    n, dim = data.n if data else 1, len(xi)
+    if not _is_rational(xi):
+        vol, grad = data._cellsum.evaluate(xi, 1) if data else (0, (0,) * dim)
+        if all(type(x) is float for x in xi):
+            u0 = tuple(map(float, u0))
+        a = sum([u * x for u, x in zip(u0, xi)])
+        _positive(a)
+        lead, a_n = n * a ** (n - 1) * vol, a**n
+        return _real_entries(u0, xi, a, 1 / (a * a), [lead * u + a_n * g for u, g in zip(u0, grad)])
+    (xs, f), sums = data._cellsum._integer_sums(xi, 1) if data else (ex.cleared(xi), ())
+    ((v,), w), (g, d) = sums or (((0,), 1), ((0,) * dim, 1))
+    us, e = ex.cleared(u0)
+    a, b = sum([u * x for u, x in zip(us, xs)]), e * f
+    _positive(a)
+    scale, lead, mixed = a ** (n - 1), n * b * v * d, a * w * e
+    big, den = [scale * (lead * u + mixed * gk) for u, gk in zip(us, g)], b**n * w * d * e
+    real = _real_entries([u / e for u in us], [x / f for x in xs], a / b, b * b / (a * a), [x / den for x in big])
 
-    def entry(eta, a_eta):
+    def entry(eta):
+        if not _is_rational(eta):
+            return real(eta)
         hs, k = ex.cleared(eta)
-        c, d = a_eta.numerator, a_eta.denominator
-        gh = sum([x * y for x, y in zip(gs, hs)])
-        fut = Fraction(scale * (lead * k * c + mixed * d * gh), den * k * d)
-        p, q = a * f * d, c * b * k
-        return fut, tuple(Fraction(b * (p * h - q * x), a * a * f * k * d) for h, x in zip(hs, xs))
+        c, q = sum([u * h for u, h in zip(us, hs)]), k * a * a
+        fut = Fraction(-sum([x * h for x, h in zip(big, hs)]), den * k)
+        return fut, tuple(Fraction(b * (a * h - c * x), q) for h, x in zip(hs, xs))
 
     return entry
 
@@ -122,15 +127,15 @@ def semistable_scan(data, xi0, etas, tolerance=1e-9, u0=None) -> FutakiReport:
     """Evaluate the Futaki invariant along each direction and report signs.
 
     u0, xi0 and every eta are checked before anything is evaluated.  With at
-    least one direction the kernel runs once, at xi0, and A(xi0) must be
-    positive; one loop then forms each eta's A(eta), invariant and
-    normalized direction.  At a rational xi0 a rational eta's are one
-    Fraction per entry over integers cleared once per scan
-    (`_exact_entries`), with the values term-by-term arithmetic gives.  At a
-    float xi0 an exact A(eta) enters as its float, which is what Fraction *
-    float computes.  The verdict covers only the supplied directions.  The
-    default sign tolerance is 1e-9 for both kinds of data, whose invariants
-    are closed forms.
+    least one direction the kernel runs once, at xi0, A(xi0) must be
+    positive, and grad F is formed once (`_entries`): each eta then costs
+    one dot product with it and one normalized direction.  An entry is exact
+    (Fractions) iff xi0 and eta are both rational; otherwise it is float (or
+    in xi0's own arithmetic), a few ulps of the size of the terms of <grad
+    F, eta> from the exact value at the rationals the floats store.  The
+    verdict covers only the supplied directions.  The default sign
+    tolerance is 1e-9 for both kinds of data, whose invariants are closed
+    forms.
     """
     u0, xi, etas = _weight(data, u0), tuple(xi0), [tuple(eta) for eta in etas]
     check_length("Reeb vector", xi, len(u0))
@@ -138,21 +143,8 @@ def semistable_scan(data, xi0, etas, tolerance=1e-9, u0=None) -> FutakiReport:
         check_length("eta", eta, len(u0))
     entries = []
     if etas:
-        vol, grad = data._cellsum.evaluate(xi, 1)
-        pair = _pairing(u0)
-        a, direction = _slice(pair, xi)
-        n, floats = data.n, all(type(x) is float for x in xi)
-        lead, a_n = n * a ** (n - 1), a**n
-        exact = _is_rational(xi) and _exact_entries(n, vol, grad, a, xi)
-        for eta in etas:
-            a_eta = pair(eta)
-            if exact and _is_rational(eta):
-                entries.append((eta, *exact(eta, a_eta)))
-                continue
-            if floats and type(a_eta) is Fraction:
-                a_eta = float(a_eta)
-            d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
-            entries.append((eta, lead * (-a_eta) * vol + a_n * d_vol, direction(eta, a_eta)))
+        entry = _entries(data, u0, xi)
+        entries = [(eta, *entry(eta)) for eta in etas]
     min_fut = min((float(f) for _, f, _ in entries), default=float("inf"))
     return FutakiReport(
         entries=tuple(entries),

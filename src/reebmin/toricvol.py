@@ -108,7 +108,7 @@ def certify_barycenter(t: ToricData, xi):
 
     Returns sin of the angle between them, that is between -grad vol and u0:
     zero exactly at a minimizer on its ray, computed exactly when xi is
-    rational.
+    rational; xi may also be float or mpf, and an interval raises TypeError.
     """
     return t._cellsum.sine(xi, t.u0)
 

@@ -23,7 +23,7 @@ from reebmin import (
     normalized_direction,
     semistable_scan,
 )
-from reebmin import _cellsum, _newton, futaki
+from reebmin import _cellsum, _newton
 from reebmin import _exact as ex
 
 from conftest import DK_U0, random_interior_rational
@@ -293,34 +293,32 @@ class TestScanFromOneGradient:
             for eta, (_, fut, _) in zip(etas, scan.entries):
                 assert bitwise(fut, futaki_invariant(dk_divisor, xi, eta, u0=DK_U0))
 
-    def test_one_kernel_evaluation_per_scan(self, spp, monkeypatch):
-        calls = []
-        evaluate = spp._cellsum.evaluate
-        monkeypatch.setattr(spp._cellsum, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
-        semistable_scan(spp, (2, 2, 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert len(calls) == 1
+    def test_one_kernel_evaluation_per_scan(self, spp, dk_divisor, monkeypatch):
+        # a scan enters the kernel once: `_integer_sums` at a rational xi0
+        # (no `evaluate`, so no Fraction of vol or grad vol), `evaluate` on
+        # the array path at a float xi0
+        for data, u0, xi in ((spp, None, (2, 2, 1)), (spp, None, minimize(spp).xi_star.xi),
+                             (dk_divisor, DK_U0, (1, 1, Fraction(1, 3))),
+                             (dk_divisor, DK_U0, (1.0, 1.0, 0.6861406616345072))):
+            cs, calls = data._cellsum, []
+            for name in ("_integer_sums", "evaluate", "_evaluate_array"):
+                method = getattr(cs, name)
+                monkeypatch.setattr(cs, name, lambda *args, name=name, method=method:
+                                    calls.append(name) or method(*args))
+            semistable_scan(data, xi, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0.5, 1, 1)], u0=u0)
+            monkeypatch.undo()
+            rational = all(type(x) is not float for x in xi)
+            assert calls == (["_integer_sums"] if rational else ["evaluate", "_evaluate_array"]), xi
 
-    def test_one_pairing_per_direction(self, spp, dk_divisor, monkeypatch):
-        # each A(eta) is formed once and shared by the invariant and the
-        # normalized direction, with the value, type and float bits that
-        # each forms on its own
-        pairings = []
-        pairing = futaki._pairing
-
-        def counting(u0):
-            pair = pairing(u0)
-            return lambda v: pairings.append(v) or pair(v)
-
+    def test_entries_match_invariant_and_direction(self, spp, dk_divisor):
+        # each entry has the value, type and float bits that
+        # `futaki_invariant` and `normalized_direction` form on their own
         rng = random.Random(67)
         for data, u0, xf in ((spp, spp.u0, minimize(spp).xi_star.xi),
                              (dk_divisor, ex.fracvec(DK_U0), (1.0, 1.0, 0.6861406616345072))):
             etas = list(data.sigma.rays) + [(Fraction(1, 3), 2, 1), xf, (0.5, 1, Fraction(1, 2))]
             for xi in (xf, random_interior_rational(data.sigma, rng)):
-                monkeypatch.setattr(futaki, "_pairing", counting)
-                pairings.clear()
                 scan = semistable_scan(data, xi, etas, u0=u0)
-                assert len(pairings) == len(etas) + 1  # and A(xi) once per scan
-                monkeypatch.undo()
                 for eta, (_, fut, direction) in zip(etas, scan.entries):
                     assert bitwise(fut, futaki_invariant(data, xi, eta, u0=u0))
                     assert bitwise(direction, normalized_direction(u0, xi, eta))
@@ -426,8 +424,8 @@ def term_by_term_first_order(cs, xi, u0):
 
 
 def term_by_term_scan(data, u0, xi, etas):
-    """(Fut, normalized eta) per eta, every A(v) a sum of u0_k v_k on the
-    Fraction u0: the reference for the scan's A(eta) formed once."""
+    """(Fut, normalized eta) per eta in Fractions, every A(v) a sum of u0_k
+    v_k on the Fraction u0: the reference for the scan's exact entries."""
     vol, grad = data._cellsum.evaluate(xi, 1)
     a = sum(x * y for x, y in zip(u0, xi))
     inv = 1 / (a * a)
@@ -436,6 +434,27 @@ def term_by_term_scan(data, u0, xi, etas):
         a_eta = sum(x * y for x, y in zip(u0, eta))
         d_vol = sum(gk * (-ek) for gk, ek in zip(grad, eta))
         fut = data.n * a ** (data.n - 1) * (-a_eta) * vol + a**data.n * d_vol
+        out.append((tuple(eta), fut, tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))))
+    return tuple(out)
+
+
+def one_gradient_scan(data, u0, xi, etas):
+    """(Fut, normalized eta) per eta from grad F = n A^(n-1) vol u0 + A^n
+    grad vol, formed once in xi's arithmetic (u0 in floats at an all-float
+    xi; at a rational xi exact, each entry rounded once for a float eta),
+    then Fut = -<grad F, eta>: the reference for the scan's float entries."""
+    vol, grad = data._cellsum.evaluate(xi, 1)
+    if all(isinstance(x, float) for x in xi):
+        u0 = tuple(map(float, u0))
+    n, a = data.n, sum(x * y for x, y in zip(u0, xi))
+    lead, inv = n * a ** (n - 1) * vol, 1 / (a * a)
+    grad_f = [lead * u + a**n * g for u, g in zip(u0, grad)]
+    if _cellsum._is_rational(xi):
+        grad_f = [float(g) for g in grad_f]
+    out = []
+    for eta in etas:
+        a_eta = sum(x * y for x, y in zip(u0, eta))
+        fut = sum(-g * e for g, e in zip(grad_f, eta))
         out.append((tuple(eta), fut, tuple((a * e - a_eta * x) * inv for e, x in zip(eta, xi))))
     return tuple(out)
 
@@ -470,11 +489,37 @@ class TestSameBitsAsTermByTerm:
                     assert bitwise(cs.certificate(xi, u0, data.n)[1], norm), xi
 
     def test_scan_and_invariants(self):
+        # exact entries (rational xi and eta) as term-by-term Fractions,
+        # float entries bit for bit as grad F formed once
         for data, u0, xf, rational in self.cases():
             mixed = (Fraction(xf[0]),) + tuple(xf[1:])
             etas = list(data.sigma.rays) + [(Fraction(1, 3),) + (2,) * (len(xf) - 1), xf, rational[0]]
             for xi in [xf, tuple(1.5 * x for x in xf), mixed] + rational:
                 scan = semistable_scan(data, xi, etas, u0=u0)
-                assert bitwise(scan.entries, term_by_term_scan(data, u0, xi, etas)), xi
+                exact, real = term_by_term_scan(data, u0, xi, etas), one_gradient_scan(data, u0, xi, etas)
+                for entry, eta, a, b in zip(scan.entries, etas, exact, real):
+                    both = _cellsum._is_rational(xi) and _cellsum._is_rational(eta)
+                    assert bitwise(entry, a if both else b), (xi, eta)
                 for eta, fut, _ in scan.entries:
                     assert bitwise(futaki_invariant(data, xi, eta, u0=u0), fut)
+
+    def test_float_entries_within_16_ulps(self):
+        # every float Fut within 16 ulps of s(eta) of the exact Fut at the
+        # rationals the floats store, at the float minimizer and off it.
+        # s(eta) = sum_k |eta_k| (n A^(n-1) vol |u0_k| + A^n max |grad vol|)
+        # is the size of the terms summed: n A^n vol |eta| / |xi| is not,
+        # since the two terms of grad F can be |u0| |xi| / A times larger
+        # than grad F (about 1e4 on the 1e4-coordinate polygons)
+        for data, u0, xf, rational in self.cases():
+            etas = list(data.sigma.rays) + [(Fraction(1, 3),) + (2,) * (len(xf) - 1), xf, rational[0]]
+            for xi in (xf, tuple(float(x) for x in rational[0])):
+                xq = ex.fracvec(Fraction(x) for x in xi)
+                vol, g = data._cellsum.evaluate(xq, 1)
+                n, a = data.n, sum(x * y for x, y in zip(u0, xq))
+                lead, top = n * a ** (n - 1) * vol, a**n * max(abs(x) for x in g)
+                for eta, fut, _ in semistable_scan(data, xi, etas, u0=u0).entries:
+                    assert type(fut) is float
+                    eq = ex.fracvec(Fraction(e) for e in eta)
+                    exact = futaki_invariant(data, xq, eq, u0=u0)
+                    size = sum(abs(e) * (abs(lead * u) + top) for e, u in zip(eq, u0))
+                    assert abs(Fraction(fut) - exact) <= 16 * Fraction(math.ulp(float(size))), (xi, eta)

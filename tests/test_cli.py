@@ -97,7 +97,7 @@ class TestOracleCommand:
         assert abs(estimates[-1] - 1.0) < 0.05
         assert abs(float(report["results"]["extrapolated"]) - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20]])
+    @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20], [True, 2, 3]])
     def test_non_positive_truncation_exit_2(self, tmp_path, m_list):
         doc = json.loads(Path(SPECS["c_n.json"]).read_text())
         doc["m_list"] = m_list
@@ -390,8 +390,9 @@ class TestCliContract:
         ("approx", None, "target", lambda doc: doc.update(target=[True])),  # a bool is not a number
         ("approx", None, "value", lambda doc: doc.update(target=[{"value": ["1.414"]}])),
         ("approx", None, "radius", lambda doc: doc.update(target=[{"value": "1.414", "radius": [1]}])),
+        ("eval", "c_n.json", "xi", lambda doc: doc.update(xi=[True, 1])),
     ], ids=["no_u0", "int_u0", "no_F", "no_vertices", "no_value", "no_b",
-            "list_target", "null_target", "bool_target", "list_value", "list_radius"])
+            "list_target", "null_target", "bool_target", "list_value", "list_radius", "bool_xi"])
     def test_missing_or_misshapen_field_exit_2(self, tmp_path, command, name, field, edit):
         if name:
             doc = json.loads(Path(SPECS[name]).read_text())

@@ -66,6 +66,13 @@ class TestVolXi:
         with pytest.raises(NotInReebCone):
             vol_xi(c2, (mpmath.mpi(-0.5, 1), mpmath.mpi(1, 2)))
 
+    def test_interval_point_has_no_sine(self, c2, monkeypatch):
+        # u0's Fractions met the interval inside the sine and raised mpmath's
+        # bare NotImplementedError; the type is named before the kernel runs
+        monkeypatch.setattr(c2._cellsum, "evaluate", lambda *args: pytest.fail("kernel ran"))
+        with pytest.raises(TypeError, match="ivmpf"):
+            certify_barycenter(c2, (mpmath.mpi(1, 2), mpmath.mpi(1, 2)))
+
     @pytest.mark.parametrize("xi", [(1, 1, 1, 5), (1, 1)])
     def test_wrong_length_names_both_lengths(self, xi):
         # zip used to truncate (1, 1, 1, 5) to (1, 1, 1) and return 1
