@@ -6,13 +6,16 @@ stops on the gradient test, or at the rounding floor of f: once the squared
 Newton decrement (twice the predicted decrease) is a few ulps of f, f no
 longer resolves the decrease, so the last Newton step is taken without a
 line search and no further iteration can improve the point.  Newton runs in
-float64 on ndarray points, through the kernel's array path, and steps by one
-symmetric eigendecomposition of the projected Hessian.  Its certificate is
-exact: every float64 point is rational, so `CellSum.certificate` sums vol
-and grad vol at Newton's point on the kernel's integer path and reads the
-normalized volume, the projected gradient's norm and the sine off those
-integer sums (no Fraction formed), each a quotient of two ints rounded
-once.  The start point is formed from cleared integers too.
+float64 on ndarray points, through the kernel's array path, and steps by
+-Q (Q^T g / |lambda|) from one symmetric eigendecomposition of the projected
+Hessian: the Newton step, however ill-conditioned, since strict convexity
+makes every lambda positive, and a descent direction even if rounding does
+not.  Its certificate is exact: every float64 point is rational, so
+`CellSum.certificate` sums vol and grad vol at Newton's point on the
+kernel's integer path and reads the normalized volume, the projected
+gradient's norm and the sine off those integer sums (no Fraction formed),
+each a quotient of two ints rounded once.  The start point is formed from
+cleared integers too.
 """
 
 import math
@@ -27,9 +30,9 @@ from .errors import NotInReebCone
 
 ARMIJO = 1e-4
 MAX_BACKTRACK = 60
-ILL_CONDITIONED = 1e12
 ROUNDING_FLOOR = 4  # ulps of f: a smaller squared Newton decrement does not show in f
 NEWTON_STOPS = ("gradient", "rounding_floor")
+MAX_ITER = 200  # default of minimize, minimize_c1 and the CLI's --max-iter
 
 
 @dataclass(frozen=True)
@@ -103,12 +106,13 @@ def _newton(cs, u0, x0, tol, max_iter):
 
     Points are float ndarrays, on the kernel's array path.  Each iteration
     makes one order-2 kernel call, plus one volume call per line-search
-    step.  The projected Hessian's eigendecomposition gives both its
-    condition number and the Newton step.  With the Newton step s, lam2 =
-    -<grad, s> is the squared Newton decrement; when it is at most
-    ROUNDING_FLOOR ulps of f, Armijo cannot judge the step, so it is taken
-    once without a line search, kept only if it stays in the open cone, and
-    Newton stops.  Returns (xi, iterations, stop_reason).
+    step.  With the step s of `_newton_step`, lam2 = -<grad, s> is the
+    squared Newton decrement; when it is at most ROUNDING_FLOOR ulps of f,
+    Armijo cannot judge the step, so it is taken once without a line search,
+    kept only if it stays in the open cone, and Newton stops.  A failed
+    eigendecomposition stops Newton with "line_search" at the current point,
+    as do 60 halvings without an Armijo decrease.  Returns (xi, iterations,
+    stop_reason).
     """
     v = slice_basis(u0)
     xi = np.asarray(x0, dtype=float)
@@ -117,14 +121,13 @@ def _newton(cs, u0, x0, tol, max_iter):
         gp = v.T @ g
         if math.sqrt(gp @ gp) <= tol:  # np.linalg.norm's value, without its overhead
             return xi, it - 1, "gradient"
-        step = _newton_step(v.T @ h @ v, gp)
-        slope = None if step is None else float(gp @ step)
-        newton = slope is not None and slope < 0
-        if not newton:
-            step = -gp
-            slope = float(gp @ step)
+        try:
+            step = _newton_step(v.T @ h @ v, gp)
+        except np.linalg.LinAlgError:
+            return xi, it, "line_search"
+        slope = float(gp @ step)
         f0 = float(f0)
-        if newton and -slope <= ROUNDING_FLOOR * math.ulp(f0):
+        if -slope <= ROUNDING_FLOOR * math.ulp(f0):
             cand = xi + v @ step
             try:
                 cs._pairings_array(cand)
@@ -149,14 +152,8 @@ def _newton(cs, u0, x0, tol, max_iter):
 
 
 def _newton_step(hp, gp):
-    """-hp^-1 gp from one symmetric eigendecomposition of hp, or None when
-    hp's condition number |lambda|_max / |lambda|_min exceeds ILL_CONDITIONED
-    or the decomposition fails."""
-    try:
-        w, q = np.linalg.eigh(hp)
-    except np.linalg.LinAlgError:
-        return None
-    mags = [abs(x) for x in w.tolist()]
-    if not min(mags) > 0 or not max(mags) <= ILL_CONDITIONED * min(mags):
-        return None
-    return -(q @ ((q.T @ gp) / w))
+    """-Q (Q^T gp / |lambda|) from one symmetric eigendecomposition of hp:
+    -hp^-1 gp when hp is positive definite, a descent direction whenever no
+    eigenvalue is zero.  Raises LinAlgError when the decomposition fails."""
+    w, q = np.linalg.eigh(hp)
+    return -(q @ ((q.T @ gp) / np.abs(w)))

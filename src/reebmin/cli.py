@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import _exact as ex
+from ._newton import MAX_ITER
 from .approx import (
     DEFAULT_QMAX,
     Enclosure,
@@ -355,7 +356,7 @@ def main(argv=None):
     parser.add_argument("spec", help="path to a reebmin/1 JSON spec")
     parser.add_argument("--out", help="write the JSON report here")
     parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    parser.add_argument("--max-iter", type=int, default=MAX_ITER, dest="max_iter")
     parser.add_argument("--json-only", action="store_true", dest="json_only")
     args = parser.parse_args(argv)
 

@@ -191,7 +191,7 @@ def nvol_c1(d: PolyhedralDivisor, u0, xi):
     return a**d.n * vol_xi_c1(d, xi)
 
 
-def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=200) -> MinimizeResult:
+def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=_newton.MAX_ITER) -> MinimizeResult:
     """Minimize the normalized volume over the Reeb cone of the tail.
 
     Newton on the slice {<u0, xi> = 1} with closed-form derivatives, stopped

@@ -113,7 +113,7 @@ def certify_barycenter(t: ToricData, xi):
     return t._cellsum.sine(xi, t.u0)
 
 
-def minimize(t: ToricData, tolerance=1e-9, max_iter=100) -> MinimizeResult:
+def minimize(t: ToricData, tolerance=1e-9, max_iter=_newton.MAX_ITER) -> MinimizeResult:
     """Global minimizer of the normalized volume over the Reeb cone.
 
     Newton iteration on the slice {A(xi) = 1} with analytic derivatives,

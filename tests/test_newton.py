@@ -1,11 +1,13 @@
-"""Newton's stopping rules: the gradient test, the rounding floor of f, max_iter.
+"""Newton's stopping rules (the gradient test, the rounding floor of f,
+max_iter) and its one step rule, -Q (Q^T g / |lambda|).
 
 The literals are copies of seeded inputs on which Newton used to spin at the
-rounding floor of f until max_iter.
+rounding floor of f until max_iter, or to stop far from the minimizer.
 """
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from reebmin import PolyhedralDivisor, ToricData, _newton, minimize, minimize_c1
@@ -23,6 +25,13 @@ STALL_NVOL = 688.75610875359844404437  # mpmath root of the gradient, 200 bits
 POLYGON_RAYS = ((-9943, -7083, 1), (-3932, 3013, 1), (-3471, 7804, 1),
                 (-2258, -3526, 1), (559, -4755, 1), (7268, 4145, 1))
 POLYGON_U0 = (-11777, -402, 6)
+
+# a lattice hexagon whose projected Hessian has condition number above 1e12 at
+# the start; a steepest-descent step taken there found no decrease in 60
+# halvings, and Newton stopped at a sine of 0.9975
+ILL_RAYS = ((-8431, 7683, 1), (2560, 2568, 1), (4508, 9247, 1),
+            (5404, 3258, 1), (8430, -9283, 1), (9945, 9980, 1))
+ILL_U0 = (22416, 23453, 6)
 
 # a seeded proper divisor over the dk tail; 200 iterations at a predicted
 # decrease of 1.2e-19 against ulp(f) = 9.1e-13
@@ -76,11 +85,10 @@ class TestRoundingFloor:
         assert res.stop_reason in ("gradient", "rounding_floor")
 
 
-def test_gradient_step_fallback(monkeypatch):
-    # with no Hessian conditioned well enough every step is -grad: the line
-    # search keeps f from increasing, and Newton stops for a named reason
-    monkeypatch.setattr(_newton, "ILL_CONDITIONED", 0)
-    t = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+def test_ill_conditioned_polygon(monkeypatch):
+    # the eigen-step reaches the minimizer's ray, and f, read from Newton's
+    # order-2 kernel calls, never increases on the way
+    t = ToricData.from_dual_cone(ILL_RAYS, ILL_U0)
     fs = []
     evaluate = t._cellsum._evaluate_array  # Newton's kernel calls
 
@@ -91,7 +99,21 @@ def test_gradient_step_fallback(monkeypatch):
         return out
 
     monkeypatch.setattr(t._cellsum, "_evaluate_array", recording)
-    res = minimize(t, max_iter=40)
-    assert res.stop_reason in ("gradient", "rounding_floor", "line_search", "max_iter", "zero_volume")
-    assert len(fs) > 4  # Newton steps reach the gradient test in 4 iterations
+    res = minimize(t, tolerance=1e-9)
+    assert res.stop_reason in _newton.NEWTON_STOPS
+    assert res.barycenter_residual <= 1e-12
+    assert len(fs) > 1
     assert all(b <= a for a, b in zip(fs, fs[1:])), fs
+
+
+@pytest.mark.parametrize(
+    "hp, gp",
+    [
+        # eigenvalues 3 and -1; -hp^-1 gp = (1/3, -2/3) points uphill
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 0.0])),
+        (np.diag([1e10, 1e-10]), np.array([1.0, 1.0])),  # condition number 1e20
+    ],
+    ids=["indefinite", "condition_1e20"],
+)
+def test_step_descends(hp, gp):
+    assert gp @ _newton._newton_step(hp, gp) < 0
