@@ -132,13 +132,21 @@ def rank(m):
 
 def independent_rows(rows):
     """Indices of the integer rows independent of the rows before them: the
-    pivot columns of their transpose.  When the first n rows (n the row
-    length) are independent they span the space and are the answer, so the
-    rows after them are eliminated only when those are dependent."""
-    head = rows[: len(rows[0])] if rows else rows
-    if len(head) < len(rows) and len(_eliminate([list(r) for r in head])[0]) == len(head):
-        return list(range(len(head)))
-    return _eliminate([list(col) for col in zip(*rows)])[0]
+    pivot columns of their transpose.
+
+    The first n rows (n the row length), the head, are eliminated first, as
+    their transpose, whose pivot columns are the head's part of the answer.
+    An independent head spans the space, so the later rows are dependent.
+    Otherwise the head's independent rows and the later rows are eliminated
+    together; the head's dependent rows enter no second elimination.
+    """
+    n = len(rows[0]) if rows else 0
+    start = _eliminate([list(col) for col in zip(*rows[:n])])[0]
+    if len(start) == n or len(rows) <= n:
+        return start
+    r = len(start)
+    kept = [rows[i] for i in start] + list(rows[n:])
+    return start + [n + c - r for c in _eliminate([list(col) for col in zip(*kept)])[0][r:]]
 
 
 def nullspace(m):

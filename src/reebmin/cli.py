@@ -294,7 +294,10 @@ def run(command, doc, options):
         budget = _int(doc.get("budget", DEFAULT_BUDGET))
         counter = count_toric if kind == "toric" else count_cxone
         counts = [counter(data, xi, m, budget) for m in ms]
-        series = CountSeries.from_counts(data.n, list(zip(ms, counts)))
+        try:
+            series = CountSeries.from_counts(data.n, list(zip(ms, counts)))
+        except ValueError as e:  # m^n underflows, or an estimate overflows
+            raise SpecError(f"oracle m_list: {e}") from None
         out = {
             "m_list": [fmt(m) for m in ms],
             "counts": counts,

@@ -12,12 +12,20 @@ closed form is one floor sum per envelope piece, n (a // den) for a flat
 one.  It needs h0 = deg floor(D(u)) + 1 on the run, which one exact test per
 count proves for the whole weight cone when it holds (`_sure_everywhere`),
 and a per-column bound decides otherwise.
+
+Along a primitive direction v of the weight cone the walk forms about
+<v, xi> vol(top facet) / |xi| columns.  So the columns run along the weight
+cone's ray v of least pairing with xi where the last axis e_d lies in the
+weight cone and v pairs lower than xi_d, and along e_d otherwise; a
+unimodular change of basis maps v to e_d and leaves every count as it is
+(`_column_basis`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm
+from math import factorial, isfinite, lcm
+from operator import mul
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from .errors import NotInReebCone, TooLarge
 
 DEFAULT_BUDGET = 10**8
 _REL_MARGIN = 1e-7
+_PAD = 1e-9  # relative slack of the float box and shadow bounds
 _BLOCK = 2**15  # box columns (heads times y width) per block of heads formed in one array pass
 _INT64 = 2**62  # magnitudes below this leave room for one more int64 addition
 
@@ -293,32 +302,52 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
     return total, unsure
 
 
-def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
-    """Sum h0 over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, column by column.
+def _column_basis(rays, dual_rays, x, coeffs):
+    """The data in a unimodular basis whose last axis is the weight cone's ray
+    v of least <v, xi>, or None where the last axis serves as well.
 
-    coeffs holds each divisor point's vertices as integer rows over a common
-    denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
-    count.  Each point's vertices are merged by slope along the columns once
-    (`_envelopes`), and whether the closed form holds on the whole weight
-    cone, which dual_rays generate, is decided once (`_sure_everywhere`).
-    The interior run of each column is summed in closed form
-    (`_interior_sums`), and counted point by point only where neither that
-    test nor the per-column bound makes it sure; its border run is
-    rechecked point by point against the exact xi.  The budget charges each
-    slab its candidate points, and at least the width of its y range, so
-    slabs without points still count towards it; it is checked before each
-    block's work.
+    The walk forms about <v, xi> vol(top facet) / |xi| columns along a
+    primitive v of the weight cone, so v replaces the last axis e_d when e_d
+    lies in the weight cone (every ray of sigma has a nonnegative last entry)
+    and v pairs strictly lower than xi_d.  Lattice counts do not change under
+    a unimodular change of basis, so the choice may read float pairings.
+    The Hermite form of v as a column gives a unimodular A with A v = e_d;
+    the weight cone's rays map by A, and sigma's rays, xi (through its
+    cleared integers) and the divisor points' vertex rows by A^-T, which
+    keeps every pairing.  Returns (rays, dual_rays, x, coeffs) of the image.
     """
-    x = _exact_xi(xi)
-    dim = len(dual_rays[0])
-    if len(x) != dim:
-        raise ValueError(f"Reeb vector has {len(x)} entries but the weight cone lies in dimension {dim}")
-    mf = float(m)
-    pad = 1e-9 * (1.0 + abs(mf))
-    delta = _REL_MARGIN * (1.0 + abs(mf))
-    verts, box_lo, box_hi = _box_from_cone(dual_rays, x, m, pad)
-    rays = [tuple(int(c) for c in r) for r in sigma_rays]
-    sure = _sure_everywhere(dual_rays, coeffs)
+    if len(x) < 2 or any(r[-1] < 0 for r in rays):
+        return None
+    xf = [float(c) for c in x]
+    pairings = [sum(c * f for c, f in zip(u, xf)) for u in dual_rays]
+    low = min(range(len(pairings)), key=pairings.__getitem__)
+    if not pairings[low] < xf[-1]:
+        return None
+    _, u = ex.hermite([[c] for c in ex.primitive(dual_rays[low])])  # u v = e_1
+    a = u[1:] + u[:1]  # a v = e_d
+    adj = ex.adjugate(a)
+    det = sum(p * row[0] for p, row in zip(adj[0], a))  # adj(a) a = det(a) I, det(a) = +-1
+    inv_t = [[det * c for c in col] for col in zip(*adj)]  # a^-T
+
+    def image(m, v):
+        return tuple([sum(map(mul, row, v)) for row in m])
+
+    x_n, scale = ex.cleared(x)
+    return (
+        [image(inv_t, r) for r in rays],
+        [image(a, r) for r in dual_rays],
+        [Fraction(c, scale) for c in image(inv_t, x_n)],
+        [([image(inv_t, row) for row in rows], den) for rows, den in coeffs],
+    )
+
+
+def _layout(rays, dual_rays, x, coeffs, m, budget):
+    """The walk's box and data in one basis, checked against int64:
+    (verts, box_lo, box_hi, rays, x, coeffs, wide), with coeffs as arrays,
+    object arrays where `wide` says the column sums may leave int64.  Raises
+    TooLarge when the cone's pairings over the box leave int64.
+    """
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, x, m, _PAD * (1.0 + abs(float(m))))
     if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
         rays = [(0, *r) for r in rays]
         x, box_lo, box_hi = ([0, *v] for v in (x, box_lo, box_hi))
@@ -342,6 +371,54 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
         or any(2 * r + 2 >= _INT64 or den * nz >= _INT64 for r, den in reaches)
     )
     coeffs = [(np.array(rows, dtype=object if wide else np.int64), den) for rows, den in coeffs]
+    return verts, box_lo, box_hi, rays, x, coeffs, wide
+
+
+def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
+    """Sum h0 over {u in Z^d : sigma pairings >= 0, <u, xi> < m}, column by column.
+
+    coeffs holds each divisor point's vertices as integer rows over a common
+    denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
+    count.  Whether the closed form holds on the whole weight cone, which
+    dual_rays generate, is decided once (`_sure_everywhere`).  The columns
+    run along the weight cone's ray of least pairing with xi where that
+    beats the last axis (`_column_basis`).  The input's own basis is walked
+    instead where the image's pairings or sums could leave int64 or its walk
+    exceeds the budget, so a count that finishes along the last axis still
+    finishes, and errors name the input's own rays.
+    """
+    x = _exact_xi(xi)
+    dim = len(dual_rays[0])
+    if len(x) != dim:
+        raise ValueError(f"Reeb vector has {len(x)} entries but the weight cone lies in dimension {dim}")
+    rays = [tuple(int(c) for c in r) for r in sigma_rays]
+    sure = _sure_everywhere(dual_rays, coeffs)
+    turned = _column_basis(rays, dual_rays, x, coeffs)
+    if turned is not None:
+        try:
+            layout = _layout(*turned, m, budget)
+            if not layout[-1]:  # else its sums may leave int64
+                return _walk(*layout, m, sure, budget)
+        except (TooLarge, NotInReebCone):  # past int64 or the budget; or xi, reported below
+            pass
+    return _walk(*_layout(rays, dual_rays, x, coeffs, m, budget), m, sure, budget)
+
+
+def _walk(verts, box_lo, box_hi, rays, x, coeffs, wide, m, sure, budget):
+    """The sum of `_enumerate` over one basis's `_layout`.
+
+    Each point's vertices are merged by slope along the columns once
+    (`_envelopes`).  The interior run of each column is summed in closed
+    form (`_interior_sums`), and counted point by point only where neither
+    `sure` nor the per-column bound makes it sure; its border run is
+    rechecked point by point against the exact xi.  The budget charges each
+    slab its candidate points, and at least the width of its y range, so
+    slabs without points still count towards it; it is checked before each
+    block's work.
+    """
+    mf = float(m)
+    pad = _PAD * (1.0 + abs(mf))
+    delta = _REL_MARGIN * (1.0 + abs(mf))
     envelopes = None if wide else _envelopes(coeffs)
     xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
@@ -410,9 +487,11 @@ class CountSeries:
     @classmethod
     def from_counts(cls, n, pairs):
         pairs = tuple((float(m), int(c)) for m, c in pairs)
-        if not all(m > 0 for m, _ in pairs):
-            raise ValueError(f"truncations must be positive, got {[m for m, _ in pairs]}")
+        if not all(m > 0 and m**n > 0 for m, _ in pairs):
+            raise ValueError(f"truncations must be positive, with m^n positive in float, got {[m for m, _ in pairs]}")
         est = tuple(factorial(n) * c / m**n for m, c in pairs)
+        if not all(map(isfinite, est)):
+            raise ValueError(f"n! count / m^n must be finite in float, got truncations {[m for m, _ in pairs]}")
         return cls(truncations=pairs, n=n, estimates=est)
 
 

@@ -427,6 +427,183 @@ class TestSlopeEnvelopes:
         assert interior_spy and all(sure and n == 0 for sure, n in interior_spy)
 
 
+def seeded_unimodular(rng, d):
+    """A seeded integer matrix of determinant +-1: elementary row additions,
+    then one row negated."""
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    k = rng.randrange(d)
+    a[k] = [-x for x in a[k]]
+    return a
+
+
+def seeded_rays(rng, d):
+    """Rays (p, 1) over d to d + 2 distinct points p of [-2, 2]^(d-1), of full rank."""
+    while True:
+        pts = set()
+        while len(pts) < rng.randint(d, d + 2):
+            pts.add(tuple(rng.randint(-2, 2) for _ in range(d - 1)))
+        rays = [p + (1,) for p in sorted(pts)]
+        if ex.rank(rays) == d:
+            return rays
+
+
+def three_xis(rng, sigma_rays):
+    """An integer, a rational and an irrational point of sigma's interior."""
+    d = len(sigma_rays[0])
+    weights = (
+        [1] * len(sigma_rays),
+        [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in sigma_rays],
+        [1 + math.sqrt(2 + rng.randint(0, 20)) / 3 for _ in sigma_rays],
+    )
+    return [tuple(sum(w * r[k] for w, r in zip(ws, sigma_rays)) for k in range(d)) for ws in weights]
+
+
+@pytest.fixture
+def basis_spy(monkeypatch):
+    """Records, per `_column_basis` call, whether the walk turned its columns."""
+    from reebmin import oracle
+
+    turned = []
+    inner = oracle._column_basis
+
+    def spy(*args):
+        out = inner(*args)
+        turned.append(out is not None)
+        return out
+
+    monkeypatch.setattr(oracle, "_column_basis", spy)
+    return turned
+
+
+@pytest.fixture
+def column_spy(monkeypatch):
+    """Records the sigma rays each `_columns` call walks and the columns it forms."""
+    from reebmin import oracle
+
+    calls = []
+    inner = oracle._columns
+
+    def spy(block, rays, *args):
+        out = inner(block, rays, *args)
+        calls.append((tuple(rays), len(out[2])))
+        return out
+
+    monkeypatch.setattr(oracle, "_columns", spy)
+    return calls
+
+
+class TestColumnDirection:
+    # lattice counts do not change under a unimodular change of basis, so the
+    # walk may run its columns along any primitive direction; it takes the
+    # weight cone's ray of least pairing with xi where that beats the last axis
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_toric_count_equals_image_count(self, dim, basis_spy):
+        # weight cone rays r and u0 map by U^-T, sigma's rays and xi by U
+        rng = random.Random(240 + dim)
+        for _ in range(3):
+            dual = seeded_rays(rng, dim)
+            t = ToricData.from_dual_cone(dual, [sum(c) for c in zip(*dual)])
+            u = seeded_unimodular(rng, dim)
+            det = ex.int_det(u)  # +-1, so U^-T = det adj(U)^T
+            inv_t = [[det * x for x in row] for row in ex.transpose(ex.adjugate(u))]
+            image = ToricData.from_dual_cone([ex.mat_vec(inv_t, r) for r in dual], ex.mat_vec(inv_t, t.u0))
+            for xi in three_xis(rng, t.sigma.rays):
+                xi_image = ex.mat_vec(u, [Fraction(x) for x in xi])  # a float xi is the rational it stores
+                for m in TRUNCATIONS:
+                    count = count_toric(t, xi, m)
+                    assert count_toric(image, xi_image, m) == count
+                    box = box_of(t, xi, m)
+                    if (2 * box + 1) ** dim <= 30000:
+                        assert count == brute_count(t, tuple(map(Fraction, xi)), m, box)
+        assert any(basis_spy) and not all(basis_spy)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_cxone_count_equals_image_count(self, dim, basis_spy):
+        # tail rays, vertices and xi map by U
+        rng = random.Random(340 + dim)
+        for shift in (0, -2, 0):
+            tail = seeded_rays(rng, dim)
+            points = [
+                (str(p), [
+                    tuple(Fraction(rng.randint(-2, 2) + shift * (k == 0), rng.choice((1, 2, 3))) for k in range(dim))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for p in range(rng.randint(1, 3))
+            ]
+            d = PolyhedralDivisor.from_vertex_lists(tail, points)
+            u = seeded_unimodular(rng, dim)
+            image = PolyhedralDivisor.from_vertex_lists(
+                [ex.mat_vec(u, r) for r in tail],
+                [(label, [ex.mat_vec(u, v) for v in verts]) for label, verts in points],
+            )
+            for xi in three_xis(rng, tail):
+                xi_image = ex.mat_vec(u, [Fraction(x) for x in xi])
+                for m in TRUNCATIONS:
+                    count = count_cxone(d, xi, m)
+                    assert count_cxone(image, xi_image, m) == count
+                    box = box_of(d, xi, m)
+                    if (2 * box + 1) ** dim <= 30000:
+                        assert count == brute_count_cxone(d, tuple(map(Fraction, xi)), m, box)
+        assert any(basis_spy) and not all(basis_spy)
+
+    def test_dk_walk_forms_under_half_the_last_axis_columns(self, dk_divisor, column_spy, monkeypatch):
+        # dk_4dim's weight cone ray (0, 1, -1) pairs 0.314 with xi, e_3 0.686
+        from reebmin import oracle
+
+        xi = (1.0, 1.0, 0.6861406616345072)
+        assert count_cxone(dk_divisor, xi, 200) == 316789998
+        turned = sum(n for _, n in column_spy)
+        column_spy.clear()
+        monkeypatch.setattr(oracle, "_column_basis", lambda *args: None)
+        assert count_cxone(dk_divisor, xi, 200) == 316789998
+        assert turned < sum(n for _, n in column_spy) / 2
+
+    @pytest.mark.parametrize("trip", ["pairings", "sums"])
+    def test_image_past_int64_walks_the_last_axis(self, dk_divisor, column_spy, monkeypatch, trip):
+        # the image's int64 guards, tripped by hand: its pairings over the box
+        # (TooLarge) or its column sums (wide); the walk takes the last axis
+        from reebmin import oracle
+
+        layouts = []
+        inner = oracle._layout
+
+        def tripped(*args):
+            layouts.append(args[0])
+            out = inner(*args)
+            if len(layouts) == 1:
+                if trip == "pairings":
+                    raise TooLarge("cone pairings over the box leave int64")
+                out = (*out[:-1], True)
+            return out
+
+        monkeypatch.setattr(oracle, "_layout", tripped)
+        assert count_cxone(dk_divisor, (1.0, 1.0, 0.6861406616345072), 50) == 1324452
+        own = tuple(dk_divisor.sigma.rays)
+        assert len(layouts) == 2 and tuple(layouts[0]) != own and tuple(layouts[1]) == own
+        assert column_spy and all(rays == own for rays, _ in column_spy)
+
+    def test_budget_overrun_of_the_image_walks_the_last_axis(self, spp, basis_spy):
+        # spp at m = 50 finishes along the last axis on a budget of 9061 cells
+        # and along its turned direction on 9196: on 9100 the turned walk runs
+        # out and the last axis still counts
+        xi = ((3 + SQRT3) / 2, (3 + SQRT3) / 2, SQRT3)
+        assert count_toric(spp, xi, 50, budget=9100) == 8772
+        assert basis_spy == [True]
+        with pytest.raises(TooLarge):
+            count_toric(spp, xi, 50, budget=9060)
+
+    def test_no_turn_off_the_weight_cone_or_without_gain(self, c2, a1, basis_spy):
+        # c_n: e_2 pairs 1 like every ray; a1: e_2 lies outside the weight cone
+        count_toric(c2, (1, 1), 50)
+        count_toric(a1, (2, 0), 50)
+        assert basis_spy == [False, False]
+
+
 class TestLengthChecks:
     # a short xi used to raise IndexError in the pairing bound and a long one
     # numpy's inhomogeneous-shape ValueError
@@ -467,6 +644,12 @@ class TestVolEstimate:
     def test_series_rejects_non_positive_truncations(self, m):
         with pytest.raises(ValueError, match="positive"):
             CountSeries.from_counts(2, [(m, 0), (10, 66), (20, 231)])
+
+    @pytest.mark.parametrize("m, what", [(1e-300, "m\\^n positive"), (1e-160, "finite")])
+    def test_series_rejects_truncations_past_float_range(self, m, what):
+        # m^2 underflows to 0.0 at 1e-300, and 2 / m^2 overflows at 1e-160
+        with pytest.raises(ValueError, match=what):
+            CountSeries.from_counts(2, [(m, 1), (10, 66), (20, 231)])
 
     def test_estimates_recorded(self, c2):
         series = CountSeries.from_counts(c2.n, [(m, count_toric(c2, (1.0, 1.0), m)) for m in [10, 20, 40]])
