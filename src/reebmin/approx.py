@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import _exact as ex
 from .errors import InfeasibleSystem, SearchExhausted
 from .polyhedral import vertex_enumeration
@@ -182,6 +180,8 @@ def _relation(encls):
     bound; the proposal is kept only if |k_i| <= _HEIGHT for i >= 1 and it holds
     exactly within the enclosure widths plus _SLACK.
     """
+    import mpmath  # only here, so importing reebmin leaves mpmath unloaded
+
     mids = [e.mid for e in encls]
     for i, (m, e) in enumerate(zip(mids, encls)):
         if abs(m - round(m)) <= e.width + _SLACK:  # pslq rejects a (near) zero entry

@@ -177,8 +177,11 @@ def _data_from_spec(doc):
 
 
 def _xi_from(doc, name="xi"):
+    """A rational xi where every entry is an int, a "p/q" string or an
+    integer string; a float or a decimal string makes it real."""
     vals = [_number(name, x) for x in _field(doc, name)]
-    if all(isinstance(x, (int, str)) and ("/" in x if isinstance(x, str) else True) for x in vals):
+    if all(isinstance(x, int) or isinstance(x, str) and ("/" in x or x.strip().lstrip("+-").isdecimal())
+           for x in vals):
         try:
             return ReebVector.rational([_rat(x) for x in vals])
         except SpecError:

@@ -6,23 +6,20 @@ produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
 The sum runs column by column: the lattice points with all but the last
 coordinate fixed, summed in closed form, with the few points near the
-truncation rechecked one by one.  Along a column each divisor point's
-coefficient is the lower envelope of one line per distinct slope, so the
-closed form is one floor sum per envelope piece, n (a // den) for a flat
-one.  It needs h0 = deg floor(D(u)) + 1 on the run, which one exact test per
-count proves for the whole weight cone when it holds (`_sure_everywhere`),
-and a per-column bound decides otherwise.
-
-Along a primitive direction v of the weight cone the walk forms about
-<v, xi> vol(top facet) / |xi| columns.  So the columns run along the weight
-cone's ray v of least pairing with xi where the last axis e_d lies in the
-weight cone and v pairs lower than xi_d, and along e_d otherwise; a
-unimodular change of basis maps v to e_d and leaves every count as it is
-(`_column_basis`).
+truncation rechecked one by one in integers.  A lattice count adds run
+lengths.  Along a column each divisor point's coefficient is the lower
+envelope of one line per distinct slope, each an elementwise min of its
+vertices' lines, so the closed form is one floor sum per envelope piece,
+n (a // den) for a flat one.  It needs h0 = deg floor(D(u)) + 1 on the
+run, which one exact test per count proves for the whole weight cone when
+it holds (`_sure_everywhere`), and a per-column bound decides otherwise.
+The columns run along the weight cone's ray of least pairing with xi where
+that beats the last axis (`_column_basis`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from math import factorial, isfinite, lcm
 from operator import mul
@@ -195,42 +192,37 @@ def _slab_points(heads, y, zlo, zhi):
 
 def _h0(pts, coeffs):
     """Section counts max(deg floor(D(u)) + 1, 0), point by point."""
-    deg = np.zeros(len(pts), dtype=np.int64)
-    for nums, den in coeffs:
-        deg = deg + np.min((pts @ nums.T) // den, axis=1)
-    return np.maximum(deg + 1, 0)
+    return np.maximum(1 + sum(reduce(np.minimum, (nums @ pts.T) // den) for nums, den in coeffs), 0)
 
 
 def _floor_sum(n, den, a, b):
-    """Sum over the entries of sum_{i < n} floor((a i + b) / den), for n >= 0 and den > 0.
+    """Sum over the entries of sum_{i < n} floor((a i + b) / den), for arrays
+    n >= 0 and b, and ints a and den > 0.
 
     The Euclid-like reduction of floor sums: reduce a and b mod den, then
     count the lattice points under the line by swapping the roles of den
     and a.  Entries leave once the line stays below den.
     """
     total = 0
-    den = np.full(n.shape, den, dtype=np.int64)
-    a = np.full(n.shape, a, dtype=np.int64)
     while len(n):
-        qa, a = np.divmod(a, den)
+        qa, a = divmod(a, den)
         qb, b = np.divmod(b, den)
-        total += int((n * (n - 1) // 2 * qa).sum()) + int((n * qb).sum())
+        total += qa * int((n * (n - 1) // 2).sum()) + int((n * qb).sum())
         top = a * n + b
-        go = top >= den
-        top, den, a = top[go], den[go], a[go]
+        top = top[top >= den]
         n, b, a, den = top // den, top % den, den, a
     return total
 
 
 def _envelopes(coeffs):
     """Each divisor point's vertex rows merged by slope, the last coordinate:
-    (rows, starts, slopes, den) with the rows sorted by slope, starts[s] the
-    first row of slope slopes[s], and the slopes distinct and ascending."""
+    (rows, bounds, slopes, den), the rows sorted by slope, rows
+    bounds[s]:bounds[s + 1] of slopes[s], the slopes distinct ints, ascending."""
     out = []
     for nums, den in coeffs:
         rows = nums[np.argsort(nums[:, -1], kind="stable")]
         slopes, starts = np.unique(rows[:, -1], return_index=True)
-        out.append((rows, starts, slopes, den))
+        out.append((rows, [*starts.tolist(), len(rows)], slopes.tolist(), den))
     return out
 
 
@@ -258,47 +250,47 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
     """Sum of h0 over the runs z0..z1 of the columns, in closed form where it is sure.
 
     Along a column each divisor point P contributes floor(min_s L_Ps(z) /
-    den_P), one line L_Ps(z) = a_s + s z per distinct slope s, a_s the min of
-    the vertices of that slope.  Unless `sure` says the closed form holds on
-    the whole weight cone (`_sure_everywhere`), a column is sure where the
-    concave lower bound sum_P (min_s L_Ps - den_P + 1) / den_P of deg stays
-    >= -1 at both ends of the run.  On a sure run h0 = deg + 1, and the sum
-    is the run's length plus, for each P and each slope s, a floor sum over
-    the interval on which L_Ps attains the min (ties to the lowest slope),
-    in closed form n (a_s // den_P) for s = 0.  Returns the sum and the mask
-    of the columns left to count point by point.
+    den_P), one line L_Ps(z) = a_s + s z per distinct slope s, a_s the
+    elementwise min of the vertices of that slope.  Unless `sure` says the
+    closed form holds on the whole weight cone (`_sure_everywhere`), a column
+    is sure where the concave lower bound sum_P (min_s L_Ps - den_P + 1) /
+    den_P of deg stays >= -1 at both ends of the run.  On a sure run h0 =
+    deg + 1, and the sum is the run's length plus, for each P and each slope
+    s, a floor sum over the interval on which L_Ps attains the min (ties to
+    the lowest slope), in closed form n (a_s // den_P) for s = 0.  Returns
+    the sum and the mask of the columns left to count point by point.
     """
+    hy = np.column_stack([heads, y])
     lines = []
-    for rows, starts, slopes, den in envelopes:
-        a = heads @ rows[:, :-2].T + np.outer(y, rows[:, -2])
-        if len(starts) < len(rows):
-            a = np.minimum.reduceat(a, starts, axis=1)
-        lines.append((a, slopes, den))
+    for rows, bounds, slopes, den in envelopes:
+        a = rows[:, :-1] @ hy.T
+        lines.append(([reduce(np.minimum, a[i:j]) for i, j in zip(bounds, bounds[1:])], slopes, den))
     unsure = np.zeros(len(y), dtype=bool)
     if not sure:
         common = lcm(*(den for _, _, den in lines))
         for z in (z0, z1):  # the bound, checked in integers scaled by common
             bound = np.full(len(y), common, dtype=np.int64)
             for a, c, den in lines:
-                bound += (np.min(a + np.outer(z, c), axis=1) - den + 1) * (common // den)
+                low = reduce(np.minimum, [av + cv * z for av, cv in zip(a, c)])
+                bound += (low - den + 1) * (common // den)
             unsure |= bound < 0
         keep = ~unsure
         z0, z1 = z0[keep], z1[keep]
-        lines = [(a[keep], c, den) for a, c, den in lines]
+        lines = [([av[keep] for av in a], c, den) for a, c, den in lines]
     total = int((z1 - z0 + 1).sum())
     for a, c, den in lines:
         for v, cv in enumerate(c):
             lo, hi = z0, z1
             for w, cw in enumerate(c):  # L_v(z) < L_w(z) for w < v, <= for w > v
                 if w < v:  # cv > cw
-                    hi = np.minimum(hi, (a[:, w] - a[:, v] - 1) // (cv - cw))
+                    hi = np.minimum(hi, (a[w] - a[v] - 1) // (cv - cw))
                 elif w > v:  # cv < cw
-                    lo = np.maximum(lo, -((a[:, w] - a[:, v]) // (cw - cv)))
+                    lo = np.maximum(lo, -((a[w] - a[v]) // (cw - cv)))
             n = np.maximum(hi - lo + 1, 0)
             if cv == 0:
-                total += int((n * (a[:, v] // den)).sum())
+                total += int((n * (a[v] // den)).sum())
             else:
-                total += _floor_sum(n, den, cv, a[:, v] + cv * np.where(n > 0, lo, z0))
+                total += _floor_sum(n, den, cv, a[v] + cv * np.where(n > 0, lo, z0))
     return total, unsure
 
 
@@ -411,9 +403,10 @@ def _walk(verts, box_lo, box_hi, rays, x, coeffs, wide, m, sure, budget):
     (`_envelopes`).  The interior run of each column is summed in closed
     form (`_interior_sums`), and counted point by point only where neither
     `sure` nor the per-column bound makes it sure; its border run is
-    rechecked point by point against the exact xi.  The budget charges each
-    slab its candidate points, and at least the width of its y range, so
-    slabs without points still count towards it; it is checked before each
+    rechecked point by point against the exact xi, in integers.  A lattice
+    count adds the interior runs' lengths.  The budget charges each slab its
+    candidate points, and at least the width of its y range, so slabs
+    without points still count towards it; it is checked before each
     block's work.
     """
     mf = float(m)
@@ -423,7 +416,7 @@ def _walk(verts, box_lo, box_hi, rays, x, coeffs, wide, m, sure, budget):
     xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
     x_n, scale = ex.cleared(x)  # the recheck in integers
-    m_n = Fraction(m) * scale
+    m_num, m_den = (Fraction(m) * scale).as_integer_ratio()
     total = 0
     cells = 0
     walk = _heads(verts, box_lo, box_hi, pad)
@@ -443,8 +436,11 @@ def _walk(verts, box_lo, box_hi, rays, x, coeffs, wide, m, sure, budget):
         head, y, zlo, zhi, rest = heads[slab[live]], y[live], zlo[live], zhi[live], rest[live]
         ia, ib, ba, bb = _split(zlo, zhi, rest, xf[-1], delta, box_lo[-1], box_hi[-1])
         border = _slab_points(head, y, ba, bb)
-        below = [_pairing(p, x_n) < m_n for p in border.tolist()]
-        total += int(_h0(border[np.array(below, dtype=bool)], coeffs).sum())
+        below = np.array([_pairing(p, x_n) * m_den < m_num for p in border.tolist()], dtype=bool)
+        if not coeffs:  # h0 = 1
+            total += int(below.sum()) + int(np.maximum(ib - ia + 1, 0).sum())
+            continue
+        total += int(_h0(border[below], coeffs).sum())
         inner = np.flatnonzero(ia <= ib)
         fallback = inner
         if not wide:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import reebmin
-from reebmin import DowngradeData, WeightMatrix, bundled_spec, downgrade_coefficient
+from reebmin import DowngradeData, WeightMatrix, bundled_spec, cli, downgrade_coefficient
 
 SPECS = {name: str(bundled_spec(name)) for name in
          ("c_n.json", "a1.json", "spp.json", "dk_4dim.json", "dk_downgrade.json")}
@@ -414,3 +415,57 @@ class TestCliContract:
         a = run_cli("minimize", SPECS["a1.json"], "--json-only")
         b = run_cli("minimize", SPECS["a1.json"], "--json-only")
         assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+def test_import_leaves_mpmath_unloaded():
+    # only the integer-relation search of `approx` uses mpmath, and imports it there
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reebmin, reebmin.cli; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+class TestIntegerStringXi:
+    # an integer string in xi or xi0 is exact, as a JSON integer is, so it
+    # mixes with "p/q" strings; a decimal string makes the vector real
+    CONE = {"schema": "reebmin/1", "kind": "toric", "sigma_dual_rays": [[1, 0], [1, 2]], "u0": [1, 1]}
+
+    def test_oracle_counts_at_the_rational(self, tmp_path):
+        counts = []
+        for k, xi in enumerate((["1", "1", "7/10"], [" 1", "+1 ", "7/10"], ["1/1", "1/1", "7/10"])):
+            doc = json.loads(Path(SPECS["dk_4dim.json"]).read_text())
+            doc.update(xi=xi, m_list=[50, 100, 200])
+            spec = tmp_path / f"dk_{k}.json"
+            spec.write_text(json.dumps(doc))
+            proc = run_cli("oracle", str(spec), "--json-only")
+            assert proc.returncode == 0, proc.stderr
+            counts.append(json.loads(proc.stdout)["results"]["counts"])
+        # at the double nearest 7/10 the counts are [1355386, 20750851, 324685829]
+        assert counts == [[1352768, 20728472, 324501071]] * 3
+
+    @pytest.mark.parametrize("xi, vol", [
+        (["3", "7/10"], "5/33"), ([3, "7/10"], "5/33"), (["3/1", "7/10"], "5/33"),
+        (["3.0", "7/10"], "0.151515151515"), (["3e0", "7/10"], "0.151515151515"),
+    ])
+    def test_eval(self, tmp_path, xi, vol):
+        spec = tmp_path / "eval.json"
+        spec.write_text(json.dumps({**self.CONE, "xi": xi}))
+        proc = run_cli("eval", str(spec), "--json-only")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["vol"] == vol
+
+    def test_futaki_xi0(self, monkeypatch):
+        seen = []
+        scan = cli.semistable_scan
+
+        def spy(data, xi0, *args, **kwargs):
+            seen.append(xi0)
+            return scan(data, xi0, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "semistable_scan", spy)
+        for xi0 in (["3", "7/10"], ["3.0", "7/10"]):
+            cli.run("futaki", {**self.CONE, "xi0": xi0, "etas": [[1, 0]]}, argparse.Namespace(tol=1e-9))
+        assert seen[0].exact and seen[0].xi == (3, Fraction(7, 10))
+        assert not seen[1].exact and seen[1].xi == (3.0, 0.7)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reebmin import (
@@ -425,6 +426,71 @@ class TestSlopeEnvelopes:
         # column of dk_4dim falls back to point-by-point counting
         assert count_cxone(dk_divisor, (1.0, 1.0, 0.6861406616345072), 50) == 1324452
         assert interior_spy and all(sure and n == 0 for sure, n in interior_spy)
+
+
+def plain_floor_sum(n, den, a, b):
+    return sum((a * i + bk) // den for nk, bk in zip(n, b) for i in range(nk))
+
+
+def test_floor_sum_matches_plain_loop():
+    # negative a and b, empty runs and empty arrays, den up to 60
+    from reebmin import oracle
+
+    rng = random.Random(26)
+    for _ in range(400):
+        k = rng.randint(0, 6)
+        den, a = rng.randint(1, 60), rng.randint(-150, 150)
+        n = [rng.choice((0, rng.randint(0, 40))) for _ in range(k)]
+        b = [rng.randint(-400, 400) for _ in range(k)]
+        got = oracle._floor_sum(np.array(n, dtype=np.int64), den, a, np.array(b, dtype=np.int64))
+        assert got == plain_floor_sum(n, den, a, b)
+
+
+TAIL3 = [(0, 1, 0), (2, 1, 0), (2, 1, 1), (0, 1, 1)]
+
+
+def one_slope_divisor(rng, shift):
+    """Seeded divisor over TAIL3 whose first point has at least three vertices
+    of one last coordinate c, drawn in the plane z = c until three survive as
+    vertices; a negative shift moves the first coordinate of every vertex down."""
+    while True:
+        den = rng.choice((1, 2, 3))
+        c = Fraction(rng.randint(-2, 2), den)
+        first = [(Fraction(rng.randint(-4, 4), den) + shift, Fraction(rng.randint(-4, 4), den), c)
+                 for _ in range(6)]
+        others = [
+            (str(p), [tuple(Fraction(rng.randint(-2, 2) + shift * (k == 0), rng.choice((1, 2, 3))) for k in range(3))
+                      for _ in range(rng.randint(1, 2))])
+            for p in range(1, rng.randint(2, 3))
+        ]
+        d = PolyhedralDivisor.from_vertex_lists(TAIL3, [("0", first), *others])
+        if sum(v[-1] == c for v in d.points[0][1].compact_vertices) >= 3:
+            return d
+
+
+def test_slope_groups_of_three_where_columns_are_not_sure(monkeypatch):
+    # the min over a slope group of three or more vertex rows, in the walked
+    # basis, feeds both the closed form and the per-column bound
+    from reebmin import oracle
+
+    seen = []
+    inner = oracle._interior_sums
+
+    def spy(heads, y, z0, z1, envelopes, sure):
+        total, unsure = inner(heads, y, z0, z1, envelopes, sure)
+        group = max(int(np.unique(rows[:, -1], return_counts=True)[1].max()) for rows, *_ in envelopes)
+        seen.append((group, sure, int(unsure.sum()), len(y)))
+        return total, unsure
+
+    monkeypatch.setattr(oracle, "_interior_sums", spy)
+    rng = random.Random(2026)
+    for shift in (0, -1, -2):
+        d = one_slope_divisor(rng, shift)
+        for xi in integer_and_irrational_xi(TAIL3):
+            for m in TRUNCATIONS:
+                assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+    # some columns of a block are left to count point by point, the others summed in closed form
+    assert any(group >= 3 and not sure and 0 < n < cols for group, sure, n, cols in seen)
 
 
 def seeded_unimodular(rng, d):
