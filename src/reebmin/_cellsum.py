@@ -1,22 +1,28 @@
 """One closed-form volume kernel for toric and complexity-one data.
 
-Both volumes are sums over simplicial cells c of the weight cone,
+Both volumes are sums over cells c of one form, a constant over a product
+of pairings, a ray's index allowed to occur more than once in a cell:
 
-    vol(xi) = sum_c t_c w_c,    t_c = |det c| / prod_{i in c} p_i,    p_i = <u_i, xi>,
+    vol(xi) = sum_c t_c,    t_c = c / (den prod_{i in c} p_i),    p_i = <u_i, xi>.
 
-where w_c = 1 for a toric cone, and w_c = sum_{i in c} a_ci / p_i with
-a_ci = <ell_c, u_i> for a complexity-one divisor whose degree function is the
-linear functional ell_c on the cell.  With s = sum u_i / p_i,
-q = sum a_ci u_i / p_i^2, W = sum u_i u_i^T / p_i^2 and
-R = sum a_ci u_i u_i^T / p_i^3 (sums over the rays of the cell),
+A toric cone's cells are its simplicial pieces, c = |det| and den = 1.  On
+a simplicial piece of a complexity-one divisor the degree function is a
+linear functional ell, and
 
-    grad vol = -sum_c t_c (w_c s + q),
-    hess vol =  sum_c t_c [w_c (s s^T + W) + s q^T + q s^T + 2 R].
+    |det| / prod_j p_j * sum_i <ell, u_i> / p_i = sum_i |det| <ell, u_i> / (p_i prod_j p_j),
 
-Each call computes only the order it is asked for; toric cells skip the
-weight terms.  All three paths read one cell table of (ray indices, |det|,
-A, e), with weights a_ci = A_i / e (A None for a toric cell).  `evaluate`
-picks a path by the type of xi:
+so the piece becomes one cell per ray u_i with <ell, u_i> != 0 that takes
+u_i twice, with c / den = |det| <ell, u_i> and den the lcm of the ells'
+denominators (a zero-weight ray drops out, which is exact).  A cell's
+length is its homogeneity degree: dim for a toric cone, dim + 1 for a
+divisor.  With s = sum u_i / p_i and W = sum u_i u_i^T / p_i^2 over the
+cell's entries,
+
+    grad vol = -sum_c t_c s,    hess vol = sum_c t_c (s s^T + W).
+
+Each call computes only the order it is asked for.  All three paths read
+the one table of (ray indices, c) over den; `evaluate` picks a path by the
+type of xi:
 
 - rational xi (ints and Fractions): the integer path.  xi's denominators
   are cleared once, every cell's terms are integers over powers of the
@@ -24,18 +30,16 @@ picks a path by the type of xi:
   numerators over one denominator; `evaluate` makes each entry one
   Fraction, and `certificate` reads the integers themselves.
 - all-float xi: the array path, which Newton also calls directly on
-  ndarrays.  The ray matrix, the cells' ray indices, |det| and the weights
-  A_i / e (rounded once) are gathered into numpy arrays when the sum is
-  built; a call forms the pairings p = R xi once, each summed left to
-  right as the generic path sums it, and every other sum as an array
-  reduction in another order, so the two paths agree to a few ulps of each
-  result's largest entry, not bitwise.
+  ndarrays.  The ray matrix, the cells' ray indices and c / den (rounded
+  once) are gathered into numpy arrays when the sum is built; a call forms
+  the pairings p = R xi once, each summed left to right as the generic path
+  sums it, and every other sum as an array reduction in another order, so
+  the two paths agree to a few ulps of each result's largest entry, not
+  bitwise.
 - everything else (mpf, mpi, mixed input, and Fractions when the tests ask
   for it): the generic path, plain Python arithmetic on u_i / p_i, which
   carries any ordered field and stays the tests' reference for the other
-  two.  There a weight enters as A_i * (1 / p_i) / e, ints and the field's
-  own 1 / p_i: a Fraction weight would meet an mpf only as a * (1 / p)
-  (Fraction / mpf raises TypeError) and an mpi not at all.
+  two.
 
 `certificate` is the one exact first-order certificate at a rational
 point, read off the integer sums; Newton's answer, `sine` at rational
@@ -88,17 +92,6 @@ def _combination(coeffs, vectors):
     return [sum(col) for col in zip(*[[a * x for x in v] for a, v in zip(coeffs, vectors)])]
 
 
-def _combine(terms, scale):
-    """sum over terms (den, f, nums) of f nums / den, times scale: the
-    numerators over the lcm of the denominators, and that lcm."""
-    lcm = math.lcm(*(d for d, _, _ in terms))
-    acc = None
-    for d, f, nums in terms:
-        m = f * (lcm // d)
-        acc = [m * x for x in nums] if acc is None else [a + m * x for a, x in zip(acc, nums)]
-    return [a * scale for a in acc], lcm
-
-
 def _is_rational(v):
     return all(isinstance(x, (int, Fraction)) for x in v)
 
@@ -109,8 +102,8 @@ def _zero_sums(n, order):
 
 
 class CellSum:
-    """Ray table plus one table of simplicial cells (ray indices, |det|, A, e):
-    the weights a_ci are A_i / e, and A is None (e = 1) for a toric cell."""
+    """Ray table plus one table of cells (ray indices, c) over one integer
+    den: a cell adds c / (den prod_{i in cell} <u_i, xi>)."""
 
     def __init__(self, weight_rays, cells, dim):
         """weight_rays: the weight cone's rays; cells: (SimplicialPiece, ell)
@@ -119,39 +112,40 @@ class CellSum:
         appended to the ray table."""
         rays = list(weight_rays)
         index = {u: i for i, u in enumerate(rays)}
+        den = math.lcm(*(x.denominator for _, ell in cells if ell is not None for x in ell))
         table = []
-        cleared = {}  # ell -> (L, e0) with ell = L / e0: the cells of a region share ell
         for piece, ell in cells:
             for u in piece.rays:
                 if u not in index:
                     index[u] = len(rays)
                     rays.append(u)
-            a, e = None, 1
-            if ell is not None:  # <ell, u_i> = A_i / e, e the lcm of their denominators
-                if ell not in cleared:
-                    cleared[ell] = ex.cleared(ell)
-                big, e = cleared[ell]
-                a = [sum([x * y for x, y in zip(big, u)]) for u in piece.rays]
-                g = math.gcd(e, *a)
-                a, e = tuple(x // g for x in a), e // g
-            table.append((tuple(index[u] for u in piece.rays), piece.det_abs, a, e))
+            idx = tuple(index[u] for u in piece.rays)
+            if ell is None:
+                table.append((idx, piece.det_abs))
+                continue
+            big = [x.numerator * (den // x.denominator) for x in ell]  # den ell, integers
+            for i, u in zip(idx, piece.rays):
+                a = sum([x * y for x, y in zip(big, u)])  # den <ell, u_i>
+                if a:
+                    table.append((idx + (i,), piece.det_abs * a))
         self.rays = tuple(rays)
         self.cells = tuple(table)
+        self.den = den
         self.dim = dim
+        self.degree = m = len(table[0][0]) if table else dim  # every cell's length
+        self._powers = [0] * len(rays)  # per ray: its most entries in one cell, its pairing's power in B
+        for idx, _ in table:
+            for i in idx:
+                self._powers[i] = max(self._powers[i], idx.count(i))
         self._pairs = tuple((k, l) for k in range(dim) for l in range(k, dim))
         self._squares = tuple(tuple(u[k] * u[l] for k, l in self._pairs) for u in self.rays)  # per ray: u u^T, upper triangle
         # the array path's tables: rays R (one per row), each cell's rays
-        # R[idx] (cells x dim x dim), ray indices, |det| and, for a divisor,
-        # the weights A_i / e, each rounded once
-        ncells = len(self.cells)
+        # R[idx] (cells x degree x dim), ray indices and c / den, rounded once
         flat = chain.from_iterable
         self._ray_matrix = np.fromiter(flat(self.rays), float, len(self.rays) * dim).reshape(-1, dim)
-        self._cell_index = np.fromiter(flat(cell[0] for cell in self.cells), np.intp, ncells * dim).reshape(-1, dim)
+        self._cell_index = np.fromiter(flat(idx for idx, _ in table), np.intp, len(table) * m).reshape(-1, m)
         self._cell_rays = self._ray_matrix[self._cell_index]
-        self._det = np.array([cell[1] for cell in self.cells], dtype=float)
-        self._weights = None
-        if any(a is not None for _, _, a, _ in self.cells):
-            self._weights = np.array([[x / e for x in a] for _, _, a, e in self.cells])
+        self._coef = np.array([c / den for _, c in table], dtype=float)
 
     def evaluate(self, xi, order=0):
         """(vol,), (vol, grad) or (vol, grad, hess) at xi, for order 0, 1 or 2."""
@@ -192,38 +186,24 @@ class CellSum:
         rounding of its two triangles (Newton's eigh reads one of them).
 
         With P the cells' pairings and V the cells' rays over them (cells x
-        dim x dim), s = sum_i V_i; the Hessian's u u^T terms are one product
-        of V's rows, weighted per row by t_c w_c (plus 2 t_c a_ci / p_i for
-        a divisor's cell), and its s s^T and s q^T terms one product of the
-        cells' s and q each.
+        degree x dim), s = sum_i V_i; the Hessian's W terms are one product
+        of V's rows, weighted per row by t_c, and its s s^T terms one
+        product of the cells' s.
         """
         p = self._pairings_array(x)
         pc = p[self._cell_index]
-        t = self._det / pc.prod(axis=1)
-        if self._weights is None:
-            tw = t
-        else:
-            b = self._weights / pc  # a_ci / p_i
-            tw = t * b.sum(axis=1)
-        vol = tw.sum()
+        t = self._coef / pc.prod(axis=1)
+        vol = t.sum()
         if not order:
             return (vol,)
         v = self._cell_rays / pc[:, :, None]  # u_i / p_i
         s = v.sum(axis=1)
-        grad = -(tw @ s)
-        if self._weights is not None:
-            q = (b[:, :, None] * v).sum(axis=1)
-            grad -= t @ q
+        grad = -(t @ s)
         if order < 2:
             return vol, grad
         rows = v.reshape(-1, self.dim)
-        row_weights = np.repeat(tw, self.dim)
-        h = (s.T * tw) @ s
-        if self._weights is not None:
-            row_weights += 2 * (t[:, None] * b).ravel()
-            sq = (s.T * t) @ q
-            h += sq + sq.T
-        h += (rows.T * row_weights) @ rows
+        h = (s.T * t) @ s
+        h += (rows.T * np.repeat(t, self.degree)) @ rows
         return vol, grad, h
 
     def _integer_sums(self, xi, order):
@@ -232,65 +212,49 @@ class CellSum:
         of vol, grad or the Hessian's upper triangle by rows, their one
         denominator); sums is () without cells.
 
-        With P_i = <u_i, X> and, per cell, Pi_c = prod P_i and c_i = Pi_c /
-        P_i, every term is an integer over a power of Pi_c (times the cell's
-        weight denominator e_c): with S = sum c_i u_i, C = sum c_i^2 u_i u_i^T
-        and, for weights a_ci = A_i / e_c, W = sum A_i c_i, Q = sum A_i c_i^2
-        u_i, R = sum A_i c_i^3 u_i u_i^T,
-
-            toric:  vol det / Pi,           grad -det S / Pi^2,
-                    hess det (S S^T + C) / Pi^3;
-            weighted: vol det W / (e Pi^2),  grad -det (W S + Q) / (e Pi^3),
-                    hess det (W (S S^T + C) + S Q^T + Q S^T + 2 R) / (e Pi^4).
-
-        Homogeneity puts D back: order k scales by D^(dim + k), a weighted
-        cell by one more D.  The cells are summed over the lcm of their
-        denominators.
+        With P_i = <u_i, X> and, per cell, Pi = prod P_i and c_i = Pi / P_i
+        over its entries, S = sum c_i u_i and C = sum c_i^2 u_i u_i^T, a cell
+        adds c / Pi to vol, -c S / Pi^2 to grad and c (S S^T + C) / Pi^3 to
+        the Hessian, each over den.  Every Pi divides B = prod_i P_i^(m_i),
+        m_i the most entries ray i has in one cell, so order k sums its
+        numerators over den B^(k+1), a cell's scaled by f^(k+1) for f = B /
+        Pi.  Homogeneity puts D back: order k scales by D^(degree + k).
         """
         check_length("Reeb vector", xi, self.dim)
-        big, den = ex.cleared(xi)
+        big, dx = ex.cleared(xi)
         pair = []
         for u in self.rays:
             p = sum([a * b for a, b in zip(u, big)])
             if p <= 0:
-                raise NotInReebCone(f"<{u}, xi> = {Fraction(p, den)} is not positive")
+                raise NotInReebCone(f"<{u}, xi> = {Fraction(p, dx)} is not positive")
             pair.append(p)
         if not self.cells:
-            return (big, den), ()
-        rays, pairs = self.rays, self._pairs
-        terms = [[] for _ in range(order + 1)]  # per order: (denominator, scale, numerators)
-        for idx, det, weights, e in self.cells:
+            return (big, dx), ()
+        rays, pairs, n = self.rays, self._pairs, self.dim
+        b = math.prod([p**k for p, k in zip(pair, self._powers) if k])
+        vol, grad, hess = 0, [0] * n, [0] * len(pairs)
+        for idx, c in self.cells:
             ps = [pair[i] for i in idx]
             prod = math.prod(ps)
-            c = [prod // p for p in ps]
-            if weights is None:
-                f, d = det, prod
-                terms[0].append((d, f, (1,)))
-            else:
-                f, d = det * den, e * prod * prod
-                w = sum([a * ci for a, ci in zip(weights, c)])
-                terms[0].append((d, f, (w,)))
+            f = b // prod
+            w = c * f
+            vol += w
             if not order:
                 continue
-            d *= prod
+            w *= f
+            cs = [prod // p for p in ps]
             us = [rays[i] for i in idx]
-            s = _combination(c, us)
-            if weights is None:
-                terms[1].append((d, -f, s))
-            else:
-                ac2 = [a * ci * ci for a, ci in zip(weights, c)]
-                q = _combination(ac2, us)
-                terms[1].append((d, -f, [w * sk + qk for sk, qk in zip(s, q)]))
+            s = _combination(cs, us)
+            grad = [g - w * x for g, x in zip(grad, s)]
             if order < 2:
                 continue
-            d *= prod
+            w *= f
             uus = [self._squares[i] for i in idx]
-            h = [s[k] * s[l] + x for x, (k, l) in zip(_combination([ci * ci for ci in c], uus), pairs)]
-            if weights is not None:
-                r = _combination([b * ci for b, ci in zip(ac2, c)], uus)
-                h = [w * hk + s[k] * q[l] + q[k] * s[l] + 2 * rk for hk, rk, (k, l) in zip(h, r, pairs)]
-            terms[2].append((d, f, h))
-        return (big, den), [_combine(t, den ** (self.dim + k)) for k, t in enumerate(terms)]
+            cc = _combination([ci * ci for ci in cs], uus)
+            hess = [h + w * (s[k] * s[l] + x) for h, x, (k, l) in zip(hess, cc, pairs)]
+        sums = ([vol], grad, hess)[: order + 1]
+        m = self.degree
+        return (big, dx), [([x * dx ** (m + k) for x in nums], self.den * b ** (k + 1)) for k, nums in enumerate(sums)]
 
     def _evaluate_rational(self, xi, order):
         """`_integer_sums` at rational xi, one Fraction per entry."""
@@ -328,38 +292,23 @@ class CellSum:
         if order == 2:
             h = [[0] * n for _ in range(n)]
         vol = 0
-        for idx, det, a, e in self.cells:
-            prod = 1
+        for idx, c in self.cells:
+            prod = self.den
             for i in idx:
                 prod = prod * p[i]
-            t = det / prod
-            if a is None:
-                vol = vol + t
-            else:
-                b = [ai * (1 / p[i]) / e for ai, i in zip(a, idx)]  # a_ci / p_i
-                w = sum(b)
-                vol = vol + t * w
+            t = c / prod
+            vol = vol + t
             if not order:
                 continue
             vs = [v[i] for i in idx]
             s = [sum(col) for col in zip(*vs)]
-            if a is None:
-                grad = [gk - t * sk for gk, sk in zip(grad, s)]
-            else:
-                q = [sum([bi * vk for bi, vk in zip(b, col)]) for col in zip(*vs)]
-                grad = [gk - t * (w * sk + qk) for gk, sk, qk in zip(grad, s, q)]
+            grad = [gk - t * sk for gk, sk in zip(grad, s)]
             if order < 2:
                 continue
             for k in range(n):
                 row = h[k]
                 for l in range(k, n):
-                    ww = sum([vi[k] * vi[l] for vi in vs])
-                    if a is None:
-                        val = t * (s[k] * s[l] + ww)
-                    else:
-                        rr = sum([bi * vi[k] * vi[l] for bi, vi in zip(b, vs)])
-                        val = t * (w * (s[k] * s[l] + ww) + s[k] * q[l] + q[k] * s[l] + 2 * rr)
-                    row[l] = row[l] + val
+                    row[l] = row[l] + t * (s[k] * s[l] + sum([vi[k] * vi[l] for vi in vs]))
         if not order:
             return (vol,)
         if order == 1:

@@ -46,6 +46,12 @@ class MinimizeResult:
     stop_reason: str  # "gradient", "rounding_floor", "line_search", "max_iter" or "zero_volume"
 
 
+def check_tolerance(tolerance):
+    """Raise ValueError unless tolerance is a finite number >= 0 (NaN is not)."""
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
+
+
 def slice_basis(u0):
     """Orthonormal float basis of the direction space {<u0, .> = 0}."""
     u = np.asarray(u0, dtype=float)
@@ -68,8 +74,12 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     xi_hat rescaled in float so that <u0, xi_star> = n.  `stop_reason` says
     why Newton stopped.  Without cells vol = 0 and grad vol = 0 everywhere:
     it returns the start at once, with stop_reason "zero_volume", and runs
-    neither Newton nor the certificates.
+    neither Newton nor the certificates.  A tolerance that is not a finite
+    number >= 0 or a negative max_iter raises ValueError.
     """
+    check_tolerance(tolerance)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     total = [sum(col) for col in zip(*sigma_rays)]
     us, e = ex.cleared(u0)
     a0 = sum([a * b for a, b in zip(us, total)])  # e <u0, total>

@@ -214,8 +214,10 @@ def run(command, doc, options):
             "barycenter_residual": fmt(res.barycenter_residual),
             "iterations": res.iterations,
             "converged": res.converged,
-            "provenance": "closed_form_newton",
         }
+        if not res.converged:  # a converged report keeps its bytes
+            results["stop_reason"] = res.stop_reason
+        results["provenance"] = "closed_form_newton"
         if F is not None:
             results["ambient_weights"] = fmt_vec(
                 [sum(a * b for a, b in zip(row, res.xi_star.xi)) for row in F.rows]

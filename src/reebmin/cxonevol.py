@@ -13,10 +13,12 @@ the truncation {<u, xi> <= 1} in closed form,
                       * sum_i <ell, u_i> / <u_i, xi>,
 
 which matches the n!-normalized Hilbert asymptotics with n = r + 1.  The
-sum, its gradient and its Hessian come in closed form from the cell-sum
-kernel shared with toric data (`_cellsum`), exact when xi is rational, and
-minimization runs the shared damped Newton method (`_newton`) on the
-slice {<u0, xi> = 1}.
+cell-sum kernel shared with toric data (`_cellsum`) splits each cell into
+one cell of n pairings per ray u_i with <ell, u_i> != 0, the constant
+|det| <ell, u_i> over the product with <u_i, xi> taken twice, and gives
+the sum, its gradient and its Hessian in closed form, exact when xi is
+rational; minimization runs the shared damped Newton method (`_newton`)
+on the slice {<u0, xi> = 1}.
 
 Building a divisor costs one double-description pass for the dual of sigma.
 Its coefficients are `Polyhedron`s, which hold their irredundant vertices:
@@ -198,9 +200,9 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=_newton.MAX_I
     by the gradient test or at the rounding floor of f (`stop_reason`);
     strict convexity makes the converged point global.  Certificates are
     exact at Newton's point; the sine of the angle between -grad vol and u0
-    plays the role of the barycenter residual.  A divisor with no cells has
-    vol = 0 and grad vol = 0: it stops at once with stop_reason
-    "zero_volume", a NaN residual and converged=False.
+    plays the role of the barycenter residual.  A divisor with no cells, or
+    with deg = 0 on all of them, has vol = 0 and grad vol = 0: it stops at
+    once with stop_reason "zero_volume", a NaN residual and converged=False.
     """
     u0 = _checked_u0(d, u0)
     return _newton.minimize(d._cellsum, u0, d.sigma.rays, d.n, tolerance, max_iter)

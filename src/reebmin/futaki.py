@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import _exact as ex
 from ._cellsum import _is_rational, check_length
+from ._newton import check_tolerance
 from .cxonevol import PolyhedralDivisor, _checked_u0
 from .toricvol import ToricData
 
@@ -135,8 +136,9 @@ def semistable_scan(data, xi0, etas, tolerance=1e-9, u0=None) -> FutakiReport:
     F, eta> from the exact value at the rationals the floats store.  The
     verdict covers only the supplied directions.  The default sign
     tolerance is 1e-9 for both kinds of data, whose invariants are closed
-    forms.
+    forms; a tolerance that is not a finite number >= 0 raises ValueError.
     """
+    check_tolerance(tolerance)
     u0, xi, etas = _weight(data, u0), tuple(xi0), [tuple(eta) for eta in etas]
     check_length("Reeb vector", xi, len(u0))
     for eta in etas:

@@ -106,22 +106,31 @@ class TestComplexityOne:
         for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cs = d._cellsum
-            denominators |= {Fraction(a, e).denominator for _, _, weights, e in cs.cells for a in weights}
+            denominators |= {Fraction(c, cs.den).denominator for _, c in cs.cells}
             for xi in points(rng, d.sigma):
                 assert_paths_agree(cs, xi)
         assert any(e % 2 == 0 for e in denominators) and any(e % 3 == 0 for e in denominators)
 
     def test_weights_are_the_pairings_with_ell(self):
-        # ell is cleared once per region: the weights A_i / e stay the
-        # Fractions <ell, u_i>, and the table's (A, e) their cleared form
+        # each (piece, ell) of the cell complex yields, in order, the cells
+        # idx + (i,), one per ray u_i of the piece with <ell, u_i> != 0, whose
+        # coefficient over den is |det| <ell, u_i>
         rng = random.Random(68)
+        dropped = 0
         for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
             cs = d._cellsum
-            for (piece, ell), (_, _, a, e) in zip(d.cells().cells, cs.cells):
-                weights = tuple(Fraction(x, e) for x in a)
-                assert same(weights, tuple(ex.dot(ell, u) for u in piece.rays))
-                assert (a, e) == ex.cleared(weights)
+            expected = []
+            for piece, ell in d.cells().cells:
+                idx = tuple(cs.rays.index(u) for u in piece.rays)
+                for i, u in zip(idx, piece.rays):
+                    weight = piece.det_abs * ex.dot(ell, u)
+                    if weight:
+                        expected.append((idx + (i,), weight))
+                    dropped += not weight
+            assert [(idx, Fraction(c, cs.den)) for idx, c in cs.cells] == expected
+            assert all(type(c) is int and len(idx) == d.n for idx, c in cs.cells)
+        assert dropped
 
     def test_dk_divisor(self, dk_divisor):
         rng = random.Random(64)

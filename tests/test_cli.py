@@ -280,6 +280,34 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert "error" in err
 
+    @pytest.mark.parametrize("option, value", [("--max-iter", "-5"), ("--tol", "inf"), ("--tol", "nan"),
+                                               ("--tol", "-1")])
+    def test_bad_newton_option_exit_1(self, option, value):
+        # these used to report "iterations": -5, converged at the start point
+        # (--tol inf) or converged false after Newton reached the rounding floor
+        proc = run_cli("minimize", SPECS["spp.json"], option, value)
+        assert proc.returncode == 1 and not proc.stdout
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "ValueError"
+        assert err["message"].startswith("max_iter" if option == "--max-iter" else "tolerance")
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_futaki_tolerance_exit_1(self, tmp_path, value):
+        doc = json.loads(Path(SPECS["spp.json"]).read_text())
+        doc.update(xi0=["2", "2", "1"], etas=[[1, 0, 0]])
+        spec = tmp_path / "scan.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("futaki", str(spec), "--tol", value)
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
+
+    def test_stop_reason_only_when_not_converged(self):
+        reports = [json.loads(run_cli("minimize", SPECS["spp.json"], "--json-only", *args).stdout)["results"]
+                   for args in ((), ("--max-iter", "1"))]
+        assert reports[0]["converged"] is True and "stop_reason" not in reports[0]
+        assert reports[1]["converged"] is False and reports[1]["stop_reason"] == "max_iter"
+        assert list(reports[1])[-2:] == ["stop_reason", "provenance"]
+
     def test_eval_xi_of_wrong_length_exit_1(self, tmp_path):
         spec = tmp_path / "long_xi.json"
         spec.write_text(json.dumps({

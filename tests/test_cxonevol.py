@@ -399,6 +399,17 @@ class TestMinimizeC1:
         assert math.isnan(res.barycenter_residual)
         assert res.xi_star.xi == (1.5, 1.5)  # the start, rescaled to <u0, xi> = n
 
+    def test_zero_degree_divisor_stops_with_zero_volume(self):
+        # deg = 0 on the whole orthant: its one cell has weight 0 on every
+        # ray, so the kernel's table is empty and minimize stops at once,
+        # where it used to stop on the gradient test with a NaN residual
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(0, 0)])])
+        assert [ell for _, ell in d.cells().cells] == [(0, 0)]
+        assert d._cellsum.cells == ()
+        res = minimize_c1(d, (1, 1))
+        assert (res.converged, res.stop_reason, res.iterations) == (False, "zero_volume", 0)
+        assert res.nvol_star == 0 and math.isnan(res.barycenter_residual)
+
     def test_u0_of_wrong_length(self, dk_divisor):
         # nvol_c1 and futaki_invariant used to pair a short u0 by zip
         xi = (1, 1, Fraction(1, 3))

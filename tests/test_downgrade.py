@@ -25,11 +25,12 @@ from reebmin import (
     induced_reeb,
     minimize,
     nvol,
+    vol_xi_c1,
 )
 from reebmin import _exact as ex
 from reebmin import downgrade, polyhedral
 
-from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded
+from conftest import DK_F, DK_P, DK_S, DK_SIGMA_RAYS, DK_U0, assert_incidence_recorded, random_interior_rational
 
 SQRT3 = math.sqrt(3)
 SQRT33 = math.sqrt(33)
@@ -379,3 +380,37 @@ class TestHypersurfaceU0:
     def test_non_invariant(self, dk_weights):
         with pytest.raises(NonInvariant):
             hypersurface_u0(dk_weights, monomials=[(1, 1, 0, 0, 0), (0, 0, 0, 0, 3)])
+
+
+class TestVolumeIdentity:
+    """The identity vol_xi_c1(D, xi) = deg_f(xi) / prod_i <F_i, xi> at
+    rational xi in sigma's interior, for the divisor D of a complexity-one
+    downgrade of a hypersurface {f = 0} in C^N with weight rows F_i (deg_f = 1
+    without an equation).  Its right side needs no cells, so it checks the
+    volume kernel's cell table independently of all three of its paths."""
+
+    def test_codimension_one_downgrades_of_affine_space(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(150):
+            n = rng.randint(3, 6)
+            while True:  # a primitive row P of both signs
+                p = [rng.randint(-3, 3) for _ in range(n)]
+                if math.gcd(*p) == 1 and min(p) < 0 < max(p):
+                    break
+            _, u = ex.hermite([[x] for x in p])
+            f = WeightMatrix(ex.transpose(u[1:]))  # P's saturated kernel: the rows of U beside H's zero rows
+            data = complete_sequence(f)
+            sigma, _ = downgrade_sigma(data)
+            d = PolyhedralDivisor(sigma, [(str(y), downgrade_coefficient(data, (y,))) for y in (1, -1)])
+            for _ in range(3):
+                xi = random_interior_rational(sigma, rng)
+                assert vol_xi_c1(d, xi) == 1 / math.prod(ex.dot(row, xi) for row in f.rows), (p, xi)
+                checked += 1
+        assert checked == 450
+
+    def test_dk(self, dk_divisor):
+        # f = z1 z2 + z3^2 + z4^2 z5 has weight 2 <F_3, xi>
+        xi = (1, 1, Fraction(7, 10))
+        deg_f = 2 * ex.dot(DK_F[2], xi)
+        assert vol_xi_c1(dk_divisor, xi) == deg_f / math.prod(ex.dot(row, xi) for row in DK_F) == Fraction(100, 21)

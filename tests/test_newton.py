@@ -70,6 +70,33 @@ class TestStopReason:
         assert not res.converged
 
 
+class TestBadInputs:
+    """A negative max_iter, or a tolerance that is NaN, negative or infinite,
+    raises ValueError before Newton runs: they used to report -5 iterations,
+    converged=True at the start point (tolerance inf) or a spurious stall."""
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf"), -float("inf")])
+    def test_tolerance(self, tolerance):
+        spp = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+        d = PolyhedralDivisor.from_vertex_lists(DIVISOR_TAIL, DIVISOR_POINTS)
+        for run in (lambda: minimize(spp, tolerance=tolerance), lambda: minimize_c1(d, DIVISOR_U0, tolerance=tolerance)):
+            with pytest.raises(ValueError, match="^tolerance must be a finite number >= 0"):
+                run()
+
+    def test_negative_max_iter(self):
+        spp = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+        d = PolyhedralDivisor.from_vertex_lists(DIVISOR_TAIL, DIVISOR_POINTS)
+        for run in (lambda: minimize(spp, max_iter=-5), lambda: minimize_c1(d, DIVISOR_U0, max_iter=-1)):
+            with pytest.raises(ValueError, match="^max_iter must be >= 0, got -"):
+                run()
+
+    def test_zero_tolerance_and_max_iter_are_accepted(self):
+        spp = ToricData.from_dual_cone(SPP_DUAL_RAYS, SPP_U0)
+        res = minimize(spp, max_iter=0)
+        assert (res.iterations, res.stop_reason, res.converged) == (0, "max_iter", False)
+        assert minimize(spp, tolerance=0.0).stop_reason in _newton.NEWTON_STOPS
+
+
 class TestRoundingFloor:
     def test_large_polygon_cone(self):
         t = ToricData.from_dual_cone(POLYGON_RAYS, POLYGON_U0)
