@@ -296,6 +296,8 @@ def run(command, doc, options):
         ms = _field(doc, "m_list")
         if not ms or not all(isinstance(m, (int, float)) and not isinstance(m, bool) and 0 < m < math.inf for m in ms):
             raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
+        if len(ms) >= 3 and len(set(sorted(map(float, ms))[-3:])) < 3:  # as vol_estimate reads them
+            raise SpecError(f"oracle m_list needs its three largest truncations distinct to extrapolate, got {ms}")
         budget = _int(doc.get("budget", DEFAULT_BUDGET))
         counter = count_toric if kind == "toric" else count_cxone
         counts = [counter(data, xi, m, budget) for m in ms]

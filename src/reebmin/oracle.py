@@ -6,22 +6,27 @@ produce independent volume estimates n! * count / m^n.  They validate the
 closed-form volumes computed elsewhere and share no code path with them.
 The sum runs column by column: the lattice points with all but the last
 coordinate fixed, summed in closed form, with the few points near the
-truncation rechecked one by one in integers.  A lattice count adds run
-lengths.  Along a column each divisor point's coefficient is the lower
-envelope of one line per distinct slope, each an elementwise min of its
-vertices' lines, so the closed form is one floor sum per envelope piece,
-n (a // den) for a flat one.  It needs h0 = deg floor(D(u)) + 1 on the
-run, which one exact test per count proves for the whole weight cone when
-it holds (`_sure_everywhere`), and a per-column bound decides otherwise.
-The columns run along the weight cone's ray of least pairing with xi where
-that beats the last axis (`_column_basis`).
+truncation rechecked in integers, one array product per block of columns.
+Array work goes only where it changes the sum: columns without an interior
+run form no heads for it, and columns without a border run no points.  A
+lattice count adds run lengths.  Along a column each divisor point's
+coefficient is the lower envelope of one line per distinct slope, each an
+elementwise min of its vertices' lines, so the closed form is one floor sum
+per envelope piece, n (a // den) for a flat one.  It needs h0 = deg
+floor(D(u)) + 1 on the run, which one exact test per data set proves for
+the whole weight cone when it holds (`_sure_everywhere`), and a per-column
+bound decides otherwise.  The columns run along the weight cone's ray of
+least pairing with xi where that beats the last axis (`_column_basis`).
+What depends only on the data and xi (that basis, the test, the envelopes,
+the exact pairings and the cleared xi) is kept for the last few data sets
+(`_cached`), so a series of truncations lays its data out once; the box
+and the int64 checks are made per truncation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
-from math import factorial, isfinite, lcm
+from math import factorial, inf, isfinite, lcm
 from operator import mul
 
 import numpy as np
@@ -34,11 +39,28 @@ _REL_MARGIN = 1e-7
 _PAD = 1e-9  # relative slack of the float box and shadow bounds
 _BLOCK = 2**15  # box columns (heads times y width) per block of heads formed in one array pass
 _INT64 = 2**62  # magnitudes below this leave room for one more int64 addition
+_KEPT = 8  # results `_cached` keeps: a few per data set, for the data sets last counted
+_kept = {}
+
+
+def _cached(fn, *args):
+    """fn(*args), kept for the last `_KEPT` calls, keyed by fn and its exact
+    (hashable) arguments: a series of truncations over one data set and one
+    xi computes what depends on those alone once.  The results are shared,
+    so no caller changes them."""
+    key = (fn, *args)
+    try:
+        return _kept[key]
+    except KeyError:
+        value = _kept[key] = fn(*args)
+        while len(_kept) > _KEPT:  # the oldest goes first
+            _kept.pop(next(iter(_kept)))
+        return value
 
 
 def _exact_xi(xi):
     """xi's coordinates as exact rationals; a float is the rational it stores."""
-    return [Fraction(v) if isinstance(v, float) else ex.frac(v) for v in getattr(xi, "xi", xi)]
+    return tuple(Fraction(v) if isinstance(v, float) else ex.frac(v) for v in getattr(xi, "xi", xi))
 
 
 def _pairing(u, x):
@@ -46,17 +68,24 @@ def _pairing(u, x):
     return sum(c * v for c, v in zip(u, x))
 
 
-def _box_from_cone(dual_rays, xi, m, pad):
+def _reeb_pairings(dual_rays, x):
+    """The exact pairings <u, xi> of the weight cone's rays u, all positive,
+    or NotInReebCone naming the first ray that is not."""
+    pairings = tuple(_pairing(u, x) for u in dual_rays)
+    for u, p in zip(dual_rays, pairings):
+        if p <= 0:
+            raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
+    return pairings
+
+
+def _box_from_cone(dual_rays, pairings, m, pad):
     """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box.
 
     The vertices are 0 and m u / <u, xi> for the dual rays u, with the
     pairing exact before its one rounding to float.
     """
-    verts = [[0.0] * len(xi)]
-    for u in dual_rays:
-        p = _pairing(u, xi)
-        if p <= 0:
-            raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
+    verts = [[0.0] * len(dual_rays[0])]
+    for u, p in zip(dual_rays, pairings):
         scale = float(m) / float(p)
         verts.append([c * scale for c in u])
     verts = np.asarray(verts)
@@ -86,49 +115,65 @@ def _shadow_range(verts, j, a, pad):
     return np.floor(lo).astype(np.int64), np.ceil(hi).astype(np.int64)
 
 
-def _heads(verts, box_lo, box_hi, pad, head=()):
-    """Heads of the slabs: u_0 over its box range and each later coordinate over
-    its shadow range above the previous one; one empty head when d <= 2."""
-    j = len(head)
-    if j >= len(box_lo) - 2:
-        yield head
+def _heads(verts, box_lo, box_hi, pad, size):
+    """Heads of the slabs in lexicographic order, as int64 arrays of at most
+    `size` rows: u_0 over its box range and each later coordinate over its
+    shadow range above the previous one; one empty head when d <= 2.
+
+    A stack holds the runs left to expand, each a block of prefixes with the
+    range lo..hi of the next coordinate over each.  A step takes the front of
+    the top run, whole prefixes up to `size` children or `size` children of
+    its first prefix, so no array outgrows a block.
+    """
+    h = len(box_lo) - 2
+    if not h:
+        yield np.zeros((1, 0), dtype=np.int64)
         return
-    if j:
-        lo, hi = _shadow_range(verts, j, [head[-1]], pad)
-        coords = range(int(lo[0]), int(hi[0]) + 1)
-    else:
-        coords = range(box_lo[0], box_hi[0] + 1)
-    for c in coords:
-        yield from _heads(verts, box_lo, box_hi, pad, head + (c,))
+    todo = [(np.zeros((1, 0), dtype=np.int64), np.array([box_lo[0]]), np.array([box_hi[0]]))]
+    while todo:
+        prefix, lo, hi = todo.pop()
+        n = np.maximum(hi + 1 - np.maximum(lo, hi - size), 0)  # children, capped at size + 1
+        k = int(np.searchsorted(np.cumsum(n), size, side="right"))
+        if not k:  # the first prefix has more than size children
+            k, n = 1, n[:1] - 1
+            todo.append((prefix, np.concatenate([lo[:1] + size, lo[1:]]), hi))
+        elif k < len(n):
+            todo.append((prefix[k:], lo[k:], hi[k:]))
+        children = np.column_stack([np.repeat(prefix[:k], n[:k], axis=0), _runs(lo[:k], n[:k])])
+        if children.shape[1] == h:
+            if len(children):
+                yield children
+        elif len(children):
+            todo.append((children, *_shadow_range(verts, children.shape[1], children[:, -1], pad)))
 
 
-def _offsets(lens):
-    """0, 1, ..., len - 1 for each length in turn, as one int64 array."""
-    return np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
+def _runs(starts, lens):
+    """start, start + 1, ..., start + len - 1 for each run in turn, as one int64 array."""
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
 
 
 def _columns(block, rays, xf, top, box_lo, box_hi, verts, pad):
     """Columns of the slabs of {sigma pairings >= 0, <u, xi> < top} for a block of heads.
 
-    Slab k fixes the first d-2 coordinates to block[k]; its y (coordinate
-    d-2) runs over the box range, cut by the shadow of verts' hull (the
-    truncated cone at m: a candidate past it fails the exact recheck) above
-    the last head coordinate and by the rays that do not involve z, and each
-    of its columns gets exact integer z bounds from the cone and the float
-    truncation bound top.  Returns the head array and, per column, its slab,
-    y, zlo, zhi (empty when zhi < zlo) and rest = top - <(head, y), xi>.
+    Slab k fixes the first d-2 coordinates to block[k], a row of the int64
+    array block; its y (coordinate d-2) runs over the box range, cut by the
+    shadow of verts' hull (the truncated cone at m: a candidate past it
+    fails the exact recheck) above the last head coordinate and by the rays
+    that do not involve z, and each of its columns gets exact integer z
+    bounds from the cone and the float truncation bound top.  Returns the
+    head array and, per column, its slab, y, zlo, zhi (empty when zhi < zlo)
+    and rest = top - <(head, y), xi>.
     """
     h = len(box_lo) - 2
-    heads = np.array(block, dtype=np.int64).reshape(len(block), h)
     ylo = np.full(len(block), box_lo[h], dtype=np.int64)
     yhi = np.full(len(block), box_hi[h], dtype=np.int64)
     if h:
-        shadow_lo, shadow_hi = _shadow_range(verts, h, heads[:, -1], pad)
+        shadow_lo, shadow_hi = _shadow_range(verts, h, block[:, -1], pad)
         np.maximum(ylo, shadow_lo, out=ylo)
         np.minimum(yhi, shadow_hi, out=yhi)
     zrays = []
     for r in rays:
-        c = heads @ np.array(r[:h], dtype=np.int64)
+        c = block @ np.array(r[:h], dtype=np.int64)
         ry, rz = r[h:]
         if rz != 0:
             zrays.append((c, ry, rz))
@@ -140,18 +185,18 @@ def _columns(block, rays, xf, top, box_lo, box_hi, verts, pad):
             yhi[c < 0] = box_lo[h] - 1
     ny = np.maximum(yhi - ylo + 1, 0)
     slab = np.repeat(np.arange(len(block)), ny)
-    y = ylo[slab] + _offsets(ny)
+    y = _runs(ylo, ny)
     zlo = np.full(y.shape, box_lo[-1], dtype=np.int64)
     zhi = np.full(y.shape, box_hi[-1], dtype=np.int64)
     for c, ry, rz in zrays:
-        num = -c[slab] - ry * y  # rz * z >= num
+        s = c[slab] + ry * y  # rz * z >= -s
         if rz > 0:
-            np.maximum(zlo, -((-num) // rz), out=zlo)
+            np.maximum(zlo, -(s // rz), out=zlo)
         else:
-            np.minimum(zhi, num // rz, out=zhi)
+            np.minimum(zhi, s // -rz, out=zhi)
     head_pairing = np.zeros(len(block))
     for i in range(h):
-        head_pairing += heads[:, i] * xf[i]
+        head_pairing += block[:, i] * xf[i]
     rest = top - head_pairing[slab] - xf[h] * y
     zf = xf[-1]
     if abs(zf) > 1e-300:
@@ -162,14 +207,15 @@ def _columns(block, rays, xf, top, box_lo, box_hi, verts, pad):
             np.maximum(zlo, np.ceil(bound).astype(np.int64), out=zlo)
     else:
         zhi[rest <= 0] = box_lo[-1] - 1
-    return heads, slab, y, zlo, zhi, rest
+    return block, slab, y, zlo, zhi, rest
 
 
 def _split(zlo, zhi, rest, zf, delta, box_lo, box_hi):
     """Interior run (t < m - delta) and border run of each column, as (ia, ib, ba, bb).
 
     t = <u, xi> is monotone in z along a column, so the border, the points
-    within delta of m, is a run at one end.
+    within delta of m, is a run at one end.  Both runs are empty on a column
+    with zhi < zlo.
     """
     if abs(zf) <= 1e-300:  # t is constant along the column
         inner = rest > 2 * delta
@@ -187,7 +233,7 @@ def _slab_points(heads, y, zlo, zhi):
     int64 array; the walk materializes only border runs and fallback columns."""
     lens = np.maximum(zhi - zlo + 1, 0)
     idx = np.repeat(np.arange(len(y)), lens)
-    return np.column_stack([heads[idx], y[idx], zlo[idx] + _offsets(lens)])
+    return np.column_stack([heads[idx], y[idx], _runs(zlo, lens)])
 
 
 def _h0(pts, coeffs):
@@ -201,26 +247,37 @@ def _floor_sum(n, den, a, b):
 
     The Euclid-like reduction of floor sums: reduce a and b mod den, then
     count the lattice points under the line by swapping the roles of den
-    and a.  Entries leave once the line stays below den.
+    and a.  Entries leave once the line stays below den, so an entry with
+    n = 0 adds 0 whatever its b.  Each remainder is x - (x // den) den:
+    numpy divides an int64 array by a scalar quickly, but its % and divmod
+    divide entry by entry in hardware.
     """
     total = 0
     while len(n):
         qa, a = divmod(a, den)
-        qb, b = np.divmod(b, den)
-        total += qa * int((n * (n - 1) // 2).sum()) + int((n * qb).sum())
-        top = a * n + b
+        qb = b // den
+        if qa:
+            total += qa * ((int(n @ n) - int(n.sum())) // 2)
+        total += int(n @ qb)
+        if not a:  # the line stays below den
+            return total
+        top = a * n + (b - qb * den)
         top = top[top >= den]
-        n, b, a, den = top // den, top % den, den, a
+        n = top // den
+        b = top - n * den
+        a, den = den, a
     return total
 
 
 def _envelopes(coeffs):
     """Each divisor point's vertex rows merged by slope, the last coordinate:
-    (rows, bounds, slopes, den), the rows sorted by slope, rows
-    bounds[s]:bounds[s + 1] of slopes[s], the slopes distinct ints, ascending."""
+    (rows, bounds, slopes, den), the rows an int64 array sorted by slope,
+    rows bounds[s]:bounds[s + 1] of slopes[s], the slopes distinct ints,
+    ascending."""
     out = []
-    for nums, den in coeffs:
-        rows = nums[np.argsort(nums[:, -1], kind="stable")]
+    for rows, den in coeffs:
+        rows = np.array(rows, dtype=np.int64)
+        rows = rows[np.argsort(rows[:, -1], kind="stable")]
         slopes, starts = np.unique(rows[:, -1], return_index=True)
         out.append((rows, [*starts.tolist(), len(rows)], slopes.tolist(), den))
     return out
@@ -257,13 +314,22 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
     den_P of deg stays >= -1 at both ends of the run.  On a sure run h0 =
     deg + 1, and the sum is the run's length plus, for each P and each slope
     s, a floor sum over the interval on which L_Ps attains the min (ties to
-    the lowest slope), in closed form n (a_s // den_P) for s = 0.  Returns
-    the sum and the mask of the columns left to count point by point.
+    the lowest slope), in closed form n (a_s // den_P) for s = 0.  On a
+    nonempty interval z0 <= lo <= hi <= z1, so a_s + s lo stays within
+    `_layout`'s int64 bound; an empty one's lo is unbounded and a_s + s lo
+    may wrap in int64, harmlessly, since `_floor_sum` adds 0 for a run of
+    length 0 whatever its start.  Returns the sum and the mask of the
+    columns left to count point by point.
     """
-    hy = np.column_stack([heads, y])
+    cols = [*heads.T, y]
+
+    def pairing(row):  # <row, (head, y)> per column, with no work for a zero coefficient
+        terms = [v if c == 1 else c * v for c, v in zip(row, cols) if c]
+        return reduce(np.add, terms) if terms else np.zeros(len(y), dtype=np.int64)
+
     lines = []
     for rows, bounds, slopes, den in envelopes:
-        a = rows[:, :-1] @ hy.T
+        a = [pairing(row) for row in rows[:, :-1].tolist()]
         lines.append(([reduce(np.minimum, a[i:j]) for i, j in zip(bounds, bounds[1:])], slopes, den))
     unsure = np.zeros(len(y), dtype=bool)
     if not sure:
@@ -277,7 +343,8 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
         keep = ~unsure
         z0, z1 = z0[keep], z1[keep]
         lines = [([av[keep] for av in a], c, den) for a, c, den in lines]
-    total = int((z1 - z0 + 1).sum())
+    length = z1 - z0 + 1
+    total = int(length.sum())
     for a, c, den in lines:
         for v, cv in enumerate(c):
             lo, hi = z0, z1
@@ -286,11 +353,11 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
                     hi = np.minimum(hi, (a[w] - a[v] - 1) // (cv - cw))
                 elif w > v:  # cv < cw
                     lo = np.maximum(lo, -((a[w] - a[v]) // (cw - cv)))
-            n = np.maximum(hi - lo + 1, 0)
+            n = length if len(c) == 1 else np.maximum(hi - lo + 1, 0)
             if cv == 0:
-                total += int((n * (a[v] // den)).sum())
+                total += int(n @ (a[v] // den))
             else:
-                total += _floor_sum(n, den, cv, a[v] + cv * np.where(n > 0, lo, z0))
+                total += _floor_sum(n, den, cv, a[v] + cv * lo)
     return total, unsure
 
 
@@ -326,24 +393,28 @@ def _column_basis(rays, dual_rays, x, coeffs):
 
     x_n, scale = ex.cleared(x)
     return (
-        [image(inv_t, r) for r in rays],
-        [image(a, r) for r in dual_rays],
-        [Fraction(c, scale) for c in image(inv_t, x_n)],
-        [([image(inv_t, row) for row in rows], den) for rows, den in coeffs],
+        tuple(image(inv_t, r) for r in rays),
+        tuple(image(a, r) for r in dual_rays),
+        tuple(Fraction(c, scale) for c in image(inv_t, x_n)),
+        tuple((tuple(image(inv_t, row) for row in rows), den) for rows, den in coeffs),
     )
 
 
 def _layout(rays, dual_rays, x, coeffs, m, budget):
     """The walk's box and data in one basis, checked against int64:
-    (verts, box_lo, box_hi, rays, x, coeffs, wide), with coeffs as arrays,
-    object arrays where `wide` says the column sums may leave int64.  Raises
-    TooLarge when the cone's pairings over the box leave int64.
+    (verts, box_lo, box_hi, rays, x, coeffs, envelopes, wide), with coeffs
+    as int64 arrays and their `_envelopes`, or as object arrays and None
+    where `wide` says the column sums may leave int64.  Raises TooLarge when
+    the cone's pairings over the box leave int64.  The box and the checks
+    are made per truncation; the exact pairings and the envelopes depend on
+    the data alone and are `_cached`.
     """
-    verts, box_lo, box_hi = _box_from_cone(dual_rays, x, m, _PAD * (1.0 + abs(float(m))))
+    pairings = _cached(_reeb_pairings, dual_rays, x)
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, pairings, m, _PAD * (1.0 + abs(float(m))))
     if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
-        rays = [(0, *r) for r in rays]
-        x, box_lo, box_hi = ([0, *v] for v in (x, box_lo, box_hi))
-        coeffs = [([(0, *v) for v in rows], den) for rows, den in coeffs]
+        rays = tuple((0, *r) for r in rays)
+        x, box_lo, box_hi = (0, *x), [0, *box_lo], [0, *box_hi]
+        coeffs = tuple((tuple((0, *v) for v in rows), den) for rows, den in coeffs)
     reach = [max(-a, b) + 1 for a, b in zip(box_lo, box_hi)]  # |u_i| < reach_i one step past the box
 
     def pairing_bound(v):
@@ -362,8 +433,12 @@ def _layout(rays, dual_rays, x, coeffs, m, budget):
         or common * (sum(r // den + 2 for r, den in reaches) + 1) >= _INT64
         or any(2 * r + 2 >= _INT64 or den * nz >= _INT64 for r, den in reaches)
     )
-    coeffs = [(np.array(rows, dtype=object if wide else np.int64), den) for rows, den in coeffs]
-    return verts, box_lo, box_hi, rays, x, coeffs, wide
+    if wide:
+        coeffs, envelopes = [(np.array(rows, dtype=object), den) for rows, den in coeffs], None
+    else:
+        envelopes = _cached(_envelopes, coeffs)
+        coeffs = [(rows, den) for rows, _, _, den in envelopes]
+    return verts, box_lo, box_hi, rays, x, coeffs, envelopes, wide
 
 
 def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
@@ -372,82 +447,93 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     coeffs holds each divisor point's vertices as integer rows over a common
     denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
     count.  Whether the closed form holds on the whole weight cone, which
-    dual_rays generate, is decided once (`_sure_everywhere`).  The columns
-    run along the weight cone's ray of least pairing with xi where that
-    beats the last axis (`_column_basis`).  The input's own basis is walked
-    instead where the image's pairings or sums could leave int64 or its walk
-    exceeds the budget, so a count that finishes along the last axis still
-    finishes, and errors name the input's own rays.
+    dual_rays generate, is decided once per data set (`_sure_everywhere`).
+    The columns run along the weight cone's ray of least pairing with xi
+    where that beats the last axis (`_column_basis`).  The input's own basis
+    is walked instead where the image's pairings or sums could leave int64
+    or its walk exceeds the budget, so a count that finishes along the last
+    axis still finishes, and errors name the input's own rays.  At m <= 0
+    the sum is 0: on the weight cone only the apex pairs to 0 with an xi of
+    the Reeb cone.
     """
+    if m != m or abs(m) == inf:
+        raise ValueError(f"the truncation m must be finite, got m = {m}")
     x = _exact_xi(xi)
+    dual_rays = tuple(dual_rays)
     dim = len(dual_rays[0])
     if len(x) != dim:
         raise ValueError(f"Reeb vector has {len(x)} entries but the weight cone lies in dimension {dim}")
-    rays = [tuple(int(c) for c in r) for r in sigma_rays]
-    sure = _sure_everywhere(dual_rays, coeffs)
-    turned = _column_basis(rays, dual_rays, x, coeffs)
+    if m <= 0:
+        _cached(_reeb_pairings, dual_rays, x)  # NotInReebCone off the Reeb cone
+        return 0
+    rays = tuple(tuple(int(c) for c in r) for r in sigma_rays)
+    sure = _cached(_sure_everywhere, dual_rays, coeffs)
+    turned = _cached(_column_basis, rays, dual_rays, x, coeffs)
     if turned is not None:
         try:
-            layout = _layout(*turned, m, budget)
-            if not layout[-1]:  # else its sums may leave int64
+            *layout, wide = _layout(*turned, m, budget)
+            if not wide:  # else its sums may leave int64
                 return _walk(*layout, m, sure, budget)
         except (TooLarge, NotInReebCone):  # past int64 or the budget; or xi, reported below
             pass
-    return _walk(*_layout(rays, dual_rays, x, coeffs, m, budget), m, sure, budget)
+    *layout, _ = _layout(rays, dual_rays, x, coeffs, m, budget)
+    return _walk(*layout, m, sure, budget)
 
 
-def _walk(verts, box_lo, box_hi, rays, x, coeffs, wide, m, sure, budget):
+def _walk(verts, box_lo, box_hi, rays, x, coeffs, envelopes, m, sure, budget):
     """The sum of `_enumerate` over one basis's `_layout`.
 
-    Each point's vertices are merged by slope along the columns once
-    (`_envelopes`).  The interior run of each column is summed in closed
-    form (`_interior_sums`), and counted point by point only where neither
-    `sure` nor the per-column bound makes it sure; its border run is
-    rechecked point by point against the exact xi, in integers.  A lattice
-    count adds the interior runs' lengths.  The budget charges each slab its
-    candidate points, and at least the width of its y range, so slabs
-    without points still count towards it; it is checked before each
-    block's work.
+    Each block of heads forms its columns (`_columns`) and splits every one
+    into an interior and a border run (`_split`); a column outside the cone
+    has both empty.  The interior runs are summed in closed form
+    (`_interior_sums`, with the heads gathered only for the columns that
+    have one), and counted point by point only where neither `sure` nor the
+    per-column bound makes them sure, or, without envelopes, where the sums
+    may leave int64.  Points are formed only for nonempty border runs, and
+    rechecked against the exact xi in integers, one product with the cleared
+    xi per block: in int64 where the pairings over the box stay below 2^62,
+    else in Python integers.  A lattice count adds the interior runs'
+    lengths.  The budget charges each slab its candidate points, and at
+    least the width of its y range, so slabs without points still count
+    towards it; it is checked before each block's work.
     """
     mf = float(m)
     pad = _PAD * (1.0 + abs(mf))
     delta = _REL_MARGIN * (1.0 + abs(mf))
-    envelopes = None if wide else _envelopes(coeffs)
     xf = np.asarray([float(c) for c in x])
     width = box_hi[-2] - box_lo[-2] + 1
-    x_n, scale = ex.cleared(x)  # the recheck in integers
+    x_n, scale = _cached(ex.cleared, x)
     m_num, m_den = (Fraction(m) * scale).as_integer_ratio()
+    limit = -(-m_num // m_den)  # <u, x_n> < limit exactly when <u, xi> < m
+    if sum(abs(c) * (max(-a, b) + 1) for c, a, b in zip(x_n, box_lo, box_hi)) < _INT64:
+        x_n, limit = np.array(x_n, dtype=np.int64), min(max(limit, -_INT64), _INT64)
+    else:
+        x_n = np.array(x_n, dtype=object)
     total = 0
     cells = 0
-    walk = _heads(verts, box_lo, box_hi, pad)
-    for block in iter(lambda: list(islice(walk, max(1, _BLOCK // width))), []):
+    for block in _heads(verts, box_lo, box_hi, pad, max(1, _BLOCK // width)):
         if cells + len(block) * width > budget:  # each slab is charged at least width
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
-        heads, slab, y, zlo, zhi, rest = _columns(
-            block, rays, xf, mf + delta, box_lo, box_hi, verts, pad
-        )
-        lens = np.maximum(zhi - zlo + 1, 0)
+        _, slab, y, zlo, zhi, rest = _columns(block, rays, xf, mf + delta, box_lo, box_hi, verts, pad)
         # float64: int64 wraps near the cone's boundary; exact below 2^53 >> budget
-        charge = np.bincount(slab, weights=lens, minlength=len(block))
+        charge = np.bincount(slab, weights=np.maximum(zhi - zlo + 1, 0), minlength=len(block))
         cells += int(np.maximum(charge, width).sum())
         if cells > budget:
             raise TooLarge(f"enumeration exceeded the {budget} cell budget")
-        live = lens > 0
-        head, y, zlo, zhi, rest = heads[slab[live]], y[live], zlo[live], zhi[live], rest[live]
         ia, ib, ba, bb = _split(zlo, zhi, rest, xf[-1], delta, box_lo[-1], box_hi[-1])
-        border = _slab_points(head, y, ba, bb)
-        below = np.array([_pairing(p, x_n) * m_den < m_num for p in border.tolist()], dtype=bool)
+        edge = np.flatnonzero(ba <= bb)
+        border = _slab_points(block[slab[edge]], y[edge], ba[edge], bb[edge])
+        border = border[np.asarray(border @ x_n < limit, dtype=bool)]
         if not coeffs:  # h0 = 1
-            total += int(below.sum()) + int(np.maximum(ib - ia + 1, 0).sum())
+            total += len(border) + int(np.maximum(ib - ia + 1, 0).sum())
             continue
-        total += int(_h0(border[below], coeffs).sum())
+        total += int(_h0(border, coeffs).sum())
         inner = np.flatnonzero(ia <= ib)
-        fallback = inner
-        if not wide:
-            sums, unsure = _interior_sums(head[inner], y[inner], ia[inner], ib[inner], envelopes, sure)
+        if envelopes is not None:
+            sums, unsure = _interior_sums(block[slab[inner]], y[inner], ia[inner], ib[inner], envelopes, sure)
             total += sums
-            fallback = inner[unsure]
-        points = _slab_points(head[fallback], y[fallback], ia[fallback], ib[fallback])
+            inner = inner[unsure]
+        points = _slab_points(block[slab[inner]], y[inner], ia[inner], ib[inner])
         total += int(_h0(points, coeffs).sum())
     return total
 
@@ -468,8 +554,8 @@ def count_cxone(d, xi, m, budget=DEFAULT_BUDGET):
         verts = poly.compact_vertices
         nums, den = ex.cleared([c for v in verts for c in v])
         it = iter(nums)
-        coeffs.append(([[next(it) for _ in v] for v in verts], den))
-    return _enumerate(d.sigma.rays, d.sigma_dual.rays, xi, m, coeffs, budget)
+        coeffs.append((tuple(tuple(next(it) for _ in v) for v in verts), den))
+    return _enumerate(d.sigma.rays, d.sigma_dual.rays, xi, m, tuple(coeffs), budget)
 
 
 @dataclass(frozen=True)
@@ -496,6 +582,7 @@ def vol_estimate(series: CountSeries):
 
     Fits estimate(m) = c0 + c1/m + c2/m^2 through the largest truncations and
     reports c0.  Needs at least three truncations, the largest three distinct.
+    `monotone_counts` reads the counts in order of increasing m.
     """
     if len(series.truncations) < 3:
         raise ValueError("need at least three truncations to extrapolate")
@@ -509,7 +596,7 @@ def vol_estimate(series: CountSeries):
     y = np.asarray(es[-3:])
     v = np.vander(x, 3, increasing=True)  # columns 1, 1/m, 1/m^2
     coeff = np.linalg.solve(v, y)
-    counts = [c for _, c in series.truncations]
+    counts = [series.truncations[i][1] for i in order]
     diagnostic = {
         "raw_estimates": list(series.estimates),
         "monotone_counts": all(a <= b for a, b in zip(counts, counts[1:])),

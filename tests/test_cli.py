@@ -110,6 +110,34 @@ class TestOracleCommand:
         assert err["error"]["type"] == "SpecError"
         assert "positive" in err["error"]["message"]
 
+    def test_repeated_truncations_exit_2_before_counting(self, tmp_path, monkeypatch):
+        # the extrapolation needs the three largest truncations distinct; the
+        # parent counted all three and then exited 1 with a ValueError
+        doc = json.loads(Path(SPECS["spp.json"]).read_text())
+        doc["m_list"] = [100, 100, 200]
+        spec = tmp_path / "repeated_m.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("oracle", str(spec))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "SpecError" and "m_list" in err["message"]
+
+        def no_count(*args):
+            raise AssertionError("counted before checking m_list")
+
+        monkeypatch.setattr(cli, "count_toric", no_count)
+        for m_list in ([100, 100, 200], [50, 200, 100.0, 100]):
+            with pytest.raises(cli.SpecError, match="m_list"):
+                cli.run("oracle", {**doc, "m_list": m_list}, argparse.Namespace(threads=1))
+
+    def test_truncations_in_any_order_report_monotone_counts(self):
+        doc = json.loads(Path(SPECS["spp.json"]).read_text())
+        doc["m_list"] = [200, 100, 50]
+        out = cli.run("oracle", doc, argparse.Namespace(threads=1))
+        assert out["counts"] == [524828, 67080, 8772]
+        assert out["monotone_counts"] is True
+
 
 class TestOtherCommands:
     def test_eval(self):

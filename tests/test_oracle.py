@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from reebmin import (
     CountSeries,
+    NotInReebCone,
     PolyhedralDivisor,
     TooLarge,
     ToricData,
@@ -670,6 +672,157 @@ class TestColumnDirection:
         assert basis_spy == [False, False]
 
 
+def multi_slope_divisor(tail, rng):
+    """Seeded divisor whose first point has vertices of two or three distinct
+    last coordinates, so its envelope has a piece per slope along the columns."""
+    rank = len(tail[0])
+    first = [tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(rank - 1)) + (Fraction(s, 2),)
+             for s in (-1, 0, 1)]
+    other = [tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(rank))]
+    return PolyhedralDivisor.from_vertex_lists(tail, [("0", first), ("1", other)])
+
+
+def spy_on(monkeypatch, name, record):
+    """Replace oracle.<name> by a wrapper that passes its arguments and result to record."""
+    from reebmin import oracle
+
+    inner = getattr(oracle, name)
+
+    def spy(*args):
+        out = inner(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(oracle, name, spy)
+
+
+class TestWalkSkipsAndShares:
+    # the walk splits every formed column, forms heads only for the columns
+    # with an interior run and points only for those with a border run, and
+    # computes what depends on the data and xi alone once per series
+
+    RAYS3 = [(1, 0, 0), (0, 1, 0), (1, 1, 2)]
+
+    def test_dead_columns_inside_a_block(self, monkeypatch):
+        # the y range of a slab is its shadow's, so some of its columns have
+        # no z inside the cone while others in the same block do
+        seen = []
+        spy_on(monkeypatch, "_columns", lambda args, out: seen.append(
+            (int((out[4] < out[3]).sum()), int((out[4] >= out[3]).sum()))))
+        t = ToricData.from_cone(self.RAYS3, [1, 1, 1])
+        d = multi_slope_divisor(self.RAYS3, random.Random(28))
+        for xi in integer_and_irrational_xi(self.RAYS3):
+            for m in TRUNCATIONS:
+                box = box_of(t, xi, m)
+                assert count_toric(t, xi, m) == brute_count(t, xi, m, box)
+                assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+        assert any(dead and live for dead, live in seen)
+
+    @pytest.mark.parametrize("name, xi", [("c2", (1, 1)), ("a1", (2, 0))])
+    def test_border_runs_at_integer_xi(self, name, xi, request, monkeypatch):
+        # at an integer m the layer <u, xi> = m lies within the margin of m:
+        # its points form border runs and the exact recheck drops them; just
+        # above the integer it keeps them
+        t = request.getfixturevalue(name)
+        seen = []
+        spy_on(monkeypatch, "_split", lambda args, out: seen.append(int((out[3] >= out[2]).sum())))
+        counts = []
+        for m in TRUNCATIONS:
+            counts.append(count_toric(t, xi, m))
+            assert counts[-1] == brute_count(t, xi, m, box_of(t, xi, m))
+        assert counts[0] < counts[2]
+        assert any(seen)
+
+    def test_slope_pieces_empty_on_some_columns(self, monkeypatch):
+        # a slope's piece of the envelope covers part of some runs and none
+        # of others: a run of length 0 adds 0 whatever its start
+        seen = []
+        spy_on(monkeypatch, "_floor_sum", lambda args, out: seen.append(
+            bool((args[0] == 0).any() and (args[0] > 0).any())))
+        rng = random.Random(280)
+        for tail in (self.RAYS3, TAIL3):
+            d = multi_slope_divisor(tail, rng)
+            for xi in integer_and_irrational_xi(tail):
+                for m in (20, Fraction(41, 2)):
+                    assert count_cxone(d, xi, m) == brute_count_cxone(d, xi, m, box_of(d, xi, m))
+        assert any(seen)
+
+    def test_no_layout_goes_stale(self):
+        # the same data at two xi and two data sets at one xi, interleaved:
+        # each count equals the reference count and a count from nothing kept
+        from reebmin import oracle
+
+        rng = random.Random(2828)
+        divisors = [multi_slope_divisor(self.RAYS3, rng) for _ in range(2)]
+        xis = integer_and_irrational_xi(self.RAYS3)
+        t = ToricData.from_cone(self.RAYS3, [1, 1, 1])
+        calls = [(count_cxone, d, xi) for xi in xis for d in divisors] + [(count_toric, t, xi) for xi in xis]
+        for count, data, xi in calls + calls[::-1]:
+            got = count(data, xi, 13)
+            oracle._kept.clear()
+            assert got == count(data, xi, 13)
+            reference = brute_count if count is count_toric else brute_count_cxone
+            assert got == reference(data, xi, 13, box_of(data, xi, 13))
+
+    def test_series_lays_its_data_out_once(self, monkeypatch):
+        # three truncations of one spec and one xi: one column basis, one
+        # closed-form test, one set of envelopes and one set of exact pairings
+        calls = {name: 0 for name in ("_column_basis", "_sure_everywhere", "_envelopes", "_reeb_pairings")}
+        for name in calls:
+            spy_on(monkeypatch, name, lambda args, out, name=name: calls.__setitem__(name, calls[name] + 1))
+        doc = json.loads(Path(bundled_spec("dk_4dim.json")).read_text())
+        doc["m_list"] = [50, 100, 200]
+        out = cli.run("oracle", doc, argparse.Namespace(threads=1))
+        assert out["counts"] == [1324452, 20257327, 316789998]
+        assert calls == {name: 1 for name in calls}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 50, 10**6])
+    def test_heads_come_in_order_in_blocks_of_at_most_size(self, size):
+        from reebmin import oracle
+
+        rays, xi = TestCountToric._skewed_orthant()
+        t = ToricData.from_dual_cone(rays, [sum(c) for c in zip(*rays)])
+        x = [Fraction(c) for c in xi]
+        pad = oracle._PAD * 11
+        verts, box_lo, box_hi = oracle._box_from_cone(t.sigma_dual.rays, [sum(map(mul, u, x)) for u in
+                                                                          t.sigma_dual.rays], 10, pad)
+
+        def heads(head):  # the recursive enumeration, one shadow range per head
+            if len(head) == len(box_lo) - 2:
+                yield head
+                return
+            if head:
+                lo, hi = (int(v[0]) for v in oracle._shadow_range(verts, len(head), [head[-1]], pad))
+            else:
+                lo, hi = box_lo[0], box_hi[0]
+            for c in range(lo, hi + 1):
+                yield from heads(head + (c,))
+
+        blocks = list(oracle._heads(verts, box_lo, box_hi, pad, size))
+        assert all(1 <= len(b) <= size for b in blocks)
+        assert [tuple(h) for b in blocks for h in b.tolist()] == list(heads(()))
+
+
+class TestTruncationChecks:
+    @pytest.mark.parametrize("m", [0, -1, Fraction(-1, 2), -0.5, 0.0])
+    def test_non_positive_truncation_counts_nothing(self, dk_divisor, m):
+        # on the weight cone only the apex pairs to 0 with xi in the Reeb cone
+        assert count_toric(ToricData.smooth_point(3), (1, 1, 1), m) == 0
+        assert count_toric(ToricData.smooth_point(2), (1, 1), m) == 0
+        assert count_cxone(dk_divisor, (1.0, 1.0, 0.6861406616345072), m) == 0
+
+    def test_non_positive_truncation_off_the_reeb_cone(self, c2):
+        with pytest.raises(NotInReebCone):
+            count_toric(c2, (1, -1), 0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_non_finite_truncation(self, c2, dk_divisor, m):
+        with pytest.raises(ValueError, match=f"m = {m}"):
+            count_toric(c2, (1, 1), m)
+        with pytest.raises(ValueError, match=f"m = {m}"):
+            count_cxone(dk_divisor, (1, 1, Fraction(7, 10)), m)
+
+
 class TestLengthChecks:
     # a short xi used to raise IndexError in the pairing bound and a long one
     # numpy's inhomogeneous-shape ValueError
@@ -700,6 +853,13 @@ class TestVolEstimate:
         series = CountSeries.from_counts(2, [(100, 5151), (200, 20301)])
         with pytest.raises(ValueError):
             vol_estimate(series)
+
+    def test_monotone_counts_read_in_order_of_m(self):
+        # spp's counts at m = 50, 100, 200, given largest first
+        _, diag = vol_estimate(CountSeries.from_counts(3, [(200, 524828), (100, 67080), (50, 8772)]))
+        assert diag["monotone_counts"] is True
+        _, diag = vol_estimate(CountSeries.from_counts(3, [(200, 67080), (100, 524828), (50, 8772)]))
+        assert diag["monotone_counts"] is False
 
     def test_needs_distinct_truncations(self):
         series = CountSeries.from_counts(2, [(100, 5151), (100, 5151), (200, 20301)])
