@@ -14,9 +14,9 @@ linear functional ell, and
 so the piece becomes one cell per ray u_i with <ell, u_i> != 0 that takes
 u_i twice, with c / den = |det| <ell, u_i> and den the lcm of the ells'
 denominators (a zero-weight ray drops out, which is exact).  A cell's
-length is its homogeneity degree: dim for a toric cone, dim + 1 for a
-divisor.  With s = sum u_i / p_i and W = sum u_i u_i^T / p_i^2 over the
-cell's entries,
+length is vol's homogeneity degree n, given by the data: dim for a toric
+cone, dim + 1 for a divisor.  With s = sum u_i / p_i and W = sum u_i
+u_i^T / p_i^2 over the cell's entries,
 
     grad vol = -sum_c t_c s,    hess vol = sum_c t_c (s s^T + W).
 
@@ -43,7 +43,8 @@ type of xi:
 
 `certificate` is the one exact first-order certificate at a rational
 point, read off the integer sums; Newton's answer, `sine` at rational
-points and `is_rational_minimizer` all read it.
+points and `is_rational_minimizer` all read it.  Over no cells each path
+sums to zeros of its own arithmetic, with no case of its own.
 """
 
 import math
@@ -96,21 +97,17 @@ def _is_rational(v):
     return all(isinstance(x, (int, Fraction)) for x in v)
 
 
-def _zero_sums(n, order):
-    """The sums over no cells: int 0 entries, as the generic path leaves them."""
-    return ((0,), (0, (0,) * n), (0, (0,) * n, ((0,) * n,) * n))[order]
-
-
 class CellSum:
     """Ray table plus one table of cells (ray indices, c) over one integer
     den: a cell adds c / (den prod_{i in cell} <u_i, xi>)."""
 
-    def __init__(self, weight_rays, cells, dim):
+    def __init__(self, weight_rays, cells, degree):
         """weight_rays: the weight cone's rays; cells: (SimplicialPiece, ell)
         pairs, ell None for every cell of a toric cone and a vector for every
-        cell of a divisor.  Cell rays that are not weight-cone rays are
-        appended to the ray table."""
+        cell of a divisor; degree: vol's homogeneity degree n, every cell's
+        length.  Cell rays that are not weight-cone rays join the ray table."""
         rays = list(weight_rays)
+        dim = len(rays[0])
         index = {u: i for i, u in enumerate(rays)}
         den = math.lcm(*(x.denominator for _, ell in cells if ell is not None for x in ell))
         table = []
@@ -132,7 +129,7 @@ class CellSum:
         self.cells = tuple(table)
         self.den = den
         self.dim = dim
-        self.degree = m = len(table[0][0]) if table else dim  # every cell's length
+        self.degree = m = degree
         self._powers = [0] * len(rays)  # per ray: its most entries in one cell, its pairing's power in B
         for idx, _ in table:
             for i in idx:
@@ -156,8 +153,6 @@ class CellSum:
             return self._evaluate_generic(xi, order)
         check_length("Reeb vector", xi, self.dim)
         out = self._evaluate_array(np.array(xi), order)
-        if not self.cells:
-            return _zero_sums(self.dim, order)
         if not order:
             return (float(out[0]),)
         if order == 1:
@@ -198,7 +193,7 @@ class CellSum:
             return (vol,)
         v = self._cell_rays / pc[:, :, None]  # u_i / p_i
         s = v.sum(axis=1)
-        grad = -(t @ s)
+        grad = 0.0 - t @ s  # from +0.0, as the generic path sums: no -0.0 over no cells
         if order < 2:
             return vol, grad
         rows = v.reshape(-1, self.dim)
@@ -210,7 +205,7 @@ class CellSum:
         """The sums at rational xi in Python integers: ((X, D), sums) with
         xi = X / D and, per order k <= order, sums[k] = (unreduced numerators
         of vol, grad or the Hessian's upper triangle by rows, their one
-        denominator); sums is () without cells.
+        denominator).
 
         With P_i = <u_i, X> and, per cell, Pi = prod P_i and c_i = Pi / P_i
         over its entries, S = sum c_i u_i and C = sum c_i^2 u_i u_i^T, a cell
@@ -228,8 +223,6 @@ class CellSum:
             if p <= 0:
                 raise NotInReebCone(f"<{u}, xi> = {Fraction(p, dx)} is not positive")
             pair.append(p)
-        if not self.cells:
-            return (big, dx), ()
         rays, pairs, n = self.rays, self._pairs, self.dim
         b = math.prod([p**k for p, k in zip(pair, self._powers) if k])
         vol, grad, hess = 0, [0] * n, [0] * len(pairs)
@@ -259,8 +252,6 @@ class CellSum:
     def _evaluate_rational(self, xi, order):
         """`_integer_sums` at rational xi, one Fraction per entry."""
         _, sums = self._integer_sums(xi, order)
-        if not sums:
-            return _zero_sums(self.dim, order)
         out = [[Fraction(x, d) for x in nums] for nums, d in sums]
         if not order:
             return (out[0][0],)
@@ -286,12 +277,12 @@ class CellSum:
             if not pi > 0:
                 raise NotInReebCone(f"<{u}, xi> = {pi} is not positive")
         n = self.dim
+        vol = 0 * p[0]  # a zero of xi's arithmetic, which the sums over no cells stay
         if order:
             v = [[x / pi for x in u] for u, pi in zip(self.rays, p)]  # u_i / p_i
-            grad = [0] * n
+            grad = [vol] * n
         if order == 2:
-            h = [[0] * n for _ in range(n)]
-        vol = 0
+            h = [[vol] * n for _ in range(n)]
         for idx, c in self.cells:
             prod = self.den
             for i in idx:
@@ -318,20 +309,19 @@ class CellSum:
                 h[l][k] = h[k][l]
         return vol, tuple(grad), tuple(tuple(row) for row in h)
 
-    def certificate(self, xi, u0, n):
+    def certificate(self, xi, u0):
         """(nvol, grad_norm, sine, minimizer) at rational xi and u0 from one
         order-1 `_integer_sums` call, no Fraction formed.  With grad vol = G /
-        D and u0 = U / E: nvol = <u0, xi>^n vol, grad_norm^2 = |proj|^2 =
-        (<G, G> <U, U> - <G, U>^2) / (D^2 <U, U>) for proj grad vol projected
-        off u0, and the sine between -grad vol and u0 has sine^2 = 1 - <G,
-        U>^2 / (<G, G> <U, U>), NaN when G = 0; each is one quotient of two
-        ints, rounded once.  minimizer (proj = 0 and <G, U> < 0: by strict
+        D and u0 = U / E: nvol = <u0, xi>^degree vol, grad_norm^2 =
+        |proj|^2 = (<G, G> <U, U> - <G, U>^2) / (D^2 <U, U>) for proj grad
+        vol projected off u0, and the sine between -grad vol and u0 has
+        sine^2 = 1 - <G, U>^2 / (<G, G> <U, U>), NaN when G = 0 (so (0.0,
+        0.0, NaN, False) without cells); each is one quotient of two ints,
+        rounded once.  minimizer (proj = 0 and <G, U> < 0: by strict
         convexity, xi is on the minimizer's ray) is, by Cauchy-Schwarz, <G,
         G> <U, U> = <G, U>^2 and <G, U> < 0."""
-        (xs, dx), sums = self._integer_sums(xi, 1)
-        if not sums:  # vol = 0 and grad vol = 0
-            return 0.0, 0.0, float("nan"), False
-        ((vol,), vden), (g, gden) = sums
+        (xs, dx), (((vol,), vden), (g, gden)) = self._integer_sums(xi, 1)
+        n = self.degree
         us, e = ex.cleared(u0)
         uu = sum([x * x for x in us])
         gu = sum([x * y for x, y in zip(g, us)])
@@ -351,7 +341,7 @@ class CellSum:
         runs: u0's Fractions cannot multiply it."""
         xi = tuple(xi)
         if _is_rational(xi):
-            return self.certificate(xi, u0, self.dim)[2]
+            return self.certificate(xi, u0)[2]
         for x in xi:
             if hasattr(x, "_mpi_"):
                 raise TypeError(f"the sine takes rational, float or mpf points, not {type(x).__name__}")
@@ -368,4 +358,4 @@ class CellSum:
 
     def is_rational_minimizer(self, xi, u0):
         """Exact test at a rational xi: grad vol(xi) is a negative multiple of u0."""
-        return self.certificate(ex.fracvec(xi), ex.fracvec(u0), self.dim)[3]
+        return self.certificate(ex.fracvec(xi), ex.fracvec(u0))[3]

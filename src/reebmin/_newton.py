@@ -59,9 +59,9 @@ def slice_basis(u0):
     return vh[1:].T  # rows 2..n of V^T span the orthogonal complement
 
 
-def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
-    """Global minimizer of <u0, xi>^n vol(xi) over the Reeb cone, rescaled so
-    that <u0, xi> = n.
+def minimize(cs, u0, sigma_rays, tolerance, max_iter) -> MinimizeResult:
+    """Global minimizer of <u0, xi>^n vol(xi) over the Reeb cone, n the
+    kernel's `CellSum.degree`, rescaled so that <u0, xi> = n.
 
     Starts at the sum of the Reeb cone's rays on the slice, each entry one
     correctly rounded quotient of ints.  nvol_star, grad_norm and
@@ -73,9 +73,9 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     both grad_norm and the sine are at most the tolerance.  xi_star is
     xi_hat rescaled in float so that <u0, xi_star> = n.  `stop_reason` says
     why Newton stopped.  Without cells vol = 0 and grad vol = 0 everywhere:
-    it returns the start at once, with stop_reason "zero_volume", and runs
-    neither Newton nor the certificates.  A tolerance that is not a finite
-    number >= 0 or a negative max_iter raises ValueError.
+    Newton stops at the start on its first gradient test, and the result,
+    labelled "zero_volume", is not converged.  A tolerance that is not a
+    finite number >= 0 or a negative max_iter raises ValueError.
     """
     check_tolerance(tolerance)
     if max_iter < 0:
@@ -85,23 +85,14 @@ def minimize(cs, u0, sigma_rays, n, tolerance, max_iter) -> MinimizeResult:
     a0 = sum([a * b for a, b in zip(us, total)])  # e <u0, total>
     x0 = np.array([x * e / a0 for x in total])
     u0f = np.array([x / e for x in us])
-    if not cs.cells:
-        a = float(sum(x * y for x, y in zip(u0f, x0)))
-        return MinimizeResult(
-            xi_star=ReebVector.real(x0 * (n / a)),
-            nvol_star=0.0,
-            grad_norm=0.0,
-            barycenter_residual=float("nan"),
-            iterations=0,
-            converged=False,
-            stop_reason="zero_volume",
-        )
     xi_hat, iters, stop_reason = _newton(cs, u0f, x0, tolerance, max_iter)
+    if not cs.cells:
+        stop_reason = "zero_volume"
 
-    nvol_star, grad_norm, residual, _ = cs.certificate(tuple(Fraction(x) for x in xi_hat.tolist()), u0, n)
+    nvol_star, grad_norm, residual, _ = cs.certificate(tuple(Fraction(x) for x in xi_hat.tolist()), u0)
     a = float(sum(x * y for x, y in zip(u0f, xi_hat.tolist())))
     return MinimizeResult(
-        xi_star=ReebVector.real(xi_hat * (n / a)),
+        xi_star=ReebVector.real(xi_hat * (cs.degree / a)),
         nvol_star=nvol_star,
         grad_norm=grad_norm,
         barycenter_residual=residual,

@@ -8,7 +8,6 @@ deterministically (rationals exact, floats at 12 significant digits).
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -294,8 +293,9 @@ def run(command, doc, options):
         kind, data, u0 = _data_from_spec(doc)
         xi = _xi_from(doc)
         ms = _field(doc, "m_list")
-        if not ms or not all(isinstance(m, (int, float)) and not isinstance(m, bool) and 0 < m < math.inf for m in ms):
-            raise SpecError(f"oracle truncations must be positive finite numbers, got {ms}")
+        if not ms or not all(isinstance(m, (int, float)) and not isinstance(m, bool) and 0 < m <= sys.float_info.max
+                             for m in ms):  # a JSON integer past float range is a Python int
+            raise SpecError(f"oracle truncations must be positive numbers within float range, got {ms}")
         if len(ms) >= 3 and len(set(sorted(map(float, ms))[-3:])) < 3:  # as vol_estimate reads them
             raise SpecError(f"oracle m_list needs its three largest truncations distinct to extrapolate, got {ms}")
         budget = _int(doc.get("budget", DEFAULT_BUDGET))

@@ -94,7 +94,7 @@ class PolyhedralDivisor:
 
     @cached_property
     def _cellsum(self):
-        return CellSum(self.sigma_dual.rays, self.cells().cells, self.r)
+        return CellSum(self.sigma_dual.rays, self.cells().cells, self.n)
 
 
 def _check_tail(sigma):
@@ -201,8 +201,9 @@ def minimize_c1(d: PolyhedralDivisor, u0, tolerance=1e-7, max_iter=_newton.MAX_I
     strict convexity makes the converged point global.  Certificates are
     exact at Newton's point; the sine of the angle between -grad vol and u0
     plays the role of the barycenter residual.  A divisor with no cells, or
-    with deg = 0 on all of them, has vol = 0 and grad vol = 0: it stops at
-    once with stop_reason "zero_volume", a NaN residual and converged=False.
+    with deg = 0 on all of them, has vol = 0 and grad vol = 0: Newton stops
+    at its start after 0 iterations, and the result has stop_reason
+    "zero_volume", nvol_star 0, a NaN residual and converged=False.
     """
     u0 = _checked_u0(d, u0)
-    return _newton.minimize(d._cellsum, u0, d.sigma.rays, d.n, tolerance, max_iter)
+    return _newton.minimize(d._cellsum, u0, d.sigma.rays, tolerance, max_iter)

@@ -82,13 +82,16 @@ def _box_from_cone(dual_rays, pairings, m, pad):
     """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box.
 
     The vertices are 0 and m u / <u, xi> for the dual rays u, with the
-    pairing exact before its one rounding to float.
+    pairing exact before its one rounding to float; a vertex past float
+    range raises TooLarge.
     """
     verts = [[0.0] * len(dual_rays[0])]
     for u, p in zip(dual_rays, pairings):
         scale = float(m) / float(p)
         verts.append([c * scale for c in u])
     verts = np.asarray(verts)
+    if not np.isfinite(verts).all():
+        raise TooLarge("the truncated cone's vertices are past float range")
     box_lo = [int(np.floor(x - pad)) for x in verts.min(axis=0)]
     return verts, box_lo, [int(np.ceil(x + pad)) for x in verts.max(axis=0)]
 
@@ -454,7 +457,10 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     or its walk exceeds the budget, so a count that finishes along the last
     axis still finishes, and errors name the input's own rays.  At m <= 0
     the sum is 0: on the weight cone only the apex pairs to 0 with an xi of
-    the Reeb cone.
+    the Reeb cone.  An m past float range raises TooLarge.  Where m
+    ||u||_inf < <u, xi> for every ray u of the weight cone, the truncated
+    cone lies in the open unit cube: the sum is h0(0) = 1, with no float
+    box, which an m whose float is 0 or subnormal collapses.
     """
     if m != m or abs(m) == inf:
         raise ValueError(f"the truncation m must be finite, got m = {m}")
@@ -466,6 +472,13 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     if m <= 0:
         _cached(_reeb_pairings, dual_rays, x)  # NotInReebCone off the Reeb cone
         return 0
+    try:
+        float(m)
+    except OverflowError:
+        raise TooLarge("the truncation m is past float range") from None
+    q = Fraction(m)
+    if all(q * max(map(abs, u)) < _pairing(u, x) for u in dual_rays):
+        return 1  # the truncated cone lies in the open unit cube: the apex alone, h0(0) = 1
     rays = tuple(tuple(int(c) for c in r) for r in sigma_rays)
     sure = _cached(_sure_everywhere, dual_rays, coeffs)
     turned = _cached(_column_basis, rays, dual_rays, x, coeffs)

@@ -122,7 +122,7 @@ def minimize(t: ToricData, tolerance=1e-9, max_iter=_newton.MAX_ITER) -> Minimiz
     point the unique global minimizer.  The result is rescaled so that
     A(xi_star) = n; the reported certificates are exact at Newton's point.
     """
-    return _newton.minimize(t._cellsum, t.u0, t.sigma.rays, t.n, tolerance, max_iter)
+    return _newton.minimize(t._cellsum, t.u0, t.sigma.rays, tolerance, max_iter)
 
 
 def is_rational_minimizer(t: ToricData, xi) -> bool:

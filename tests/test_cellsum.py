@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,6 +53,13 @@ def assert_paths_agree(cs, xi):
         assert same(fast, cs._evaluate_rational(xi, order))
 
 
+def assert_degree(data):
+    """The kernel's degree is the data's n, and every cell is that long."""
+    cs = data._cellsum
+    assert cs.degree == data.n
+    assert all(len(idx) == cs.degree for idx, _ in cs.cells)
+
+
 def lattice_cone(rng, dim, k, box):
     """Rays (p, 1) over k distinct lattice points of [-box, box]^(dim-1)."""
     while True:
@@ -87,6 +95,7 @@ class TestToric:
         for dim, k, box in CONES:
             for _ in range(3):
                 t = lattice_cone(rng, dim, k, box)
+                assert_degree(t)
                 for xi in points(rng, t.sigma):
                     assert_paths_agree(t._cellsum, xi)
 
@@ -94,6 +103,7 @@ class TestToric:
         rng = random.Random(62)
         for k in POLYGONS:
             t = lattice_cone(rng, 3, k, 10**4)
+            assert_degree(t)
             for _ in range(2):
                 for xi in points(rng, t.sigma):
                     assert_paths_agree(t._cellsum, xi)
@@ -103,13 +113,17 @@ class TestComplexityOne:
     def test_weight_denominators_2_and_3(self):
         rng = random.Random(63)
         denominators = set()
+        empty = 0
         for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
+            assert_degree(d)  # also for a table without cells
             cs = d._cellsum
+            empty += not cs.cells
             denominators |= {Fraction(c, cs.den).denominator for _, c in cs.cells}
             for xi in points(rng, d.sigma):
                 assert_paths_agree(cs, xi)
         assert any(e % 2 == 0 for e in denominators) and any(e % 3 == 0 for e in denominators)
+        assert empty
 
     def test_weights_are_the_pairings_with_ell(self):
         # each (piece, ell) of the cell complex yields, in order, the cells
@@ -134,6 +148,7 @@ class TestComplexityOne:
 
     def test_dk_divisor(self, dk_divisor):
         rng = random.Random(64)
+        assert_degree(dk_divisor)
         for _ in range(5):
             for xi in points(rng, dk_divisor.sigma):
                 assert_paths_agree(dk_divisor._cellsum, xi)
@@ -163,12 +178,28 @@ def test_rational_minimizer_with_a_zero_entry_in_u0():
 
 
 def test_cell_less_sum_returns_int_zeros():
-    cs = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [(-1, -1)])])._cellsum
-    assert not cs.cells
-    for xi in ((1, 2), (Fraction(1, 3), Fraction(5, 2))):
-        assert_paths_agree(cs, xi)
-        assert type(cs.evaluate(xi)[0]) is int
-        assert not cs.is_rational_minimizer(xi, (1, 1))
+    # without cells every path sums to zeros of xi's arithmetic, and the
+    # certificate reads (0.0, 0.0, NaN, False) off them; deg < 0 on the whole
+    # orthant, then deg = 0 on it
+    for vertex in ((-1, -1), (0, 0)):
+        d = PolyhedralDivisor.from_vertex_lists([(1, 0), (0, 1)], [("0", [vertex])])
+        cs = d._cellsum
+        assert not cs.cells
+        assert_degree(d)
+        for xi in ((1, 2), (Fraction(1, 3), Fraction(5, 2))):
+            assert_paths_agree(cs, xi)
+            assert type(cs.evaluate(xi)[0]) is Fraction
+            assert not cs.is_rational_minimizer(xi, (1, 1))
+            nvol, grad_norm, sine, minimizer = cs.certificate(xi, (1, 1))
+            assert same((nvol, grad_norm, minimizer), (0.0, 0.0, False)) and math.isnan(sine)
+            assert math.copysign(1.0, nvol) == math.copysign(1.0, grad_norm) == 1.0
+        for xi in ((1.0, 2.0), (mpmath.mpf(1) / 3, mpmath.mpf(5) / 2)):
+            zero = 0 * xi[0]
+            for order in (0, 1, 2):
+                out = cs.evaluate(xi, order)
+                assert same(out, cs._evaluate_generic(xi, order))
+                assert same(out, ((zero,), (zero, (zero,) * 2), (zero, (zero,) * 2, ((zero,) * 2,) * 2))[order])
+                assert "-" not in repr(out)  # no -0.0 for a report to print as "-0"
 
 
 @pytest.mark.parametrize("xi", [(-1, 2, 1), (Fraction(-3, 2), Fraction(1, 7), 1), (0, 0, 1), (1, -Fraction(1, 3), -2),
@@ -384,15 +415,24 @@ class TestNewtonCertificate:
 
     def test_seeded_divisors(self, monkeypatch):
         rng = random.Random(68)
-        checked = 0
-        for k in range(12):
+        checked = empty = 0
+        for k in range(24):
             d = seeded_divisor(rng, TAILS[k % len(TAILS)])
-            if not d._cellsum.cells:
-                continue
             u0 = tuple(sum(col) for col in zip(*d.sigma_dual.rays))
+            if not d._cellsum.cells:
+                # vol = 0 and grad vol = 0: Newton stops at its start, the
+                # sum of sigma's rays rescaled to <u0, xi> = n
+                res = minimize_c1(d, u0)
+                assert (res.stop_reason, res.iterations, res.converged) == ("zero_volume", 0, False)
+                assert same((res.nvol_star, res.grad_norm), (0.0, 0.0)) and math.isnan(res.barycenter_residual)
+                total = [sum(col) for col in zip(*d.sigma.rays)]
+                scale = d.n / sum(x * y for x, y in zip(u0, total))
+                assert all(math.isclose(x, scale * t, rel_tol=1e-15) for x, t in zip(res.xi_star.xi, total))
+                empty += 1
+                continue
             self.check(monkeypatch, d._cellsum, ex.fracvec(u0), d.n, lambda: minimize_c1(d, u0))
             checked += 1
-        assert checked >= 8
+        assert checked >= 16 and empty >= 4
 
     def test_dk_divisor(self, monkeypatch, dk_divisor):
         res = self.check(monkeypatch, dk_divisor._cellsum, ex.fracvec(DK_U0), dk_divisor.n,
@@ -495,7 +535,7 @@ class TestSameBitsAsTermByTerm:
                 assert bitwise(cs.sine(xi, u0), sine), xi
                 if xi is not xf:  # rational: |proj| is the certificate's grad_norm
                     norm = math.sqrt(sum(x * x for x in proj))
-                    assert bitwise(cs.certificate(xi, u0, data.n)[1], norm), xi
+                    assert bitwise(cs.certificate(xi, u0)[1], norm), xi
 
     def test_scan_and_invariants(self):
         # exact entries (rational xi and eta) as term-by-term Fractions,

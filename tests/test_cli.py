@@ -98,7 +98,8 @@ class TestOracleCommand:
         assert abs(estimates[-1] - 1.0) < 0.05
         assert abs(float(report["results"]["extrapolated"]) - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20], [True, 2, 3], [1e-300, 1, 2]])
+    @pytest.mark.parametrize("m_list", [[0, 10, 20], [-5, 10, 20], [None, 10, 20], [True, 2, 3], [1e-300, 1, 2],
+                                        [50, 100, 10**400]])
     def test_non_positive_truncation_exit_2(self, tmp_path, m_list):
         doc = json.loads(Path(SPECS["c_n.json"]).read_text())
         doc["m_list"] = m_list

@@ -823,6 +823,49 @@ class TestTruncationChecks:
             count_cxone(dk_divisor, (1, 1, Fraction(7, 10)), m)
 
 
+    @pytest.mark.parametrize("m", [10**400, Fraction(10**400), Fraction(10**401, 3)], ids=["int", "fraction", "ratio"])
+    def test_truncation_past_float_range_is_too_large(self, dk_divisor, m):
+        # float(m) overflows: the parent raised OverflowError from the float box
+        with pytest.raises(TooLarge, match="float range"):
+            count_toric(ToricData.smooth_point(3), (1, 1, 1), m)
+        with pytest.raises(TooLarge, match="float range"):
+            count_cxone(dk_divisor, (1, 1, Fraction(7, 10)), m)
+
+    def test_vertices_past_float_range_are_too_large(self, dk_divisor):
+        # m is a float, but m u / <u, xi> is not: the parent raised ValueError on a NaN
+        with pytest.raises(TooLarge, match="float range"):
+            count_toric(ToricData.smooth_point(3), (Fraction(1, 1000), 1, 1), 1e306)
+        with pytest.raises(TooLarge, match="float range"):
+            count_cxone(dk_divisor, (Fraction(1, 10**6), 1, Fraction(7, 10)), 1e304)
+
+    @staticmethod
+    def apex_bound(data, xi):
+        """min <u, xi> / ||u||_inf over the weight cone's rays u: below it the
+        truncated cone lies in the open unit cube."""
+        return min(ex.dot(u, xi) / max(map(abs, u)) for u in data.sigma_dual.rays)
+
+    @pytest.mark.parametrize("m", [Fraction(1, 10**400), 5e-324, 1e-320, 1e-300, Fraction(1, 2), 1, Fraction(11, 10)])
+    def test_tiny_truncation_counts_the_apex(self, dk_divisor, m):
+        # a positive m whose float is 0 or subnormal collapsed the float hull:
+        # the parent raised numpy's zero-size-reduction ValueError, or warned
+        # of an overflow in a divide
+        t = ToricData.smooth_point(3)
+        assert count_toric(t, (1, 1, 1), m) == brute_count(t, (1, 1, 1), m, 2)
+        xi = (1, 1, Fraction(7, 10))
+        assert count_cxone(dk_divisor, xi, m) == brute_count_cxone(dk_divisor, xi, m, box_of(dk_divisor, xi, m))
+
+    def test_apex_bound_either_side(self, dk_divisor):
+        eps = Fraction(1, 10**9)
+        t = ToricData.from_cone([(1, 0, 0), (0, 1, 0), (1, 1, 3)], [1, 1, 1])
+        for data, xi, reference in ((t, (1, Fraction(1, 2), Fraction(1, 3)), brute_count),
+                                    (dk_divisor, (1, 1, Fraction(7, 10)), brute_count_cxone)):
+            bound = self.apex_bound(data, xi)
+            for m in (bound - eps, bound, bound + eps, 3 * bound):
+                box = box_of(data, xi, m)
+                got = (count_toric if data is t else count_cxone)(data, xi, m)
+                assert got == reference(data, xi, m, box), m
+
+
 class TestLengthChecks:
     # a short xi used to raise IndexError in the pairing bound and a long one
     # numpy's inhomogeneous-shape ValueError
