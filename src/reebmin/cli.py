@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from . import _exact as ex
 from ._newton import MAX_ITER
@@ -84,12 +85,14 @@ def _int(x):
 
 
 def _real(x):
+    """x as a finite float; a value whose float is infinite or NaN is a SpecError."""
     try:
-        if isinstance(x, str):
-            return float(Fraction(x)) if "/" in x else float(x)
-        return float(x)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+        v = float(Fraction(x)) if isinstance(x, str) and "/" in x else float(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
         raise SpecError(f"bad real {x!r}: {e}") from None
+    if not isfinite(v):
+        raise SpecError(f"bad real {x!r}: its float {v} is not finite")
+    return v
 
 
 def _field(doc, name, depth=1):

@@ -13,14 +13,14 @@ lattice count adds run lengths.  Along a column each divisor point's
 coefficient is the lower envelope of one line per distinct slope, each an
 elementwise min of its vertices' lines, so the closed form is one floor sum
 per envelope piece, n (a // den) for a flat one.  It needs h0 = deg
-floor(D(u)) + 1 on the run, which one exact test per data set proves for
+floor(D(u)) + 1 on the run, which one exact test per count proves for
 the whole weight cone when it holds (`_sure_everywhere`), and a per-column
 bound decides otherwise.  The columns run along the weight cone's ray of
 least pairing with xi where that beats the last axis (`_column_basis`).
-What depends only on the data and xi (that basis, the test, the envelopes,
-the exact pairings and the cleared xi) is kept for the last few data sets
-(`_cached`), so a series of truncations lays its data out once; the box
-and the int64 checks are made per truncation.
+xi is read once, at the entry of `_enumerate`, as its cleared integers
+x_n over one integer scale, with the exact integer pairings <u, x_n> of
+the weight cone's rays; every later step reads those, and nothing is kept
+between counts.
 """
 
 from dataclasses import dataclass
@@ -39,28 +39,15 @@ _REL_MARGIN = 1e-7
 _PAD = 1e-9  # relative slack of the float box and shadow bounds
 _BLOCK = 2**15  # box columns (heads times y width) per block of heads formed in one array pass
 _INT64 = 2**62  # magnitudes below this leave room for one more int64 addition
-_KEPT = 8  # results `_cached` keeps: a few per data set, for the data sets last counted
-_kept = {}
-
-
-def _cached(fn, *args):
-    """fn(*args), kept for the last `_KEPT` calls, keyed by fn and its exact
-    (hashable) arguments: a series of truncations over one data set and one
-    xi computes what depends on those alone once.  The results are shared,
-    so no caller changes them."""
-    key = (fn, *args)
-    try:
-        return _kept[key]
-    except KeyError:
-        value = _kept[key] = fn(*args)
-        while len(_kept) > _KEPT:  # the oldest goes first
-            _kept.pop(next(iter(_kept)))
-        return value
 
 
 def _exact_xi(xi):
-    """xi's coordinates as exact rationals; a float is the rational it stores."""
-    return tuple(Fraction(v) if isinstance(v, float) else ex.frac(v) for v in getattr(xi, "xi", xi))
+    """xi's coordinates as exact rationals; a float is the rational it
+    stores, and a non-finite one raises ValueError."""
+    x = tuple(getattr(xi, "xi", xi))
+    if not all(isfinite(v) for v in x if isinstance(v, float)):
+        raise ValueError(f"the Reeb vector xi must be finite, got xi = {x}")
+    return tuple(Fraction(v) if isinstance(v, float) else ex.frac(v) for v in x)
 
 
 def _pairing(u, x):
@@ -68,27 +55,32 @@ def _pairing(u, x):
     return sum(c * v for c, v in zip(u, x))
 
 
-def _reeb_pairings(dual_rays, x):
-    """The exact pairings <u, xi> of the weight cone's rays u, all positive,
-    or NotInReebCone naming the first ray that is not."""
-    pairings = tuple(_pairing(u, x) for u in dual_rays)
+def _reeb_pairings(dual_rays, x_n):
+    """The integer pairings <u, x_n> of the weight cone's rays u with xi's
+    cleared integers, all positive, or NotInReebCone naming the first ray
+    that is not."""
+    pairings = tuple(_pairing(u, x_n) for u in dual_rays)
     for u, p in zip(dual_rays, pairings):
         if p <= 0:
             raise NotInReebCone(f"<{u}, xi> <= 0: truncated cone is unbounded")
     return pairings
 
 
-def _box_from_cone(dual_rays, pairings, m, pad):
-    """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box.
+def _box_from_cone(dual_rays, pairings, scale, m_num, m_den, pad):
+    """Vertices of {u in cone : <u, xi> <= m} and their integer bounding box,
+    for m = m_num / m_den and the pairings <u, x_n> = scale <u, xi>.
 
-    The vertices are 0 and m u / <u, xi> for the dual rays u, with the
-    pairing exact before its one rounding to float; a vertex past float
-    range raises TooLarge.
+    The vertices are 0 and m u / <u, xi> for the dual rays u, the factor
+    m / <u, xi> = m_num scale / (m_den <u, x_n>) one correctly rounded
+    integer division; a vertex past float range raises TooLarge.
     """
     verts = [[0.0] * len(dual_rays[0])]
-    for u, p in zip(dual_rays, pairings):
-        scale = float(m) / float(p)
-        verts.append([c * scale for c in u])
+    try:
+        for u, p in zip(dual_rays, pairings):
+            factor = m_num * scale / (m_den * p)
+            verts.append([c * factor for c in u])
+    except OverflowError:  # the factor, or an entry of u, past float range
+        verts.append([inf] * len(u))
     verts = np.asarray(verts)
     if not np.isfinite(verts).all():
         raise TooLarge("the truncated cone's vertices are past float range")
@@ -364,26 +356,24 @@ def _interior_sums(heads, y, z0, z1, envelopes, sure):
     return total, unsure
 
 
-def _column_basis(rays, dual_rays, x, coeffs):
+def _column_basis(rays, dual_rays, x_n, coeffs, pairings):
     """The data in a unimodular basis whose last axis is the weight cone's ray
     v of least <v, xi>, or None where the last axis serves as well.
 
     The walk forms about <v, xi> vol(top facet) / |xi| columns along a
     primitive v of the weight cone, so v replaces the last axis e_d when e_d
     lies in the weight cone (every ray of sigma has a nonnegative last entry)
-    and v pairs strictly lower than xi_d.  Lattice counts do not change under
-    a unimodular change of basis, so the choice may read float pairings.
-    The Hermite form of v as a column gives a unimodular A with A v = e_d;
-    the weight cone's rays map by A, and sigma's rays, xi (through its
-    cleared integers) and the divisor points' vertex rows by A^-T, which
-    keeps every pairing.  Returns (rays, dual_rays, x, coeffs) of the image.
+    and v pairs strictly lower than xi_d, both read exactly off xi's cleared
+    integers x_n and their pairings.  The Hermite form of v as a column
+    gives a unimodular A with A v = e_d; the weight cone's rays map by A, and
+    sigma's rays, x_n (over the same scale) and the divisor points' vertex
+    rows by A^-T, which keeps every pairing.  Returns (rays, dual_rays, x_n,
+    coeffs) of the image.
     """
-    if len(x) < 2 or any(r[-1] < 0 for r in rays):
+    if len(x_n) < 2 or any(r[-1] < 0 for r in rays):
         return None
-    xf = [float(c) for c in x]
-    pairings = [sum(c * f for c, f in zip(u, xf)) for u in dual_rays]
     low = min(range(len(pairings)), key=pairings.__getitem__)
-    if not pairings[low] < xf[-1]:
+    if not pairings[low] < x_n[-1]:
         return None
     _, u = ex.hermite([[c] for c in ex.primitive(dual_rays[low])])  # u v = e_1
     a = u[1:] + u[:1]  # a v = e_d
@@ -394,29 +384,27 @@ def _column_basis(rays, dual_rays, x, coeffs):
     def image(m, v):
         return tuple([sum(map(mul, row, v)) for row in m])
 
-    x_n, scale = ex.cleared(x)
     return (
         tuple(image(inv_t, r) for r in rays),
         tuple(image(a, r) for r in dual_rays),
-        tuple(Fraction(c, scale) for c in image(inv_t, x_n)),
+        image(inv_t, x_n),
         tuple((tuple(image(inv_t, row) for row in rows), den) for rows, den in coeffs),
     )
 
 
-def _layout(rays, dual_rays, x, coeffs, m, budget):
+def _layout(rays, dual_rays, x_n, coeffs, pairings, scale, m_num, m_den, budget):
     """The walk's box and data in one basis, checked against int64:
-    (verts, box_lo, box_hi, rays, x, coeffs, envelopes, wide), with coeffs
+    (verts, box_lo, box_hi, rays, x_n, coeffs, envelopes, wide), with coeffs
     as int64 arrays and their `_envelopes`, or as object arrays and None
-    where `wide` says the column sums may leave int64.  Raises TooLarge when
-    the cone's pairings over the box leave int64.  The box and the checks
-    are made per truncation; the exact pairings and the envelopes depend on
-    the data alone and are `_cached`.
+    where `wide` says the column sums may leave int64.  xi = x_n / scale,
+    the pairings are those of dual_rays with x_n, and m = m_num / m_den.
+    Raises TooLarge when the cone's pairings over the box leave int64.
     """
-    pairings = _cached(_reeb_pairings, dual_rays, x)
-    verts, box_lo, box_hi = _box_from_cone(dual_rays, pairings, m, _PAD * (1.0 + abs(float(m))))
-    if len(x) == 1:  # a 1-dimensional cone is one slab with the single y = 0
+    pad = _PAD * (1.0 + m_num / m_den)
+    verts, box_lo, box_hi = _box_from_cone(dual_rays, pairings, scale, m_num, m_den, pad)
+    if len(x_n) == 1:  # a 1-dimensional cone is one slab with the single y = 0
         rays = tuple((0, *r) for r in rays)
-        x, box_lo, box_hi = (0, *x), [0, *box_lo], [0, *box_hi]
+        x_n, box_lo, box_hi = (0, *x_n), [0, *box_lo], [0, *box_hi]
         coeffs = tuple((tuple((0, *v) for v in rows), den) for rows, den in coeffs)
     reach = [max(-a, b) + 1 for a, b in zip(box_lo, box_hi)]  # |u_i| < reach_i one step past the box
 
@@ -439,9 +427,9 @@ def _layout(rays, dual_rays, x, coeffs, m, budget):
     if wide:
         coeffs, envelopes = [(np.array(rows, dtype=object), den) for rows, den in coeffs], None
     else:
-        envelopes = _cached(_envelopes, coeffs)
+        envelopes = _envelopes(coeffs)
         coeffs = [(rows, den) for rows, _, _, den in envelopes]
-    return verts, box_lo, box_hi, rays, x, coeffs, envelopes, wide
+    return verts, box_lo, box_hi, rays, x_n, coeffs, envelopes, wide
 
 
 def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
@@ -450,17 +438,19 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     coeffs holds each divisor point's vertices as integer rows over a common
     denominator, (rows, den); with none, h0 = 1 and the sum is the lattice
     count.  Whether the closed form holds on the whole weight cone, which
-    dual_rays generate, is decided once per data set (`_sure_everywhere`).
-    The columns run along the weight cone's ray of least pairing with xi
-    where that beats the last axis (`_column_basis`).  The input's own basis
-    is walked instead where the image's pairings or sums could leave int64
-    or its walk exceeds the budget, so a count that finishes along the last
-    axis still finishes, and errors name the input's own rays.  At m <= 0
-    the sum is 0: on the weight cone only the apex pairs to 0 with an xi of
-    the Reeb cone.  An m past float range raises TooLarge.  Where m
-    ||u||_inf < <u, xi> for every ray u of the weight cone, the truncated
-    cone lies in the open unit cube: the sum is h0(0) = 1, with no float
-    box, which an m whose float is 0 or subnormal collapses.
+    dual_rays generate, is decided once per count (`_sure_everywhere`).
+    xi is read here alone, as its cleared integers x_n over one scale and
+    the pairings <u, x_n> of the weight cone's rays u.  The columns run
+    along the weight cone's ray of least pairing with xi where that beats
+    the last axis (`_column_basis`).  The input's own basis is walked
+    instead where the image's pairings or sums could leave int64 or its
+    walk exceeds the budget, so a count that finishes along the last axis
+    still finishes, and errors name the input's own rays.  At m <= 0 the
+    sum is 0: on the weight cone only the apex pairs to 0 with an xi of the
+    Reeb cone.  An m past float range raises TooLarge.  Where m ||u||_inf <
+    <u, xi> for every ray u of the weight cone, the truncated cone lies in
+    the open unit cube: the sum is h0(0) = 1, with no float box, which an m
+    whose float is 0 or subnormal collapses.
     """
     if m != m or abs(m) == inf:
         raise ValueError(f"the truncation m must be finite, got m = {m}")
@@ -469,32 +459,36 @@ def _enumerate(sigma_rays, dual_rays, xi, m, coeffs, budget):
     dim = len(dual_rays[0])
     if len(x) != dim:
         raise ValueError(f"Reeb vector has {len(x)} entries but the weight cone lies in dimension {dim}")
+    x_n, scale = ex.cleared(x)
     if m <= 0:
-        _cached(_reeb_pairings, dual_rays, x)  # NotInReebCone off the Reeb cone
+        _reeb_pairings(dual_rays, x_n)  # NotInReebCone off the Reeb cone
         return 0
     try:
         float(m)
     except OverflowError:
         raise TooLarge("the truncation m is past float range") from None
-    q = Fraction(m)
-    if all(q * max(map(abs, u)) < _pairing(u, x) for u in dual_rays):
+    pairings = _reeb_pairings(dual_rays, x_n)
+    m_num, m_den = Fraction(m).as_integer_ratio()
+    if all(m_num * scale * max(map(abs, u)) < m_den * p for u, p in zip(dual_rays, pairings)):
         return 1  # the truncated cone lies in the open unit cube: the apex alone, h0(0) = 1
     rays = tuple(tuple(int(c) for c in r) for r in sigma_rays)
-    sure = _cached(_sure_everywhere, dual_rays, coeffs)
-    turned = _cached(_column_basis, rays, dual_rays, x, coeffs)
+    sure = _sure_everywhere(dual_rays, coeffs)
+    truncation = (scale, m_num, m_den)
+    turned = _column_basis(rays, dual_rays, x_n, coeffs, pairings)
     if turned is not None:
         try:
-            *layout, wide = _layout(*turned, m, budget)
+            *layout, wide = _layout(*turned, pairings, *truncation, budget)
             if not wide:  # else its sums may leave int64
-                return _walk(*layout, m, sure, budget)
-        except (TooLarge, NotInReebCone):  # past int64 or the budget; or xi, reported below
+                return _walk(*layout, *truncation, sure, budget)
+        except TooLarge:  # past int64 or the budget
             pass
-    *layout, _ = _layout(rays, dual_rays, x, coeffs, m, budget)
-    return _walk(*layout, m, sure, budget)
+    *layout, _ = _layout(rays, dual_rays, x_n, coeffs, pairings, *truncation, budget)
+    return _walk(*layout, *truncation, sure, budget)
 
 
-def _walk(verts, box_lo, box_hi, rays, x, coeffs, envelopes, m, sure, budget):
-    """The sum of `_enumerate` over one basis's `_layout`.
+def _walk(verts, box_lo, box_hi, rays, x_n, coeffs, envelopes, scale, m_num, m_den, sure, budget):
+    """The sum of `_enumerate` over one basis's `_layout`, for xi = x_n / scale
+    and m = m_num / m_den.
 
     Each block of heads forms its columns (`_columns`) and splits every one
     into an interior and a border run (`_split`); a column outside the cone
@@ -503,23 +497,21 @@ def _walk(verts, box_lo, box_hi, rays, x, coeffs, envelopes, m, sure, budget):
     have one), and counted point by point only where neither `sure` nor the
     per-column bound makes them sure, or, without envelopes, where the sums
     may leave int64.  Points are formed only for nonempty border runs, and
-    rechecked against the exact xi in integers, one product with the cleared
-    xi per block: in int64 where the pairings over the box stay below 2^62,
-    else in Python integers.  A lattice count adds the interior runs'
-    lengths.  The budget charges each slab its candidate points, and at
-    least the width of its y range, so slabs without points still count
-    towards it; it is checked before each block's work.
+    rechecked against the exact xi in integers, one product with x_n per
+    block: in int64 where the pairings over the box stay below 2^62, else
+    in Python integers.  A lattice count adds the interior runs' lengths.
+    The budget charges each slab its candidate points, and at least the
+    width of its y range, so slabs without points still count towards it;
+    it is checked before each block's work.
     """
-    mf = float(m)
-    pad = _PAD * (1.0 + abs(mf))
-    delta = _REL_MARGIN * (1.0 + abs(mf))
-    xf = np.asarray([float(c) for c in x])
+    mf = m_num / m_den
+    pad = _PAD * (1.0 + mf)
+    delta = _REL_MARGIN * (1.0 + mf)
+    xf = np.asarray([c / scale for c in x_n])  # the floats of xi, each rounded once
     width = box_hi[-2] - box_lo[-2] + 1
-    x_n, scale = _cached(ex.cleared, x)
-    m_num, m_den = (Fraction(m) * scale).as_integer_ratio()
-    limit = -(-m_num // m_den)  # <u, x_n> < limit exactly when <u, xi> < m
+    limit = -(-m_num * scale // m_den)  # <u, x_n> < limit exactly when <u, xi> < m
     if sum(abs(c) * (max(-a, b) + 1) for c, a, b in zip(x_n, box_lo, box_hi)) < _INT64:
-        x_n, limit = np.array(x_n, dtype=np.int64), min(max(limit, -_INT64), _INT64)
+        x_n, limit = np.array(x_n, dtype=np.int64), min(limit, _INT64)
     else:
         x_n = np.array(x_n, dtype=object)
     total = 0

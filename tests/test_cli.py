@@ -111,6 +111,19 @@ class TestOracleCommand:
         assert err["error"]["type"] == "SpecError"
         assert "positive" in err["error"]["message"]
 
+    def test_xi_whose_floats_underflow_exit_1(self, tmp_path):
+        # xi = (10^-400, 10^-400) at m = 50: the truncated cone's vertices are
+        # past float range; the parent exited 1 with a ZeroDivisionError traceback
+        doc = json.loads(Path(SPECS["c_n.json"]).read_text())
+        doc["xi"] = ["1/1" + "0" * 400] * 2
+        spec = tmp_path / "tiny_xi.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli("oracle", str(spec))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "TooLarge" and "float range" in err["message"]
+
     def test_repeated_truncations_exit_2_before_counting(self, tmp_path, monkeypatch):
         # the extrapolation needs the three largest truncations distinct; the
         # parent counted all three and then exited 1 with a ValueError
@@ -391,6 +404,28 @@ class TestCliContract:
         err = json.loads(proc.stderr)
         assert err["error"]["type"] == "SpecError"
         assert "1/0" in err["error"]["message"]
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("eval", "xi", ["1e400", "1", "1"]),
+        ("oracle", "xi", ["1e400", "1", "1"]),
+        ("eval", "xi", [1e300, "-1e400", 1]),
+        ("futaki", "etas", [[10**400, 1, 1]]),
+        ("futaki", "etas", [["1" + "0" * 400 + "/3", 1, 1]]),
+        ("futaki", "etas", [["nan", 1, 1]]),
+    ])
+    def test_non_finite_real_exit_2(self, tmp_path, command, field, value):
+        # the parent exited 1 with an OverflowError traceback (futaki's int
+        # and oracle's inf xi) or reported <(0, 1, 0), xi> = nan (eval)
+        doc = json.loads(Path(SPECS["spp.json"]).read_text())
+        doc["xi0"] = doc["xi"]
+        doc[field] = value
+        spec = tmp_path / "non_finite.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli(command, str(spec))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "SpecError" and "bad real" in err["message"]
 
     def test_weight_matrix_of_wrong_width_exit_2(self, tmp_path):
         doc = json.loads(Path(SPECS["dk_4dim.json"]).read_text())

@@ -84,7 +84,7 @@ PINNED_COUNTS = (
     ("c_n.json", (50, 100), (1275, 5050)),
     ("a1.json", (50, 100), (625, 2500)),
     ("spp.json", (50, 100), (8772, 67080)),
-    ("dk_4dim.json", (50,), (1324452,)),
+    ("dk_4dim.json", (50, 100, 200), (1324452, 20257327, 316789998)),
 )
 
 
@@ -698,8 +698,7 @@ def spy_on(monkeypatch, name, record):
 
 class TestWalkSkipsAndShares:
     # the walk splits every formed column, forms heads only for the columns
-    # with an interior run and points only for those with a border run, and
-    # computes what depends on the data and xi alone once per series
+    # with an interior run and points only for those with a border run
 
     RAYS3 = [(1, 0, 0), (0, 1, 0), (1, 1, 2)]
 
@@ -749,9 +748,7 @@ class TestWalkSkipsAndShares:
 
     def test_no_layout_goes_stale(self):
         # the same data at two xi and two data sets at one xi, interleaved:
-        # each count equals the reference count and a count from nothing kept
-        from reebmin import oracle
-
+        # each count equals the reference count and a repeat of itself
         rng = random.Random(2828)
         divisors = [multi_slope_divisor(self.RAYS3, rng) for _ in range(2)]
         xis = integer_and_irrational_xi(self.RAYS3)
@@ -759,22 +756,9 @@ class TestWalkSkipsAndShares:
         calls = [(count_cxone, d, xi) for xi in xis for d in divisors] + [(count_toric, t, xi) for xi in xis]
         for count, data, xi in calls + calls[::-1]:
             got = count(data, xi, 13)
-            oracle._kept.clear()
             assert got == count(data, xi, 13)
             reference = brute_count if count is count_toric else brute_count_cxone
             assert got == reference(data, xi, 13, box_of(data, xi, 13))
-
-    def test_series_lays_its_data_out_once(self, monkeypatch):
-        # three truncations of one spec and one xi: one column basis, one
-        # closed-form test, one set of envelopes and one set of exact pairings
-        calls = {name: 0 for name in ("_column_basis", "_sure_everywhere", "_envelopes", "_reeb_pairings")}
-        for name in calls:
-            spy_on(monkeypatch, name, lambda args, out, name=name: calls.__setitem__(name, calls[name] + 1))
-        doc = json.loads(Path(bundled_spec("dk_4dim.json")).read_text())
-        doc["m_list"] = [50, 100, 200]
-        out = cli.run("oracle", doc, argparse.Namespace(threads=1))
-        assert out["counts"] == [1324452, 20257327, 316789998]
-        assert calls == {name: 1 for name in calls}
 
     @pytest.mark.parametrize("size", [1, 2, 3, 50, 10**6])
     def test_heads_come_in_order_in_blocks_of_at_most_size(self, size):
@@ -782,10 +766,10 @@ class TestWalkSkipsAndShares:
 
         rays, xi = TestCountToric._skewed_orthant()
         t = ToricData.from_dual_cone(rays, [sum(c) for c in zip(*rays)])
-        x = [Fraction(c) for c in xi]
+        x_n, scale = ex.cleared([Fraction(c) for c in xi])
         pad = oracle._PAD * 11
-        verts, box_lo, box_hi = oracle._box_from_cone(t.sigma_dual.rays, [sum(map(mul, u, x)) for u in
-                                                                          t.sigma_dual.rays], 10, pad)
+        verts, box_lo, box_hi = oracle._box_from_cone(t.sigma_dual.rays, [sum(map(mul, u, x_n)) for u in
+                                                                          t.sigma_dual.rays], scale, 10, 1, pad)
 
         def heads(head):  # the recursive enumeration, one shadow range per head
             if len(head) == len(box_lo) - 2:
@@ -864,6 +848,41 @@ class TestTruncationChecks:
                 box = box_of(data, xi, m)
                 got = (count_toric if data is t else count_cxone)(data, xi, m)
                 assert got == reference(data, xi, m, box), m
+
+    TINY = Fraction(1, 10**400)  # its float underflows to 0
+
+    def test_xi_entry_whose_float_underflows_is_too_large(self):
+        # the vertex 1 / 10^-400 e_1 is past float range: the parent divided
+        # by the float 0 of the pairing and raised ZeroDivisionError
+        with pytest.raises(TooLarge, match="float range"):
+            count_toric(ToricData.smooth_point(3), (self.TINY, 1, 1), 1)
+
+    @pytest.mark.parametrize("k", [2, 5, 30])
+    def test_xi_whose_floats_underflow_counts(self, k):
+        # counts are invariant under scaling xi and m together; the walk's
+        # float xi is 0, so every point goes through the exact recheck
+        t = ToricData.smooth_point(3)
+        xi, m = (self.TINY,) * 3, k * self.TINY
+        got = count_toric(t, xi, m)
+        assert got == math.comb(k + 2, 3)
+        if k < 10:
+            assert got == brute_count(t, xi, m, k + 1)
+
+    def test_cxone_xi_whose_floats_underflow_counts(self, dk_divisor):
+        xi = tuple(self.TINY * c for c in (1, 1, Fraction(7, 10)))
+        for k in (2, Fraction(7, 2)):
+            m = k * self.TINY
+            got = count_cxone(dk_divisor, xi, m)
+            assert got == count_cxone(dk_divisor, (1, 1, Fraction(7, 10)), k)
+            assert got == brute_count_cxone(dk_divisor, xi, m, box_of(dk_divisor, xi, m))
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_non_finite_xi_entry(self, dk_divisor, v):
+        # the parent raised OverflowError (an infinity) or Fraction's bare ValueError (a NaN)
+        with pytest.raises(ValueError, match="xi must be finite"):
+            count_toric(ToricData.smooth_point(3), (v, 1, 1), 3)
+        with pytest.raises(ValueError, match="xi must be finite"):
+            count_cxone(dk_divisor, (1, v, 0.7), 3)
 
 
 class TestLengthChecks:
